@@ -12,6 +12,14 @@ Integration is fixed-step classical Runge-Kutta (RK4).  The closed-loop
 rates are of order the droop gain, so the default 1 ms step is deeply
 conservative; fixed stepping keeps every run bit-reproducible.
 
+One kernel, ``_Plant.rates``, holds the measurement and the droop law.  The
+three later RK4 stages call it with the previous slope and the step
+fraction; the call at each step boundary also fills the step's sample
+(phi, P, Q, omega) and updates the held measurements.  ``simulate`` and
+``step`` both advance through it.  The recorded sample count is known
+before the run, so ``simulate`` writes each retained sample straight into
+preallocated trace arrays.
+
 A scenario is a timeline of parameter/topology events applied atomically at
 exact step boundaries (event times must be multiples of dt).  Angles are
 never touched by mode, load, line or reference events; only the explicit
@@ -33,7 +41,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from . import linearization
-from .droop import DroopParams
+from .droop import DroopParams, droop_frequency
 from .errors import NoRootError, SingularImpedanceError, ValidationError
 from .phasors import Impedance, PowerPair, generalized_load, wrap_angle
 
@@ -224,7 +232,7 @@ class _Plant:
 
     __slots__ = (
         "n", "v_star", "w_star", "m", "phi_star", "w_lo", "w_hi",
-        "mode", "line_z", "load_z", "sink", "z", "zero_floor",
+        "mode", "line_z", "load_z", "sink", "drive", "z", "zero_floor",
     )
 
     def __init__(self, config: SystemConfig):
@@ -235,7 +243,7 @@ class _Plant:
         self.m = d.droop_gain
         self.phi_star = d.nominal_pf_angle
         if d.freq_clamp is None:
-            self.w_lo = self.w_hi = None
+            self.w_lo, self.w_hi = -math.inf, math.inf
         else:
             self.w_lo = TAU * d.freq_clamp[0]
             self.w_hi = TAU * d.freq_clamp[1]
@@ -253,23 +261,34 @@ class _Plant:
                     f"islanded series impedance cancels to {abs(z):.3e} ohm"
                 )
             self.z = z
+            self.drive = 0j
         else:
             self.z = self.line_z
+            self.drive = self.sink
         scale = self.n * self.v_star * self.v_star / abs(self.z)
         self.zero_floor = _ZERO_POWER_FRACTION * scale
 
-    def _sink_now(self) -> complex:
-        return self.sink if self.mode is Mode.GRID_CONNECTED else 0j
+    def rates(self, deltas: list[float], held: list[float],
+              sample: tuple[list[float], ...] | None = None,
+              k: list[float] | None = None, h: float = 0.0) -> list[float]:
+        """Angle velocities (rad/s, frame-relative): the one measure/droop kernel.
 
-    def rhs(self, deltas: list[float], held: list[float]) -> list[float]:
-        """Angle velocities (rad/s, frame-relative) at the given angles."""
+        Evaluates at ``deltas``, or at ``deltas + h * k`` when an RK4 stage
+        passes the previous slope ``k`` and its step fraction ``h``.  A
+        step-boundary call passes ``sample``, four lists that receive each
+        module's phi, P, Q and omega; only such a call updates ``held``
+        wherever the measurement was valid.
+        """
         rect = cmath.rect
         v_star = self.v_star
-        volts = [rect(v_star, d) for d in deltas]
+        if k is None:
+            volts = [rect(v_star, d) for d in deltas]
+        else:
+            volts = [rect(v_star, d + h * s) for d, s in zip(deltas, k)]
         total = 0j
         for v in volts:
             total += v
-        icon = ((total - self._sink_now()) / self.z).conjugate()
+        icon = ((total - self.drive) / self.z).conjugate()
         atan2 = math.atan2
         floor = self.zero_floor
         m = self.m
@@ -277,6 +296,9 @@ class _Plant:
         w_star = self.w_star
         w_lo = self.w_lo
         w_hi = self.w_hi
+        record = sample is not None
+        if record:
+            phis, actives, reactives, omegas = sample
         out = []
         for i, v in enumerate(volts):
             s = v * icon
@@ -286,82 +308,36 @@ class _Plant:
                 phi = held[i]
             else:
                 phi = atan2(q, p)
+                if record:
+                    if phi <= -PI:
+                        phi = PI
+                    held[i] = phi
             err = phi - phi_star
             if err > PI:
                 err -= TAU
             elif err <= -PI:
                 err += TAU
             w = w_star - m * err
-            if w_lo is not None:
-                if w < w_lo:
-                    w = w_lo
-                elif w > w_hi:
-                    w = w_hi
+            if w < w_lo:
+                w = w_lo
+            elif w > w_hi:
+                w = w_hi
+            if record:
+                phis.append(phi)
+                actives.append(p)
+                reactives.append(q)
+                omegas.append(w)
             out.append(w - w_star)
         return out
-
-    def measure(self, deltas: list[float], held: list[float]):
-        """Full measurement at the given angles.
-
-        Returns (phis, actives, reactives, omegas, rates) and updates
-        ``held`` in place wherever the measurement was valid.
-        """
-        rect = cmath.rect
-        v_star = self.v_star
-        volts = [rect(v_star, d) for d in deltas]
-        total = 0j
-        for v in volts:
-            total += v
-        icon = ((total - self._sink_now()) / self.z).conjugate()
-        atan2 = math.atan2
-        floor = self.zero_floor
-        m = self.m
-        phi_star = self.phi_star
-        w_star = self.w_star
-        w_lo = self.w_lo
-        w_hi = self.w_hi
-        phis = []
-        actives = []
-        reactives = []
-        omegas = []
-        rates = []
-        for i, v in enumerate(volts):
-            s = v * icon
-            p = s.real
-            q = s.imag
-            if -floor < p < floor and -floor < q < floor:
-                phi = held[i]
-            else:
-                phi = atan2(q, p)
-                if phi <= -PI:
-                    phi = PI
-                held[i] = phi
-            err = phi - phi_star
-            if err > PI:
-                err -= TAU
-            elif err <= -PI:
-                err += TAU
-            w = w_star - m * err
-            if w_lo is not None:
-                if w < w_lo:
-                    w = w_lo
-                elif w > w_hi:
-                    w = w_hi
-            phis.append(phi)
-            actives.append(p)
-            reactives.append(q)
-            omegas.append(w)
-            rates.append(w - w_star)
-        return phis, actives, reactives, omegas, rates
 
     def rk4_step(self, deltas: list[float], held: list[float], dt: float,
                  k1: list[float] | None = None) -> list[float]:
         if k1 is None:
-            k1 = self.rhs(deltas, held)
+            k1 = self.rates(deltas, held)
         half = 0.5 * dt
-        k2 = self.rhs([d + half * k for d, k in zip(deltas, k1)], held)
-        k3 = self.rhs([d + half * k for d, k in zip(deltas, k2)], held)
-        k4 = self.rhs([d + dt * k for d, k in zip(deltas, k3)], held)
+        k2 = self.rates(deltas, held, None, k1, half)
+        k3 = self.rates(deltas, held, None, k2, half)
+        k4 = self.rates(deltas, held, None, k3, dt)
         sixth = dt / 6.0
         return [
             d + sixth * (a + 2.0 * (b + c) + e)
@@ -410,13 +386,14 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
     ev_idx = 0
     n_events = len(schedule)
 
-    times: list[float] = []
-    freq_rows: list[list[float]] = []
-    p_rows: list[list[float]] = []
-    q_rows: list[list[float]] = []
-    phi_rows: list[list[float]] = []
+    rows = steps // decim + 1 + (steps % decim != 0)
+    times = np.empty(rows)
+    omega = np.empty((rows, plant.n))
+    active = np.empty((rows, plant.n))
+    reactive = np.empty((rows, plant.n))
+    pf_angle = np.empty((rows, plant.n))
+    row = 0
 
-    last_measure = None
     for k in range(steps + 1):
         while ev_idx < n_events and schedule[ev_idx][0] == k:
             action = schedule[ev_idx][1]
@@ -431,36 +408,38 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
             if on_event is not None:
                 on_event(k * dt, action, before, deltas.copy())
             ev_idx += 1
-        phis, actives, reactives, omegas, rates = plant.measure(deltas, held)
-        last_measure = (phis, actives, reactives, omegas)
+        sample = ([], [], [], [])
+        rates = plant.rates(deltas, held, sample)
         if k % decim == 0 or k == steps:
-            times.append(k * dt)
-            freq_rows.append([w / TAU for w in omegas])
-            p_rows.append(actives)
-            q_rows.append(reactives)
-            phi_rows.append(phis)
+            times[row] = k * dt
+            pf_angle[row], active[row], reactive[row], omega[row] = sample
+            row += 1
         if k < steps:
             deltas = plant.rk4_step(deltas, held, dt, k1=rates)
 
-    phis, actives, reactives, omegas = last_measure
-    final = [
+    trace = Trace(
+        times=times,
+        frequency_hz=omega / TAU,
+        active=active,
+        reactive=reactive,
+        pf_angle=pf_angle,
+    )
+    return SimulationResult(trace, _states(deltas, plant.v_star, sample))
+
+
+def _states(deltas: list[float], voltage: float,
+            sample: tuple[list[float], ...]) -> list[InverterState]:
+    phis, actives, reactives, omegas = sample
+    return [
         InverterState(
             delta=deltas[i],
-            voltage=plant.v_star,
+            voltage=voltage,
             power=PowerPair(actives[i], reactives[i]),
             pf_angle=phis[i],
             omega=omegas[i],
         )
-        for i in range(plant.n)
+        for i in range(len(deltas))
     ]
-    trace = Trace(
-        times=np.asarray(times, dtype=float),
-        frequency_hz=np.asarray(freq_rows, dtype=float),
-        active=np.asarray(p_rows, dtype=float),
-        reactive=np.asarray(q_rows, dtype=float),
-        pf_angle=np.asarray(phi_rows, dtype=float),
-    )
-    return SimulationResult(trace, final)
 
 
 def run_scenario(scenario: Scenario) -> Trace:
@@ -475,20 +454,11 @@ def step(states: list[InverterState], config: SystemConfig, dt: float) -> list[I
     if len(states) != config.n:
         raise ValidationError(f"got {len(states)} states for n={config.n} modules")
     plant = _Plant(config)
-    deltas = [s.delta for s in states]
     held = [s.pf_angle for s in states]
-    new_deltas = plant.rk4_step(deltas, held, dt)
-    phis, actives, reactives, omegas, _ = plant.measure(new_deltas, held)
-    return [
-        InverterState(
-            delta=new_deltas[i],
-            voltage=plant.v_star,
-            power=PowerPair(actives[i], reactives[i]),
-            pf_angle=phis[i],
-            omega=omegas[i],
-        )
-        for i in range(config.n)
-    ]
+    deltas = plant.rk4_step([s.delta for s in states], held, dt)
+    sample = ([], [], [], [])
+    plant.rates(deltas, held, sample)
+    return _states(deltas, plant.v_star, sample)
 
 
 # --- equilibria -----------------------------------------------------------
@@ -522,9 +492,7 @@ def islanded_equilibrium(config: SystemConfig) -> IslandedEquilibrium:
         raise ValidationError("islanded_equilibrium requires an islanded configuration")
     z = generalized_load(config.line, config.load)
     d = config.droop
-    omega = d.nominal_omega - d.droop_gain * wrap_angle(z.angle - d.nominal_pf_angle)
-    if d.freq_clamp is not None:
-        omega = min(max(omega, TAU * d.freq_clamp[0]), TAU * d.freq_clamp[1])
+    omega = droop_frequency(z.angle, d)
     v = d.nominal_voltage
     scale = config.n * v * v / z.magnitude
     return IslandedEquilibrium(

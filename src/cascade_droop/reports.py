@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .engine import SystemConfig, Trace
 from .errors import DegeneratePointError, EmptyTraceError, ValidationError
 from .linearization import grid_ab, grid_jacobian
@@ -21,8 +23,16 @@ def _num(x: float) -> str:
     return format(x, ".9g")
 
 
+# Rows formatted and written per chunk, so the file is never one string.
+_CSV_CHUNK_ROWS = 256
+
+
 def emit_trace_csv(trace: Trace, path) -> Path:
-    """Write a trace as CSV: ``time,f1..fn,P1..Pn,Q1..Qn,phi1..phin``."""
+    """Write a trace as CSV: ``time,f1..fn,P1..Pn,Q1..Qn,phi1..phin``.
+
+    Each row is one ``%.9g`` template; ``'%.9g' % x`` and ``_num(x)`` share
+    CPython's float formatter, so every value prints as ``_num`` prints it.
+    """
     if len(trace) == 0:
         raise EmptyTraceError("refusing to write an empty trace")
     n = trace.module_count
@@ -33,16 +43,16 @@ def emit_trace_csv(trace: Trace, path) -> Path:
         + ",".join(f"Q{i}" for i in range(1, n + 1)) + ","
         + ",".join(f"phi{i}" for i in range(1, n + 1))
     )
-    lines = [header]
-    for k in range(len(trace)):
-        row = [_num(trace.times[k])]
-        row += [_num(v) for v in trace.frequency_hz[k]]
-        row += [_num(v) for v in trace.active[k]]
-        row += [_num(v) for v in trace.reactive[k]]
-        row += [_num(v) for v in trace.pf_angle[k]]
-        lines.append(",".join(row))
+    row = ",".join(["%.9g"] * (1 + 4 * n)) + "\n"
+    table = np.column_stack(
+        (trace.times, trace.frequency_hz, trace.active, trace.reactive, trace.pf_angle)
+    )
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(header + "\n")
+        for a in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = table[a:a + _CSV_CHUNK_ROWS].tolist()
+            out.write("".join([row % tuple(values) for values in chunk]))
     return path
 
 

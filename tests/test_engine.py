@@ -32,6 +32,7 @@ from cascade_droop import (
     synchronized_grid_power,
     wrap_angle,
 )
+from cascade_droop.cases import build_case
 
 PI = math.pi
 TAU = math.tau
@@ -247,6 +248,37 @@ def test_engine_omega_matches_droop_law():
     for st in final:
         assert st.omega == pytest.approx(droop_frequency(st.pf_angle, config.droop), abs=1e-12)
         assert st.voltage == config.droop.nominal_voltage
+
+
+def test_recording_keeps_the_final_step_off_the_decimation_grid():
+    config = make_config(n=2)
+    scenario = Scenario(config=config, initial_deltas=(0.1, -0.1), duration=0.021, dt=1e-3,
+                        record_decimation=10)
+    trace = simulate(scenario).trace
+    assert len(trace) == 4
+    assert trace.frequency_hz.shape == (4, 2)
+    np.testing.assert_array_equal(trace.times, [k * 1e-3 for k in (0, 10, 20, 21)])
+    np.testing.assert_allclose(trace.times, [0.0, 0.01, 0.02, 0.021], rtol=0, atol=1e-15)
+
+
+def test_recording_with_decimation_beyond_the_run_keeps_both_ends():
+    config = make_config(n=3)
+    scenario = Scenario(config=config, initial_deltas=(0.1, 0.0, -0.1), duration=0.005,
+                        dt=1e-3, record_decimation=100)
+    trace = simulate(scenario).trace
+    assert len(trace) == 2
+    np.testing.assert_array_equal(trace.times, [0.0, 5e-3])
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5])
+def test_step_matches_one_step_simulation_bit_for_bit(case_id):
+    scenario = build_case(case_id)[0]
+    config = scenario.config
+    one_step = Scenario(config=config, initial_deltas=scenario.initial_deltas, events=(),
+                        duration=scenario.dt, dt=scenario.dt, record_decimation=1)
+    want = simulate(one_step).final_states
+    got = step(fresh_states(config, scenario.initial_deltas), config, scenario.dt)
+    assert got == want
 
 
 # --- convergence invariants -----------------------------------------------------

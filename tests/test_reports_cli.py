@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_droop import (
     DroopParams,
@@ -20,6 +22,7 @@ from cascade_droop import (
     report_stability,
     run_scenario,
 )
+from cascade_droop import reports
 from cascade_droop.cases import run_case
 
 PI = math.pi
@@ -84,6 +87,60 @@ def test_csv_byte_deterministic(tmp_path):
     a = emit_trace_csv(trace, tmp_path / "a.csv").read_bytes()
     b = emit_trace_csv(trace, tmp_path / "b.csv").read_bytes()
     assert a == b
+
+
+def _oracle_csv(trace) -> bytes:
+    """The per-value writer the row template replaced, kept as the byte oracle."""
+    def num(x):
+        return format(x, ".9g")
+
+    n = trace.module_count
+    header = (
+        "time,"
+        + ",".join(f"f{i}" for i in range(1, n + 1)) + ","
+        + ",".join(f"P{i}" for i in range(1, n + 1)) + ","
+        + ",".join(f"Q{i}" for i in range(1, n + 1)) + ","
+        + ",".join(f"phi{i}" for i in range(1, n + 1))
+    )
+    lines = [header]
+    for k in range(len(trace)):
+        row = [num(trace.times[k])]
+        row += [num(v) for v in trace.frequency_hz[k]]
+        row += [num(v) for v in trace.active[k]]
+        row += [num(v) for v in trace.reactive[k]]
+        row += [num(v) for v in trace.pf_angle[k]]
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_SPECIAL_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, math.inf, -math.inf,
+    math.nan, 1e300, -1e300, 1.7976931348623157e308, 0.1, -123456789.0, 1.0000000005,
+)
+
+
+@st.composite
+def _traces(draw):
+    chunk = reports._CSV_CHUNK_ROWS
+    rows = draw(st.sampled_from([1, 2, 3, chunk, chunk + 1]) | st.integers(1, 40))
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                         | st.sampled_from(_SPECIAL_VALUES), min_size=1, max_size=12))
+    pool += list(_SPECIAL_VALUES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = [np.array(pool)[rng.integers(0, len(pool), (rows, n))] for _ in range(4)]
+    t0 = draw(st.sampled_from([0.0, -0.0, 5e-324, -math.inf, -1e300])
+              | st.floats(-1e6, 1e6))
+    dt = draw(st.floats(1e-3, 1e3))
+    times = np.concatenate(([t0], 1e6 + dt * np.arange(1, rows)))
+    return Trace(times, *channels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=_traces())
+def test_csv_matches_per_value_oracle(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    assert emit_trace_csv(trace, path).read_bytes() == _oracle_csv(trace)
 
 
 def test_csv_refuses_empty_trace(tmp_path):
