@@ -188,7 +188,10 @@ class Scenario:
 
 
 def _exact_step(t: float, dt: float, what: str) -> int:
-    k = round(t / dt)
+    ratio = t / dt
+    if not math.isfinite(ratio):
+        raise ValidationError(f"{what} {t} is not a finite number of steps of dt={dt}")
+    k = round(ratio)
     if abs(t - k * dt) > 1e-9 * max(1.0, abs(t)):
         raise ValidationError(f"{what} {t} is not a multiple of dt={dt}")
     return k
@@ -387,11 +390,17 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
     n_events = len(schedule)
 
     rows = steps // decim + 1 + (steps % decim != 0)
-    times = np.empty(rows)
-    omega = np.empty((rows, plant.n))
-    active = np.empty((rows, plant.n))
-    reactive = np.empty((rows, plant.n))
-    pf_angle = np.empty((rows, plant.n))
+    try:
+        times = np.empty(rows)
+        omega = np.empty((rows, plant.n))
+        active = np.empty((rows, plant.n))
+        reactive = np.empty((rows, plant.n))
+        pf_angle = np.empty((rows, plant.n))
+    except (ValueError, MemoryError):
+        raise ValidationError(
+            f"duration {scenario.duration} s at dt={dt} s records {float(rows):.3g} samples, "
+            "more than can be allocated"
+        ) from None
     row = 0
 
     for k in range(steps + 1):
@@ -510,91 +519,63 @@ def synchronized_grid_power(config: SystemConfig, delta_common: float) -> PowerP
     return PowerPair(s.real, s.imag)
 
 
-def _synchronized_residual(config: SystemConfig, delta: float) -> float | None:
-    """wrap(phi(delta) - phi*), or None inside the zero-power hole."""
-    s = synchronized_grid_power(config, delta)
-    scale = config.n * config.droop.nominal_voltage ** 2 / config.line.magnitude
-    if s.apparent < 1e-9 * scale:
-        return None
-    return wrap_angle(math.atan2(s.reactive, s.active) - config.droop.nominal_pf_angle)
-
-
-_SCAN_POINTS = 360  # one-degree bracketing resolution
-
-
 def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
-    """Synchronized grid-mode operating points: roots of wrap(phi(delta) - phi*) = 0.
+    """Synchronized grid-mode operating points, in closed form.
 
-    A one-degree scan over (-pi, pi] brackets every root (wrapped-residual
-    seam jumps are excluded by requiring the bracket endpoints to differ by
-    less than pi), then bisection polishes each to 1e-12.  The returned
-    ``delta_s`` is the first root whose grid-mode Jacobian is stable; every
-    root found is reported alongside.
+    With every angle at delta and x = delta - delta_g, the per-module power
+    is S(x) = (c - r e^{jx}) / conj(Z_line), c = n V*^2, r = V* V_g.  The
+    condition arg S = phi* asks where the ray at psi = phi* - theta_line
+    meets the circle of centre c and radius r: the roots t > 0 of
 
-    Raises NoRootError when the scan finds no sign change: the requested
-    power factor angle is unreachable at this sizing.
+        t^2 - 2 c cos(psi) t + c^2 - r^2 = 0,
+
+    each mapped back by x = atan2(-t sin psi, c - t cos psi).  Since
+    |S| = t / |Z|, roots with t <= 1e-9 c sit in the zero-power hole, where
+    the angle is undefined, and are dropped.  There are at most two roots,
+    returned sorted; ``delta_s`` is the first stable one, else the first
+    marginal one, else the first.  Each verdict is the sign condition of
+    ``linearization.stability_condition``.
+
+    Raises NoRootError when no root is left: the requested power factor
+    angle is unreachable at this sizing.
     """
     if config.mode is not Mode.GRID_CONNECTED:
         raise ValidationError("grid_equilibrium requires a grid-connected configuration")
-    step_w = TAU / _SCAN_POINTS
-    grid_pts = [-PI + (k + 1) * step_w for k in range(_SCAN_POINTS)]
-    residuals = [_synchronized_residual(config, d) for d in grid_pts]
-
-    roots: list[float] = []
-    for i in range(_SCAN_POINTS):
-        a = grid_pts[i - 1] if i > 0 else grid_pts[0] - step_w
-        b = grid_pts[i]
-        ra = residuals[i - 1] if i > 0 else _synchronized_residual(config, a)
-        rb = residuals[i]
-        if ra is None or rb is None:
-            continue
-        if ra == 0.0:
-            roots.append(wrap_angle(a))
-            continue
-        if ra * rb > 0.0 or abs(rb - ra) >= PI:
-            continue  # no crossing, or a seam jump of the wrapped residual
-        lo, hi, rlo = a, b, ra
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            rm = _synchronized_residual(config, mid)
-            if rm is None or rm == 0.0:
-                lo = hi = mid
-                break
-            if (rm > 0.0) == (rlo > 0.0):
-                lo, rlo = mid, rm
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
-        roots.append(wrap_angle(0.5 * (lo + hi)))
-    if residuals[-1] == 0.0:
-        roots.append(grid_pts[-1])
-
-    # Deduplicate near-identical roots from adjacent brackets.
-    uniq: list[float] = []
-    for r in sorted(roots):
-        if not uniq or abs(r - uniq[-1]) > 1e-9:
-            uniq.append(r)
-    if not uniq:
+    d = config.droop
+    n = config.n
+    c = n * d.nominal_voltage * d.nominal_voltage
+    r = d.nominal_voltage * config.grid_voltage
+    psi = d.nominal_pf_angle - config.line.angle
+    cos_psi = math.cos(psi)
+    sin_psi = math.sin(psi)
+    disc = r * r - (c * sin_psi) ** 2
+    ts: set[float] = set()
+    if disc >= 0.0:
+        half_chord = math.sqrt(disc)
+        ts = {c * cos_psi - half_chord, c * cos_psi + half_chord}  # one value when tangent
+    deltas = sorted(
+        wrap_angle(math.atan2(-t * sin_psi, c - t * cos_psi) + config.grid_angle)
+        for t in ts if t > 1e-9 * c
+    )
+    if not deltas:
         raise NoRootError(
             "no synchronized grid-mode operating point: the power factor angle reference "
             "is unreachable for this string sizing and line"
         )
 
-    d = config.droop
     infos = []
-    for r in uniq:
+    for delta in deltas:
+        angle_diff = wrap_angle(delta - config.grid_angle)
         try:
-            lin = linearization.grid_ab(
-                config.n, d.nominal_voltage, config.grid_voltage,
-                wrap_angle(r - config.grid_angle),
+            lin = linearization.grid_ab(n, d.nominal_voltage, config.grid_voltage, angle_diff)
+            lam = -d.droop_gain * (lin.a + (n - 1) * lin.b)
+            verdict = linearization.stability_condition(
+                n, d.nominal_voltage, config.grid_voltage, angle_diff
             )
-            lam = -d.droop_gain * (lin.a + (config.n - 1) * lin.b)
-            verdict = linearization.grid_jacobian(lin, config.n, d.droop_gain).stable
         except ValidationError:
             lam = math.nan
             verdict = linearization.Stability.MARGINAL
-        infos.append(GridRoot(r, lam, verdict))
+        infos.append(GridRoot(delta, lam, verdict))
 
     for want in (linearization.Stability.STABLE, linearization.Stability.MARGINAL):
         for info in infos:

@@ -44,4 +44,4 @@ class ZeroPowerError(SimulationError):
 
 
 class NoRootError(SimulationError):
-    """A full-interval scan found no synchronized operating point."""
+    """The requested operating point does not exist (e.g. an unreachable power factor angle)."""

@@ -13,8 +13,9 @@ The sign of (V_g - n V* cos(dd)) alone decides stability; the line impedance
 never enters.
 
 Every constructed model carries both the closed-form eigenvalues and the
-output of an independent cyclic-Jacobi eigensolver, and refuses to exist if
-the two disagree beyond 1e-9.
+spectrum of its matrix from LAPACK (``numpy.linalg.eigvalsh``), and refuses
+to exist if the two disagree beyond 1e-9.  Verdicts on the runtime path
+(`stability_condition`) need no matrix at all.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _uniform_structure_eigs(diag: float, off: float, n: int) -> list[float]:
 
 
 def numeric_eigenvalues(matrix) -> list[float]:
-    """All eigenvalues of a real symmetric matrix, ascending, via cyclic Jacobi rotations.
+    """All eigenvalues of a real symmetric matrix, ascending, via ``numpy.linalg.eigvalsh``.
 
     Deliberately independent of the closed forms used elsewhere in this
     module so the two can check each other.
@@ -109,50 +110,11 @@ def numeric_eigenvalues(matrix) -> list[float]:
         raise ValidationError("matrix must be square")
     if n == 0:
         raise ValidationError("matrix must be non-empty")
-    scale = max((abs(v) for row in a for v in row), default=0.0)
-    asym = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            asym = max(asym, abs(a[i][j] - a[j][i]))
+    arr = np.array(a)
+    asym = float(np.max(np.abs(arr - arr.T)))
     if asym > 1e-12:
         raise AsymmetricMatrixError(f"matrix is asymmetric by {asym:.3e} (> 1e-12)")
-    if n == 1:
-        return [a[0][0]]
-    # Work on an exactly symmetric copy.
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = 0.5 * (a[i][j] + a[j][i])
-            a[i][j] = a[j][i] = v
-    stop = 1e-13 * max(scale, 1.0)
-    for _sweep in range(60):
-        off_max = 0.0
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if abs(apq) <= stop:
-                    continue
-                off_max = max(off_max, abs(apq))
-                app = ap[p]
-                aqq = a[q][q]
-                theta = 0.5 * (aqq - app) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                ap[p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                ap[q] = a[q][p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    ai = a[i]
-                    aip = ai[p]
-                    aiq = ai[q]
-                    ai[p] = ap[i] = aip * c - aiq * s
-                    ai[q] = a[q][i] = aiq * c + aip * s
-        if off_max <= stop:
-            break
-    return sorted(a[i][i] for i in range(n))
+    return np.linalg.eigvalsh(0.5 * (arr + arr.T)).tolist()
 
 
 def islanded_jacobian(n: int, m: float) -> LinearModel:
@@ -183,6 +145,8 @@ def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLineari
         raise ValidationError(f"module voltage must be > 0, got {v_star}")
     if not (math.isfinite(v_g) and v_g >= 0.0):
         raise ValidationError(f"grid voltage must be >= 0, got {v_g}")
+    if not math.isfinite(angle_diff):
+        raise ValidationError(f"angle difference must be finite, got {angle_diff}")
     cos_dd = math.cos(angle_diff)
     denom = n * n * v_star * v_star + v_g * v_g - 2.0 * n * v_star * v_g * cos_dd
     if denom <= _DEGENERATE_DENOM:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import SystemConfig, Trace
 from .errors import DegeneratePointError, EmptyTraceError, ValidationError
-from .linearization import grid_ab, grid_jacobian
+from .linearization import grid_ab, stability_condition
 
 
 def _num(x: float) -> str:
@@ -65,6 +65,8 @@ class SweepAxis:
     step: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValidationError(f"sweep range [{self.lo}, {self.hi}] must be finite")
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise ValidationError(f"sweep step must be > 0, got {self.step}")
         if self.hi < self.lo:
@@ -93,9 +95,9 @@ def _verdict_row(n: int, v_star: float, v_g: float, m: float, angle: float) -> s
         return "degenerate"
     except ValidationError:
         return "invalid"
-    model = grid_jacobian(lin, n, m)
     lam1 = -m * (lin.a + (n - 1) * lin.b)
-    return f"lambda1={_num(lam1)} verdict={model.stable.value}"
+    verdict = stability_condition(n, v_star, v_g, angle)
+    return f"lambda1={_num(lam1)} verdict={verdict.value}"
 
 
 def report_stability(

@@ -1,11 +1,15 @@
 """Time-domain engine: integrator, events, equilibria, convergence invariants."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cascade_droop import (
+    DegeneratePointError,
     DroopParams,
     Impedance,
     InverterState,
@@ -19,13 +23,17 @@ from cascade_droop import (
     SetMode,
     SetPfRef,
     Stability,
+    SweepAxis,
     SystemConfig,
     TimedEvent,
     ValidationError,
     droop_frequency,
     generalized_load,
+    grid_ab,
     grid_equilibrium,
+    grid_jacobian,
     islanded_equilibrium,
+    report_stability,
     run_scenario,
     simulate,
     step,
@@ -370,6 +378,105 @@ def test_grid_equilibrium_matched_sizing_hand_root():
     assert eq.roots[0].verdict is Stability.STABLE
     assert eq.roots[0].lambda_slow == pytest.approx(-0.25, abs=1e-9)
     assert abs(_trig_route_residual(config, eq.delta_s, 0.2)) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+def test_grid_equilibrium_resolves_near_tangent_root_pairs(eps):
+    # the ray at phi* - theta_line grazes the circle of centre c and radius r:
+    # a stable and an unstable root, 1.6, 0.5 and 0.16 degrees apart
+    n, v_star, v_grid = 4, 157.5, 315.0
+    c, r = n * v_star**2, v_star * v_grid
+    phi_star = PI / 2 + math.asin(r / c * (1.0 - eps))
+    for k in range(100):
+        config = make_config(n=n, v_star=v_star, v_grid=v_grid, phi_star=phi_star,
+                             mode=Mode.GRID_CONNECTED, grid_angle=-PI + k * TAU / 100)
+        eq = grid_equilibrium(config)
+        assert len(eq.roots) == 2
+        assert {root.verdict for root in eq.roots} == {Stability.STABLE, Stability.UNSTABLE}
+        for root in eq.roots:
+            assert abs(_trig_route_residual(config, root.delta, phi_star)) < 1e-10
+
+
+_SCAN_POINTS = 50_000
+
+
+def _scanned_roots(config):
+    """Brute-force oracle: sign changes of wrap(phi(delta) - phi*) on a dense grid.
+
+    Returns the bracket midpoints.  Cells touching the zero-power hole and
+    jumps of the wrapped residual across +-pi are not crossings.
+    """
+    d = config.droop
+    step = TAU / _SCAN_POINTS
+    deltas = -PI + step * np.arange(1, _SCAN_POINTS + 1)
+    v = d.nominal_voltage * np.exp(1j * deltas)
+    grid = cmath.rect(config.grid_voltage, config.grid_angle)
+    s = v * np.conj((config.n * v - grid) / config.line.rect)
+    residual = np.angle(s * cmath.exp(-1j * d.nominal_pf_angle))
+    valid = np.abs(s) >= 1e-9 * config.n * d.nominal_voltage**2 / config.line.magnitude
+    nxt = np.roll(residual, -1)
+    crossing = (
+        valid & np.roll(valid, -1)
+        & ((residual > 0.0) != (nxt > 0.0))
+        & (np.abs(nxt - residual) < PI)
+    )
+    return [wrap_angle(x + 0.5 * step) for x in deltas[crossing]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    sizing=st.floats(0.3, 3.0),
+    phi_star=st.floats(-PI, PI),
+    line_angle=st.floats(-PI / 2, PI / 2),
+    line_mag=st.floats(0.05, 5.0),
+    grid_angle=st.floats(-PI, PI),
+    m=st.floats(0.1, 6.0),
+    point_angle=st.floats(-PI, PI),
+    point_sizing=st.floats(0.3, 3.0),
+)
+def test_grid_equilibrium_and_verdicts_match_brute_force(
+    n, sizing, phi_star, line_angle, line_mag, grid_angle, m, point_angle, point_sizing
+):
+    v_grid = 315.0
+    v_star = sizing * v_grid / n
+    c, r = n * v_star**2, v_star * v_grid
+    # away from tangency of the ray with the circle, and of the circle with
+    # the zero-power point, where a finite grid cannot resolve the roots
+    assume(abs(r * r - (c * math.sin(phi_star - line_angle)) ** 2) > 1e-6 * c * c)
+    assume(abs(r - c) > 1e-3 * c)
+    config = make_config(n=n, m=m, phi_star=phi_star, v_star=v_star, v_grid=v_grid,
+                         line=Impedance(line_mag, line_angle), mode=Mode.GRID_CONNECTED,
+                         grid_angle=grid_angle)
+    try:
+        roots = [root.delta for root in grid_equilibrium(config).roots]
+    except NoRootError:
+        roots = []
+    scanned = _scanned_roots(config)
+    assert len(scanned) == len(roots)
+    for delta in roots:
+        assert min(abs(wrap_angle(delta - x)) for x in scanned) <= TAU / _SCAN_POINTS
+
+    # the report's verdict shortcut against the Jacobian and its eigvalsh spectrum
+    v_point = point_sizing * v_grid / n
+    axis = (SweepAxis(point_angle, point_angle, 1.0), SweepAxis(v_point, v_point, 1.0))
+    row = report_stability(config, sweep=axis).splitlines()[-1].split(": ", 1)[1]
+    try:
+        lin = grid_ab(n, v_point, v_grid, point_angle)
+    except DegeneratePointError:
+        assert row == "degenerate"
+        return
+    except ValidationError:
+        assert row == "invalid"
+        return
+    assume(lin.denom > 1e-3 * (n * v_point + v_grid) ** 2)
+    model = grid_jacobian(lin, n, m)
+    lam_text, verdict_text = row.split()
+    lam1 = float(lam_text.removeprefix("lambda1="))
+    assert verdict_text == f"verdict={model.stable.value}"
+    want = sorted(model.numeric_eigs)
+    got = sorted([lam1] + [-m] * (n - 1))
+    assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
 def test_grid_equilibrium_undersized_unique_for_any_reference():

@@ -1,4 +1,4 @@
-"""Jacobians, closed-form spectra, the Jacobi eigensolver oracle, and verdicts."""
+"""Jacobians, closed-form spectra, the eigvalsh eigensolver oracle, and verdicts."""
 
 import math
 

@@ -22,7 +22,7 @@ from cascade_droop import (
     report_stability,
     run_scenario,
 )
-from cascade_droop import reports
+from cascade_droop import cli, reports
 from cascade_droop.cases import run_case
 
 PI = math.pi
@@ -262,6 +262,24 @@ def test_cli_exit_code_runtime_error(tmp_path):
     proc = _cli("simulate", "singular.scn", cwd=tmp_path)
     assert proc.returncode == 2
     assert "runtime error" in proc.stderr
+
+
+@pytest.mark.parametrize("args, code, stdout_part", [
+    (["simulate", "demo.scn", "--dt", "1e-320"], 1, ""),
+    (["simulate", "demo.scn", "--duration", "1e300"], 1, ""),
+    (["stability", "demo.scn", "--sweep", "angle=0:inf:1"], 1, ""),
+    # a report marks a point it cannot linearize instead of failing
+    (["stability", "demo.scn", "--angle", "nan"], 0, "angle_diff=nan: invalid"),
+], ids=["tiny-dt", "huge-duration", "infinite-sweep", "nan-angle"])
+def test_cli_bad_numbers_never_raise(tmp_path, monkeypatch, capsys, args, code, stdout_part):
+    (tmp_path / "demo.scn").write_text(SCENARIO_TEXT.replace("mode = islanded", "mode = grid"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(args + (["--out", "out"] if args[0] == "simulate" else [])) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert stdout_part in out
+    if code == 1:
+        assert err.startswith("validation error:")
 
 
 def test_cli_case_all(tmp_path):

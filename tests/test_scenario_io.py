@@ -3,19 +3,28 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cascade_droop import (
+    DroopParams,
+    Impedance,
     Mode,
+    Scenario,
     ScenarioParseError,
     SetInitialDelta,
+    SetLine,
     SetLoad,
     SetMode,
     SetPfRef,
+    SystemConfig,
+    TimedEvent,
     parse_scenario,
     serialize_scenario,
 )
 
 PI = math.pi
+TAU = math.tau
 
 BASELINE = """
 # four modules tied to a stiff grid through an inductive line
@@ -138,8 +147,47 @@ def test_mixed_polar_and_rect_impedance_rejected():
         parse_scenario(text)
 
 
-def test_round_trip_is_stable():
-    sc = parse_scenario(BASELINE)
+_impedances = st.builds(Impedance, st.floats(1e-3, 1e3), st.floats(-PI / 2, PI / 2))
+_angles = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _scenarios(draw):
+    n = draw(st.integers(1, 6))
+    # the file stores the nominal frequency in Hz, so omega is 2*pi times a Hz value
+    f_star = draw(st.floats(1.0, 1000.0))
+    clamp = draw(st.none() | st.tuples(st.floats(0.01, 0.99), st.floats(1.01, 100.0)))
+    droop = DroopParams(
+        TAU * f_star, draw(st.floats(1e-3, 1e4)), draw(_angles), draw(st.floats(1e-3, 100.0)),
+        None if clamp is None else (clamp[0] * f_star, clamp[1] * f_star),
+    )
+    config = SystemConfig(
+        n=n, droop=droop, grid_voltage=draw(st.floats(0.0, 1e4)), grid_angle=draw(_angles),
+        line=draw(_impedances), load=draw(_impedances), mode=draw(st.sampled_from(Mode)),
+    )
+    dt = draw(st.sampled_from([1e-4, 1e-3, 2e-3]) | st.floats(1e-5, 1.0))
+    steps = draw(st.integers(1, 10_000))
+    actions = st.one_of(
+        st.builds(SetMode, st.sampled_from(Mode)),
+        st.builds(SetLoad, _impedances),
+        st.builds(SetLine, _impedances),
+        st.builds(SetPfRef, _angles),
+        st.builds(SetInitialDelta, st.integers(1, n), _angles),
+    )
+    at = sorted(draw(st.lists(st.integers(0, steps), max_size=5)))
+    return Scenario(
+        config=config,
+        initial_deltas=tuple(draw(st.lists(_angles, min_size=n, max_size=n))),
+        events=tuple(TimedEvent(k * dt, draw(actions)) for k in at),
+        duration=steps * dt,
+        dt=dt,
+        record_decimation=draw(st.integers(1, 100)),
+    )
+
+
+@given(sc=_scenarios())
+@example(sc=parse_scenario(BASELINE))
+def test_round_trip_is_stable(sc):
     text = serialize_scenario(sc)
     again = parse_scenario(text)
     assert again == sc
