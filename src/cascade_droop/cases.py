@@ -23,7 +23,7 @@ module-level constants below carry the reasoning:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from .engine import (
     SystemConfig,
     TimedEvent,
     Trace,
+    apply_event,
     grid_equilibrium,
     islanded_equilibrium,
     simulate,
@@ -116,13 +117,22 @@ class CaseReport:
         return "\n".join(lines) + "\n"
 
 
-def _droop(m: float, v_star: float, phi_star: float = PHI_STAR) -> DroopParams:
-    return DroopParams(
-        nominal_omega=math.tau * F_STAR,
-        nominal_voltage=v_star,
-        nominal_pf_angle=phi_star,
-        droop_gain=m,
-        freq_clamp=CLAMP,
+def _config(mode: Mode, m: float, v_star: float, line: Impedance = LINE_INDUCTIVE,
+            phi_star: float = PHI_STAR) -> SystemConfig:
+    return SystemConfig(
+        n=N_MODULES,
+        droop=DroopParams(
+            nominal_omega=math.tau * F_STAR,
+            nominal_voltage=v_star,
+            nominal_pf_angle=phi_star,
+            droop_gain=m,
+            freq_clamp=CLAMP,
+        ),
+        grid_voltage=V_GRID,
+        grid_angle=0.0,
+        line=line,
+        load=LOAD_R,
+        mode=mode,
     )
 
 
@@ -152,6 +162,24 @@ def _sample_index_at(trace: Trace, t: float) -> int:
     return idx
 
 
+def _segments(scenario: Scenario, trace: Trace) -> list[tuple[float, int, SystemConfig]]:
+    """(start time, last sample index, config in force) of each stretch between events.
+
+    A stretch ends before each distinct event time and at the end of the run;
+    its config is ``apply_event`` folded over the events before it.
+    """
+    out = []
+    start = 0.0
+    config = scenario.config
+    for ev in scenario.events:
+        if ev.time > start:
+            out.append((start, _sample_index_before(trace, ev.time), config))
+            start = ev.time
+        config = apply_event(config, ev.action)
+    out.append((start, len(trace) - 1, config))
+    return out
+
+
 def _max_pairwise_wrapped(values) -> float:
     worst = 0.0
     vals = list(values)
@@ -175,23 +203,13 @@ def _relative_spread(values) -> float:
 def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
     """The scenario and the artifact-choice notes for one built-in case."""
     if case_id == 1:
-        config = SystemConfig(
-            n=N_MODULES,
-            droop=_droop(M_NOMINAL, V_STAR_MATCHED),
-            grid_voltage=V_GRID,
-            grid_angle=0.0,
-            line=LINE_INDUCTIVE,
-            load=LOAD_R,
-            mode=Mode.GRID_CONNECTED,
-        )
+        config = _config(Mode.GRID_CONNECTED, M_NOMINAL, V_STAR_MATCHED)
         delta_s = grid_equilibrium(config).delta_s
         scenario = Scenario(
             config=config,
             initial_deltas=tuple(delta_s + off for off in (0.15, 0.05, -0.05, -0.15)),
             events=(TimedEvent(2.0, SetMode(Mode.ISLANDED)),),
             duration=10.0,
-            dt=1e-3,
-            record_decimation=10,
         )
         notes = (
             "pre-switch state is the grid-tied operating point plus a deterministic angle spread",
@@ -200,25 +218,14 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
         return scenario, notes
 
     if case_id == 2:
-        config = SystemConfig(
-            n=N_MODULES,
-            droop=_droop(M_NOMINAL, V_STAR_MATCHED),
-            grid_voltage=V_GRID,
-            grid_angle=0.0,
-            line=LINE_INDUCTIVE,
-            load=LOAD_R,
-            mode=Mode.ISLANDED,
-        )
         scenario = Scenario(
-            config=config,
+            config=_config(Mode.ISLANDED, M_NOMINAL, V_STAR_MATCHED),
             initial_deltas=(0.1, 0.05, -0.05, -0.1),
             events=(
                 TimedEvent(6.0, SetLoad(LOAD_RL)),
                 TimedEvent(12.0, SetLoad(LOAD_RC)),
             ),
             duration=18.0,
-            dt=1e-3,
-            record_decimation=10,
         )
         notes = (
             "load values 12, 12+j6 and 12-j6 ohm keep the three intervals at comparable current "
@@ -227,27 +234,16 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
         return scenario, notes
 
     if case_id == 3:
-        config = SystemConfig(
-            n=N_MODULES,
-            droop=_droop(M_FAST, V_STAR_MATCHED),
-            grid_voltage=V_GRID,
-            grid_angle=0.0,
-            line=LINE_INDUCTIVE,
-            load=LOAD_R,
-            mode=Mode.ISLANDED,
-        )
         events = []
         for k, start in enumerate((5.0, 10.0, 15.0), start=1):
             events.append(TimedEvent(start, SetInitialDelta(1, QUADRANT_ANGLES[k])))
             for idx in range(2, N_MODULES + 1):
                 events.append(TimedEvent(start, SetInitialDelta(idx, 0.0)))
         scenario = Scenario(
-            config=config,
+            config=_config(Mode.ISLANDED, M_FAST, V_STAR_MATCHED),
             initial_deltas=(QUADRANT_ANGLES[0], 0.0, 0.0, 0.0),
             events=tuple(events),
             duration=20.0,
-            dt=1e-3,
-            record_decimation=10,
         )
         notes = (
             "module 1 is re-aimed into each quadrant at 5 s intervals while the rest restart at 0",
@@ -257,17 +253,8 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
         return scenario, notes
 
     if case_id == 4:
-        config = SystemConfig(
-            n=N_MODULES,
-            droop=_droop(M_NOMINAL, V_STAR_REDUCED),
-            grid_voltage=V_GRID,
-            grid_angle=0.0,
-            line=LINE_CAPACITIVE,
-            load=LOAD_R,
-            mode=Mode.GRID_CONNECTED,
-        )
         scenario = Scenario(
-            config=config,
+            config=_config(Mode.GRID_CONNECTED, M_NOMINAL, V_STAR_REDUCED, line=LINE_CAPACITIVE),
             initial_deltas=(0.05, 0.02, -0.02, -0.05),
             events=(
                 TimedEvent(50.0, SetLine(LINE_INDUCTIVE)),
@@ -275,7 +262,6 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
             ),
             duration=150.0,
             dt=2e-3,
-            record_decimation=10,
         )
         notes = (
             "line is capacitive, then inductive, then resistive, all at 0.314 ohm magnitude",
@@ -286,17 +272,10 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
         return scenario, notes
 
     if case_id == 5:
-        config = SystemConfig(
-            n=N_MODULES,
-            droop=_droop(M_FAST, V_STAR_REDUCED, phi_star=QUADRANT_ANGLES[0]),
-            grid_voltage=V_GRID,
-            grid_angle=0.0,
-            line=LINE_INDUCTIVE,
-            load=LOAD_R,
-            mode=Mode.GRID_CONNECTED,
-        )
         scenario = Scenario(
-            config=config,
+            config=_config(
+                Mode.GRID_CONNECTED, M_FAST, V_STAR_REDUCED, phi_star=QUADRANT_ANGLES[0]
+            ),
             initial_deltas=(0.05, 0.02, -0.02, -0.05),
             events=(
                 TimedEvent(5.0, SetPfRef(QUADRANT_ANGLES[1])),
@@ -304,8 +283,6 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
                 TimedEvent(15.0, SetPfRef(QUADRANT_ANGLES[3])),
             ),
             duration=20.0,
-            dt=1e-3,
-            record_decimation=10,
         )
         notes = (
             "reference steps through all four quadrants, crossing the +/-pi seam on the short path",
@@ -322,15 +299,15 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
 
 
 def _checks_case1(scenario: Scenario, trace: Trace, continuity_max: float) -> list[CheckResult]:
+    _, (switch, _, island_config) = _segments(scenario, trace)
     f = trace.frequency_hz
     excursion = max(0.0, CLAMP[0] - float(f.min()), float(f.max()) - CLAMP[1])
-    post = trace.times >= 7.0 - 1e-12
+    post = trace.times >= switch + 5.0 - 1e-12
     p_post = trace.active[post]
     spread = float(np.max(
         (p_post.max(axis=1) - p_post.min(axis=1)) / np.abs(p_post.mean(axis=1))
     ))
-    island = islanded_equilibrium(replace(scenario.config, mode=Mode.ISLANDED))
-    f_err = abs(float(f[-1].mean()) - island.frequency_hz)
+    f_err = abs(float(f[-1].mean()) - islanded_equilibrium(island_config).frequency_hz)
     return [
         CheckResult("delta-continuity-at-switch", continuity_max <= 0.0, continuity_max, 0.0),
         CheckResult("frequency-within-clamp-band", excursion <= 0.0, excursion, 0.0),
@@ -340,20 +317,15 @@ def _checks_case1(scenario: Scenario, trace: Trace, continuity_max: float) -> li
 
 
 def _checks_case2(scenario: Scenario, trace: Trace) -> list[CheckResult]:
-    marks = {
-        "resistive": (_sample_index_before(trace, 6.0), LOAD_R),
-        "inductive": (_sample_index_before(trace, 12.0), LOAD_RL),
-        "capacitive": (len(trace) - 1, LOAD_RC),
-    }
     out = []
     freqs = {}
     powers = {}
-    for label, (idx, load) in marks.items():
-        island = islanded_equilibrium(replace(scenario.config, load=load, mode=Mode.ISLANDED))
+    labels = ("resistive", "inductive", "capacitive")
+    for label, (_, idx, config) in zip(labels, _segments(scenario, trace), strict=True):
         f_meas = float(trace.frequency_hz[idx].mean())
         freqs[label] = f_meas
         powers[label] = (float(trace.active[idx].mean()), float(trace.reactive[idx].mean()))
-        err = abs(f_meas - island.frequency_hz)
+        err = abs(f_meas - islanded_equilibrium(config).frequency_hz)
         out.append(CheckResult(f"steady-frequency-{label}", err < 1e-4, err, 1e-4))
     margin = min(freqs["capacitive"] - freqs["resistive"], freqs["resistive"] - freqs["inductive"])
     out.append(CheckResult("frequency-ordering-rc-above-r-above-rl", margin > 0.0, margin, 0.0))
@@ -372,12 +344,7 @@ def _checks_case2(scenario: Scenario, trace: Trace) -> list[CheckResult]:
 
 
 def _checks_case3(scenario: Scenario, trace: Trace) -> list[CheckResult]:
-    marks = [
-        _sample_index_before(trace, 5.0),
-        _sample_index_before(trace, 10.0),
-        _sample_index_before(trace, 15.0),
-        len(trace) - 1,
-    ]
+    marks = [idx for _, idx, _ in _segments(scenario, trace)]
     sync = max(_max_pairwise_wrapped(trace.pf_angle[idx]) for idx in marks)
     p_means = [float(trace.active[idx].mean()) for idx in marks]
     q_means = [float(trace.reactive[idx].mean()) for idx in marks]
@@ -400,20 +367,13 @@ def _checks_case3(scenario: Scenario, trace: Trace) -> list[CheckResult]:
 
 
 def _checks_case4(scenario: Scenario, trace: Trace) -> list[CheckResult]:
-    marks = [
-        _sample_index_before(trace, 50.0),
-        _sample_index_before(trace, 100.0),
-        len(trace) - 1,
-    ]
-    phi_star = scenario.config.droop.nominal_pf_angle
-    f_err = max(abs(float(trace.frequency_hz[idx].mean()) - F_STAR) for idx in marks)
+    segments = _segments(scenario, trace)
+    f_err = max(abs(float(trace.frequency_hz[idx].mean()) - F_STAR) for _, idx, _ in segments)
     phi_err = max(
-        max(abs(wrap_angle(v - phi_star)) for v in trace.pf_angle[idx]) for idx in marks
+        abs(wrap_angle(v - config.droop.nominal_pf_angle))
+        for _, idx, config in segments for v in trace.pf_angle[idx]
     )
-    reports = {
-        report_stability(replace(scenario.config, line=line), sweep=_CASE4_SWEEP)
-        for line in (LINE_CAPACITIVE, LINE_INDUCTIVE, LINE_RESISTIVE)
-    }
+    reports = {report_stability(config, sweep=_CASE4_SWEEP) for _, _, config in segments}
     distinct = float(len(reports) - 1)
     return [
         CheckResult("frequency-locks-to-grid-all-lines", f_err < 1e-4, f_err, 1e-4),
@@ -423,19 +383,13 @@ def _checks_case4(scenario: Scenario, trace: Trace) -> list[CheckResult]:
 
 
 def _checks_case5(scenario: Scenario, trace: Trace) -> list[CheckResult]:
-    track_err = 0.0
-    for seg, phi_star in enumerate(QUADRANT_ANGLES):
-        idx = _sample_index_at(trace, 5.0 * seg + 3.0)
-        track_err = max(
-            track_err, max(abs(wrap_angle(v - phi_star)) for v in trace.pf_angle[idx])
-        )
-    marks = [
-        _sample_index_before(trace, 5.0),
-        _sample_index_before(trace, 10.0),
-        _sample_index_before(trace, 15.0),
-        len(trace) - 1,
-    ]
-    f_err = max(abs(float(trace.frequency_hz[idx].mean()) - F_STAR) for idx in marks)
+    segments = _segments(scenario, trace)
+    track_err = max(
+        abs(wrap_angle(v - config.droop.nominal_pf_angle))
+        for start, _, config in segments
+        for v in trace.pf_angle[_sample_index_at(trace, start + 3.0)]
+    )
+    f_err = max(abs(float(trace.frequency_hz[idx].mean()) - F_STAR) for _, idx, _ in segments)
     return [
         CheckResult("pf-angle-tracks-within-3s", track_err < 1e-4, track_err, 1e-4),
         CheckResult("frequency-returns-to-nominal", f_err < 1e-4, f_err, 1e-4),

@@ -78,7 +78,6 @@ def _cmd_simulate(args) -> int:
                 scenario.config, droop=replace(scenario.config.droop, freq_clamp=None)
             ),
         )
-    scenario.validate()
     trace = run_scenario(scenario)
     args.out.mkdir(parents=True, exist_ok=True)
     out = emit_trace_csv(trace, args.out / f"{args.scenario.stem}_trace.csv")

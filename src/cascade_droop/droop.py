@@ -57,10 +57,6 @@ class DroopParams:
                 )
             object.__setattr__(self, "freq_clamp", (float(lo), float(hi)))
 
-    @property
-    def nominal_frequency_hz(self) -> float:
-        return self.nominal_omega / TAU
-
 
 def power_factor_angle(power: PowerPair, rated: float = 1.0) -> float:
     """Four-quadrant angle atan2(Q, P) in (-pi, pi].

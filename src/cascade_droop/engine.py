@@ -21,9 +21,13 @@ before the run, so ``simulate`` writes each retained sample straight into
 preallocated trace arrays.
 
 A scenario is a timeline of parameter/topology events applied atomically at
-exact step boundaries (event times must be multiples of dt).  Angles are
-never touched by mode, load, line or reference events; only the explicit
-angle-reset event writes them.
+exact step boundaries (event times must be multiples of dt).  A mode, load,
+line or reference event is a pure update of the configuration,
+``apply_event(config, action)``; ``simulate`` maps the config through it and
+builds a new plant from the result, so the config in force on any stretch
+of the timeline is the fold of ``apply_event`` over the events before it.
+Those events never touch the angles; only the explicit angle-reset event
+writes state, and it leaves the config unchanged.
 
 At (essentially) zero apparent power the power factor angle is undefined;
 the engine holds each module's previous valid measurement, initialized to
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Union
 
@@ -90,12 +94,6 @@ class SystemConfig:
             raise ValidationError("grid_angle must be finite")
         object.__setattr__(self, "grid_angle", wrap_angle(self.grid_angle))
 
-    def effective_impedance(self) -> Impedance:
-        """The impedance the string currently drives: line+load islanded, line only on grid."""
-        if self.mode is Mode.ISLANDED:
-            return generalized_load(self.line, self.load)
-        return self.line
-
 
 # --- scenario events ------------------------------------------------------
 
@@ -129,6 +127,21 @@ class SetInitialDelta:
 
 
 EventAction = Union[SetMode, SetLoad, SetLine, SetPfRef, SetInitialDelta]
+
+
+def apply_event(config: SystemConfig, action: EventAction) -> SystemConfig:
+    """The configuration in force after ``action``; an angle reset leaves it unchanged."""
+    if isinstance(action, SetMode):
+        return replace(config, mode=action.mode)
+    if isinstance(action, SetLoad):
+        return replace(config, load=action.load)
+    if isinstance(action, SetLine):
+        return replace(config, line=action.line)
+    if isinstance(action, SetPfRef):
+        return replace(config, droop=replace(config.droop, nominal_pf_angle=action.pf_angle))
+    if isinstance(action, SetInitialDelta):
+        return config
+    raise ValidationError(f"unsupported event action {action!r}")
 
 
 @dataclass(frozen=True)
@@ -231,12 +244,10 @@ class SimulationResult(NamedTuple):
 
 
 class _Plant:
-    """Mutable runtime copy of the configuration plus the hot evaluation loop."""
+    """The plant of one configuration, flattened for the hot evaluation loop."""
 
-    __slots__ = (
-        "n", "v_star", "w_star", "m", "phi_star", "w_lo", "w_hi",
-        "mode", "line_z", "load_z", "sink", "drive", "z", "zero_floor",
-    )
+    __slots__ = ("n", "v_star", "w_star", "m", "phi_star", "w_lo", "w_hi",
+                 "drive", "z", "zero_floor")
 
     def __init__(self, config: SystemConfig):
         d = config.droop
@@ -250,15 +261,8 @@ class _Plant:
         else:
             self.w_lo = TAU * d.freq_clamp[0]
             self.w_hi = TAU * d.freq_clamp[1]
-        self.mode = config.mode
-        self.line_z = config.line.rect
-        self.load_z = config.load.rect
-        self.sink = cmath.rect(config.grid_voltage, config.grid_angle)
-        self.refresh_topology()
-
-    def refresh_topology(self) -> None:
-        if self.mode is Mode.ISLANDED:
-            z = self.line_z + self.load_z
+        if config.mode is Mode.ISLANDED:
+            z = config.line.rect + config.load.rect
             if abs(z) < 1e-12:
                 raise SingularImpedanceError(
                     f"islanded series impedance cancels to {abs(z):.3e} ohm"
@@ -266,8 +270,8 @@ class _Plant:
             self.z = z
             self.drive = 0j
         else:
-            self.z = self.line_z
-            self.drive = self.sink
+            self.z = config.line.rect
+            self.drive = cmath.rect(config.grid_voltage, config.grid_angle)
         scale = self.n * self.v_star * self.v_star / abs(self.z)
         self.zero_floor = _ZERO_POWER_FRACTION * scale
 
@@ -347,22 +351,6 @@ class _Plant:
             for d, a, b, c, e in zip(deltas, k1, k2, k3, k4)
         ]
 
-    def apply(self, action: EventAction) -> None:
-        if isinstance(action, SetMode):
-            self.mode = action.mode
-            self.refresh_topology()
-        elif isinstance(action, SetLoad):
-            self.load_z = action.load.rect
-            if self.mode is Mode.ISLANDED:
-                self.refresh_topology()
-        elif isinstance(action, SetLine):
-            self.line_z = action.line.rect
-            self.refresh_topology()
-        elif isinstance(action, SetPfRef):
-            self.phi_star = wrap_angle(action.pf_angle)
-        else:
-            raise ValidationError(f"unsupported event action {action!r}")
-
 
 EventCallback = Callable[[float, EventAction, list[float], list[float]], None]
 
@@ -379,9 +367,10 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         with copies of the angle vector around each event application.
     """
     steps = scenario.validate()
-    plant = _Plant(scenario.config)
+    config = scenario.config
+    plant = _Plant(config)
     deltas = list(scenario.initial_deltas)
-    held = [scenario.config.droop.nominal_pf_angle] * plant.n
+    held = [config.droop.nominal_pf_angle] * plant.n
     dt = scenario.dt
     decim = scenario.record_decimation
 
@@ -411,7 +400,8 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
                 deltas[action.index - 1] = float(action.delta)
             else:
                 try:
-                    plant.apply(action)
+                    config = apply_event(config, action)
+                    plant = _Plant(config)
                 except SingularImpedanceError as exc:
                     raise SingularImpedanceError(f"at event time t={k * dt:g} s: {exc}") from exc
             if on_event is not None:

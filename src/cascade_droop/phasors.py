@@ -64,10 +64,6 @@ class Phasor:
         """Rectangular (cartesian) value."""
         return cmath.rect(self.magnitude, self.angle)
 
-    @classmethod
-    def from_complex(cls, value: complex) -> "Phasor":
-        return cls(abs(value), cmath.phase(value))
-
 
 @dataclass(frozen=True)
 class Impedance:
@@ -143,15 +139,10 @@ def _check_voltages(voltages) -> None:
         raise ValidationError("at least one module voltage is required")
 
 
-def islanded_power_flow(voltages: list[Phasor], zload: Impedance) -> list[PowerPair]:
-    """Per-module (P, Q) of the islanded string feeding a generalized load.
-
-    Trigonometric form: P_i = (V_i/|Z|) * sum_j V_j cos(d_i - d_j + theta)
-    and Q_i likewise with sin.
-    """
+def _trig_power_flow(voltages: list[Phasor], grid: Phasor | None, z: Impedance) -> list[PowerPair]:
     _check_voltages(voltages)
-    zmag = zload.magnitude
-    theta = zload.angle
+    zmag = z.magnitude
+    theta = z.angle
     out = []
     for vi in voltages:
         cos_sum = 0.0
@@ -160,9 +151,22 @@ def islanded_power_flow(voltages: list[Phasor], zload: Impedance) -> list[PowerP
             arg = vi.angle - vj.angle + theta
             cos_sum += vj.magnitude * math.cos(arg)
             sin_sum += vj.magnitude * math.sin(arg)
+        if grid is not None:
+            arg_g = vi.angle - grid.angle + theta
+            cos_sum -= grid.magnitude * math.cos(arg_g)
+            sin_sum -= grid.magnitude * math.sin(arg_g)
         scale = vi.magnitude / zmag
         out.append(PowerPair(scale * cos_sum, scale * sin_sum))
     return out
+
+
+def islanded_power_flow(voltages: list[Phasor], zload: Impedance) -> list[PowerPair]:
+    """Per-module (P, Q) of the islanded string feeding a generalized load.
+
+    Trigonometric form: P_i = (V_i/|Z|) * sum_j V_j cos(d_i - d_j + theta)
+    and Q_i likewise with sin.
+    """
+    return _trig_power_flow(voltages, None, zload)
 
 
 def grid_power_flow(voltages: list[Phasor], grid: Phasor, zline: Impedance) -> list[PowerPair]:
@@ -171,23 +175,7 @@ def grid_power_flow(voltages: list[Phasor], grid: Phasor, zline: Impedance) -> l
     Trigonometric form including the grid back-voltage terms
     -V_g cos(d_i - d_g + theta_line) and -V_g sin(...).
     """
-    _check_voltages(voltages)
-    zmag = zline.magnitude
-    theta = zline.angle
-    out = []
-    for vi in voltages:
-        cos_sum = 0.0
-        sin_sum = 0.0
-        for vj in voltages:
-            arg = vi.angle - vj.angle + theta
-            cos_sum += vj.magnitude * math.cos(arg)
-            sin_sum += vj.magnitude * math.sin(arg)
-        arg_g = vi.angle - grid.angle + theta
-        cos_sum -= grid.magnitude * math.cos(arg_g)
-        sin_sum -= grid.magnitude * math.sin(arg_g)
-        scale = vi.magnitude / zmag
-        out.append(PowerPair(scale * cos_sum, scale * sin_sum))
-    return out
+    return _trig_power_flow(voltages, grid, zline)
 
 
 def complex_power_oracle(

@@ -310,7 +310,13 @@ def _impedance_text(z: Impedance) -> str:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical text form; parsing it back yields an equal Scenario."""
+    """Canonical text form of a scenario.
+
+    Parsing it back yields an equal Scenario except for ``nominal_omega``:
+    the file stores ``f_star = omega / 2pi``, so an omega that is not 2pi
+    times a float may come back 1 ulp away.  Every parsed scenario's omega
+    is 2pi times a float, so the parsed scenario round-trips exactly.
+    """
     c = scenario.config
     d = c.droop
     lines = [

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from cascade_droop import (
     wrap_angle,
 )
 from cascade_droop.cases import build_case
+from cascade_droop.engine import apply_event
 
 PI = math.pi
 TAU = math.tau
@@ -215,6 +217,54 @@ def test_singular_event_reports_its_time():
                         duration=3.0, dt=1e-3)
     with pytest.raises(SingularImpedanceError, match="t=1.5"):
         run_scenario(scenario)
+    # on the grid the load is not in the current path: a cancelling load is
+    # harmless until the switch to islanded puts it in series with the line
+    scenario = Scenario(config=make_config(mode=Mode.GRID_CONNECTED),
+                        initial_deltas=(0.1, 0.0, 0.0, -0.1),
+                        events=(TimedEvent(1.0, SetLoad(Impedance(0.314, -PI / 2))),
+                                TimedEvent(1.5, SetMode(Mode.ISLANDED))),
+                        duration=3.0, dt=1e-3)
+    with pytest.raises(SingularImpedanceError, match=r"t=1\.5"):
+        run_scenario(scenario)
+
+
+def _changed(before, after) -> set[str]:
+    return {f.name for f in fields(before) if getattr(before, f.name) != getattr(after, f.name)}
+
+
+def test_apply_event_mode_load_and_line_replace_one_field():
+    config = make_config(mode=Mode.GRID_CONNECTED)
+    line = Impedance(0.5, 0.3)
+    load = Impedance.from_rect(3.0, -1.0)
+    islanded = apply_event(config, SetMode(Mode.ISLANDED))
+    assert _changed(config, islanded) == {"mode"} and islanded.mode is Mode.ISLANDED
+    loaded = apply_event(config, SetLoad(load))
+    assert _changed(config, loaded) == {"load"} and loaded.load == load
+    relined = apply_event(config, SetLine(line))
+    assert _changed(config, relined) == {"line"} and relined.line == line
+
+
+@pytest.mark.parametrize("target, expected", [
+    (PI + 0.3, -PI + 0.3),
+    (-PI, PI),
+    (-PI - 0.3, PI - 0.3),
+    (3 * TAU + 0.25, 0.25),
+])
+def test_apply_event_pf_reference_lands_in_half_open_interval(target, expected):
+    config = make_config()
+    after = apply_event(config, SetPfRef(target))
+    assert _changed(config, after) == {"droop"}
+    assert _changed(config.droop, after.droop) == {"nominal_pf_angle"}
+    phi = after.droop.nominal_pf_angle
+    assert -PI < phi <= PI
+    assert phi == pytest.approx(expected, abs=1e-12)
+
+
+def test_apply_event_angle_reset_and_unknown_action():
+    config = make_config()
+    assert apply_event(config, SetInitialDelta(2, 0.7)) is config
+    with pytest.raises(ValidationError, match="unsupported event action"):
+        apply_event(config, "islanded")
 
 
 def test_zero_power_startup_holds_reference_angle():

@@ -1,6 +1,7 @@
 """Jacobians, closed-form spectra, the eigvalsh eigensolver oracle, and verdicts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ import pytest
 from cascade_droop import (
     AsymmetricMatrixError,
     DegeneratePointError,
+    DroopParams,
+    GridLinearization,
     Impedance,
+    Mode,
     Phasor,
     Stability,
+    SystemConfig,
     ValidationError,
     grid_ab,
     grid_jacobian,
@@ -19,6 +24,7 @@ from cascade_droop import (
     islanded_power_flow,
     numeric_eigenvalues,
     power_factor_angle,
+    report_stability,
     stability_condition,
     wrap_angle,
 )
@@ -128,6 +134,42 @@ def test_grid_ab_degenerate_point():
     # string phasor meeting the grid phasor head-on: zero denominator
     with pytest.raises(DegeneratePointError):
         grid_ab(4, 78.75, 315.0, 0.0)
+
+
+def test_grid_ab_near_degenerate_point_keeps_its_identity():
+    # D ~ 1e-5 against terms ~ 1e5: the n^2 V*^2 + V_g^2 - 2 n V* V_g cos(dd)
+    # form of D loses six digits here, and used to fail the a - b = 1 check
+    n, v_star, v_g, m = 2, 0.99999 * 315.0 / 2, 315.0, 0.5
+    config = SystemConfig(
+        n=n,
+        droop=DroopParams(math.tau * 50.0, v_star, 0.2, m),
+        grid_voltage=v_g,
+        grid_angle=0.0,
+        line=Impedance(0.314, PI / 2),
+        load=Impedance(12.0, 0.0),
+        mode=Mode.GRID_CONNECTED,
+    )
+    row = report_stability(config, angle_diff=0.0).splitlines()[-1]
+    assert row.startswith("point angle_diff=0: lambda1=")
+    assert row.endswith(" verdict=stable")
+    lin = grid_ab(n, v_star, v_g, 0.0)
+    lam1 = -m * (lin.a + (n - 1) * lin.b)
+    fs, fg = Fraction(v_star), Fraction(v_g)
+    exact = -Fraction(m) * fg * (fg - n * fs) / (n * fs - fg) ** 2
+    assert abs(Fraction(lam1) - exact) <= Fraction(1, 10**9) * abs(exact)
+    # the relative identity bound still rejects a formula bug
+    with pytest.raises(ValidationError, match="unit-difference"):
+        GridLinearization(2.0, 0.5, 1.0)
+
+
+def test_grid_jacobian_accepts_large_slow_eigenvalues():
+    # near D -> 0 the slow eigenvalue reaches |lambda_1| ~ 1e3..1e5, where an
+    # absolute 1e-9 analytic-vs-numeric bound is below LAPACK's rounding
+    n, v_star, v_g, m = 2, 157.40987, 315.0, 4.7
+    for k in range(-2000, 2001):
+        dd = k * 1e-5
+        model = grid_jacobian(grid_ab(n, v_star, v_g, dd), n, m)
+        assert model.stable is stability_condition(n, v_star, v_g, dd)
 
 
 def test_grid_jacobian_fast_modes_are_minus_m():

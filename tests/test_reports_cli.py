@@ -280,6 +280,8 @@ def test_cli_bad_numbers_never_raise(tmp_path, monkeypatch, capsys, args, code, 
     assert stdout_part in out
     if code == 1:
         assert err.startswith("validation error:")
+        # the scenario is validated before any output directory is made
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_case_all(tmp_path):

@@ -1,6 +1,7 @@
 """Scenario text format: parsing, validation messages, round-trips."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -192,6 +193,21 @@ def test_round_trip_is_stable(sc):
     again = parse_scenario(text)
     assert again == sc
     assert serialize_scenario(again) == text
+
+
+@given(sc=_scenarios(), omega=st.floats(10.0, 1000.0))
+def test_round_trip_of_any_omega(sc, omega):
+    # the file stores f_star = omega / 2pi: omega may come back 1 ulp away,
+    # every other field comes back equal, and the parsed scenario is a fixed point
+    droop = replace(sc.config.droop, nominal_omega=omega, freq_clamp=None)
+    sc = replace(sc, config=replace(sc.config, droop=droop))
+    again = parse_scenario(serialize_scenario(sc))
+    moved = again.config.droop.nominal_omega
+    assert abs(moved - omega) <= math.ulp(omega)
+    assert again == replace(
+        sc, config=replace(sc.config, droop=replace(droop, nominal_omega=moved))
+    )
+    assert parse_scenario(serialize_scenario(again)) == again
 
 
 def test_round_trip_all_builtin_cases():
