@@ -4,8 +4,12 @@
     cascade-droop case <1..5|all> --out <dir>
     cascade-droop stability <scenario-file> [--angle RAD] [--sweep angle=lo:hi:step vstar=lo:hi:step]
 
+``case all`` runs the five cases in up to five worker processes, one per
+CPU; its output bytes match a serial run.
+
 Exit codes: 0 success, 1 validation error (bad usage, unparsable or invalid
-scenario), 2 runtime error (the simulation itself failed).
+scenario) or an output file or directory that cannot be written, 2 runtime
+error (the simulation itself failed).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cases import run_case
+from .cases import run_cases
 from .engine import run_scenario
 from .errors import SimulationError, ValidationError
 from .reports import SweepAxis, emit_trace_csv, report_stability
@@ -89,8 +93,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_case(args) -> int:
     ids = [1, 2, 3, 4, 5] if args.which == "all" else [int(args.which)]
-    for case_id in ids:
-        report = run_case(case_id, args.out)
+    for report in run_cases(ids, args.out):
         sys.stdout.write(report.render())
     return 0
 
@@ -136,6 +139,13 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # An unreadable scenario file is a ValidationError, so an OSError that
+        # names a file comes from making the output directory or writing into it.
+        if exc.filename is None:
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -47,6 +47,8 @@ class DroopParams:
             raise ValidationError(f"nominal_voltage must be > 0, got {self.nominal_voltage}")
         if not (math.isfinite(self.droop_gain) and self.droop_gain > 0.0):
             raise ValidationError(f"droop_gain must be > 0, got {self.droop_gain}")
+        if not math.isfinite(self.nominal_pf_angle):
+            raise ValidationError(f"nominal_pf_angle must be finite, got {self.nominal_pf_angle}")
         object.__setattr__(self, "nominal_pf_angle", wrap_angle(self.nominal_pf_angle))
         if self.freq_clamp is not None:
             lo, hi = self.freq_clamp

@@ -55,6 +55,7 @@ from .engine import (
     SetPfRef,
     SystemConfig,
     TimedEvent,
+    apply_event,
 )
 from .errors import ScenarioParseError, ValidationError
 from .phasors import Impedance
@@ -69,6 +70,16 @@ _SOLVER_KEYS = ("dt", "duration", "decimation")
 DEFAULT_DT = 1e-3
 DEFAULT_DECIMATION = 10
 DEFAULT_CLAMP = (49.0, 51.0)
+
+# The [system] key behind each DroopParams field, by the field name that
+# opens the field's error message.  A default clamp is blamed on f_star.
+_DROOP_KEYS = {
+    "nominal_omega": "f_star",
+    "nominal_voltage": "v_star",
+    "nominal_pf_angle": "phi_star",
+    "droop_gain": "m",
+    "freq_clamp": "clamp",
+}
 
 
 def _scan_sections(text: str) -> dict[str, list[tuple[int, str]]]:
@@ -215,7 +226,9 @@ def parse_scenario(text: str) -> Scenario:
             freq_clamp=clamp,
         )
     except ValidationError as exc:
-        raise ScenarioParseError(sys_kv["m"][0], f"[system]: {exc}") from None
+        key = _DROOP_KEYS.get(str(exc).split(" ", 1)[0], "m")
+        lineno = sys_kv.get(key, sys_kv["f_star"])[0]
+        raise ScenarioParseError(lineno, f"[system]: {exc}") from None
 
     line_lineno = sections["line"][0][0] if sections["line"] else 0
     load_lineno = sections["load"][0][0] if sections["load"] else 0
@@ -282,6 +295,10 @@ def parse_scenario(text: str) -> Scenario:
             )
         else:
             raise ScenarioParseError(lineno, f"unknown event kind {kind!r}")
+        try:
+            apply_event(config, action)
+        except ValidationError as exc:
+            raise ScenarioParseError(lineno, f"{kind} event: {exc}") from None
         events.append(TimedEvent(t, action))
 
     solver_kv = _parse_kv(sections["solver"], _SOLVER_KEYS, "solver")

@@ -105,6 +105,9 @@ def test_params_validation():
         DroopParams(TAU * 50.0, 78.75, 0.2, 0.5, (51.0, 49.0))
     with pytest.raises(ValidationError):
         DroopParams(TAU * 50.0, 78.75, 0.2, 0.5, (50.5, 51.0))  # band misses nominal
+    for phi_star in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="nominal_pf_angle must be finite"):
+            make_params(phi_star=phi_star)
     # reference angle stored wrapped
     params = make_params(phi_star=2 * PI + 0.3)
     assert params.nominal_pf_angle == pytest.approx(0.3)

@@ -260,6 +260,12 @@ def test_apply_event_pf_reference_lands_in_half_open_interval(target, expected):
     assert phi == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_apply_event_rejects_non_finite_pf_reference(target):
+    with pytest.raises(ValidationError, match="nominal_pf_angle must be finite"):
+        apply_event(make_config(), SetPfRef(target))
+
+
 def test_apply_event_angle_reset_and_unknown_action():
     config = make_config()
     assert apply_event(config, SetInitialDelta(2, 0.7)) is config

@@ -1,12 +1,18 @@
 """Trace CSV emission, stability reports, and the command-line surface."""
 
+import concurrent.futures
+import contextlib
+import io
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cascade_droop import (
@@ -320,3 +326,124 @@ def test_cli_invocations_are_byte_deterministic(tmp_path):
     a = (tmp_path / "r1" / "demo_trace.csv").read_bytes()
     b = (tmp_path / "r2" / "demo_trace.csv").read_bytes()
     assert a == b
+
+
+def _case_all_outputs(out):
+    files = sorted(p.name for p in out.iterdir())
+    assert len(files) == 10
+    return {name: (out / name).read_bytes() for name in files}
+
+
+def test_case_all_pool_loop_and_spawn_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    runs = {}
+    # 3 workers even on a 1-CPU host; then a count of 1, which takes the plain loop
+    for label, cpus in (("pool", 3), ("loop", 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert cli.main(["case", "all", "--out", str(tmp_path / label)]) == 0
+        runs[label] = (capsys.readouterr().out, _case_all_outputs(tmp_path / label))
+    # spawned workers start from a fresh import (the default on macOS and Python >= 3.14)
+    driver = (
+        "import multiprocessing, os, sys\n"
+        "from cascade_droop.cli import main\n"
+        "os.cpu_count = lambda: 3\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "sys.exit(main(['case', 'all', '--out', 'spawn']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", driver], capture_output=True, text=True,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    runs["spawn"] = (proc.stdout, _case_all_outputs(tmp_path / "spawn"))
+    assert runs["pool"] == runs["loop"]
+    assert runs["spawn"] == runs["loop"]
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "demo.scn"],
+    ["case", "1"],
+    ["case", "all"],
+], ids=["simulate", "case-1", "case-all"])
+def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, args):
+    (tmp_path / "demo.scn").write_text(SCENARIO_TEXT)
+    (tmp_path / "taken").write_text("a file, not a directory")
+    monkeypatch.chdir(tmp_path)
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a worker pool started before the output directory was made")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert cli.main(args + ["--out", "taken"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: cannot write taken: File exists\n"
+    assert "Traceback" not in out + err
+
+
+_FUZZ_BASE = """
+[system]
+n = 2
+f_star = 50
+v_star = 50
+v_grid = 100
+phi_star = 0.2
+m = 0.5
+mode = grid
+
+[line]
+mag = 0.314
+theta = 1.5707963267948966
+
+[load]
+r = 12
+
+[initial]
+delta = 0.2, -0.2
+
+[events]
+0.05 phi_star 0.5
+0.08 delta 1 0.3
+0.1 line mag=0.314 theta=0
+0.12 mode islanded
+0.15 load r=12 x=6
+
+[solver]
+dt = 0.001
+duration = 0.2
+"""
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    text = _FUZZ_BASE
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("insert", "delete", "replace", "number")))
+        if op == "number":
+            match = draw(st.sampled_from(list(_NUMBER.finditer(text))))
+            new = draw(st.sampled_from(("nan", "inf", "-inf", "0", "-1", "1e308", "1e-320")))
+            text = text[:match.start()] + new + text[match.end():]
+            continue
+        pos = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from("0123456789.-e=,[]# \nxn"))
+        if op == "insert":
+            text = text[:pos] + char + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + char + text[pos + 1:]
+    return text
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None, database=None)
+@given(text=_mutated_scenarios())
+def test_cli_simulate_exit_codes_on_mutated_scenarios(text):
+    # --dt and --duration bound every run to 200 steps, whatever the text says
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.scn")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", path, "--out", os.path.join(tmp, "out"),
+                             "--dt", "0.001", "--duration", "0.2"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -113,6 +113,21 @@ def test_negative_gain_rejected_with_field_name():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("phi_star = 0.2", "phi_star = nan", "nominal_pf_angle must be finite"),
+    ("8.0 phi_star 0.75", "8.0 phi_star nan", "nominal_pf_angle must be finite"),
+    ("8.0 phi_star 0.75", "8.0 phi_star -inf", "nominal_pf_angle must be finite"),
+    ("v_star = 78.75", "v_star = -1", "nominal_voltage"),
+    ("mode = grid", "clamp = 51, 52\nmode = grid", "freq_clamp"),
+], ids=["phi_star-key", "phi_star-event", "phi_star-event-inf", "v_star-key", "clamp-key"])
+def test_droop_errors_name_their_own_line(old, new, message):
+    text = BASELINE.replace(old, new)
+    lineno = text.splitlines().index(new.split("\n")[0]) + 1
+    with pytest.raises(ScenarioParseError, match=message) as err:
+        parse_scenario(text)
+    assert err.value.line == lineno
+
+
 def test_unknown_key_reports_line_number():
     text = BASELINE.replace("m = 0.5", "m = 0.5\nfrobnicate = 1")
     with pytest.raises(ScenarioParseError, match="line 10") as err:
