@@ -29,8 +29,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .droop import DroopParams
 from .engine import (
     Mode,
@@ -154,15 +152,14 @@ def _params_lines(scenario: Scenario) -> tuple[str, ...]:
 
 
 def _sample_index_before(trace: Trace, t: float) -> int:
-    idx = int(np.searchsorted(trace.times, t - 1e-12)) - 1
+    idx = int(trace.times.searchsorted(t - 1e-12)) - 1
     if idx < 0:
         raise ValidationError(f"no trace sample before t={t}")
     return idx
 
 
 def _sample_index_at(trace: Trace, t: float) -> int:
-    idx = int(np.argmin(np.abs(trace.times - t)))
-    return idx
+    return int(abs(trace.times - t).argmin())
 
 
 def _segments(scenario: Scenario, trace: Trace) -> list[tuple[float, int, SystemConfig]]:
@@ -193,6 +190,8 @@ def _max_pairwise_wrapped(values) -> float:
 
 
 def _relative_spread(values) -> float:
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     center = np.mean(np.abs(arr))
     if center == 0.0:
@@ -307,9 +306,9 @@ def _checks_case1(scenario: Scenario, trace: Trace, continuity_max: float) -> li
     excursion = max(0.0, CLAMP[0] - float(f.min()), float(f.max()) - CLAMP[1])
     post = trace.times >= switch + 5.0 - 1e-12
     p_post = trace.active[post]
-    spread = float(np.max(
-        (p_post.max(axis=1) - p_post.min(axis=1)) / np.abs(p_post.mean(axis=1))
-    ))
+    spread = float(
+        ((p_post.max(axis=1) - p_post.min(axis=1)) / abs(p_post.mean(axis=1))).max()
+    )
     f_err = abs(float(f[-1].mean()) - islanded_equilibrium(island_config).frequency_hz)
     return [
         CheckResult("delta-continuity-at-switch", continuity_max <= 0.0, continuity_max, 0.0),

@@ -18,7 +18,16 @@ fraction; the call at each step boundary also fills the step's sample
 (phi, P, Q, omega) and updates the held measurements.  ``simulate`` and
 ``step`` both advance through it.  The recorded sample count is known
 before the run, so ``simulate`` writes each retained sample straight into
-preallocated trace arrays.
+preallocated trace arrays.  Those arrays are the only numpy this module
+needs, so ``simulate`` imports numpy once the scenario has validated;
+validation, ``step`` and the equilibria are plain ``math``.
+
+Every module of the series string carries the same current I, so module i
+sees S_i = V* e^{j delta_i} conj(I) and measures the power factor angle
+phi_i = wrap(delta_i - angle(I)).  While every droop error stays on one side
+of the +/-pi seam and the clamp is idle, pairwise angle differences
+therefore decay as exactly exp(-m t) in both modes, not just to first order;
+the tests use this as an oracle that is independent of the linearization.
 
 A scenario is a timeline of parameter/topology events applied atomically at
 exact step boundaries (event times must be multiples of dt).  A mode, load,
@@ -40,14 +49,15 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 from . import linearization
 from .droop import DroopParams, droop_frequency
 from .errors import NoRootError, SingularImpedanceError, ValidationError
 from .phasors import Impedance, PowerPair, generalized_load, wrap_angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TAU = math.tau
 PI = math.pi
@@ -225,7 +235,7 @@ class Trace:
         for arr in (self.frequency_hz, self.active, self.reactive, self.pf_angle):
             if arr.shape != self.frequency_hz.shape or arr.shape[0] != rows:
                 raise ValidationError("trace channels must share one (samples, modules) shape")
-        if rows > 1 and not np.all(np.diff(self.times) > 0):
+        if rows > 1 and not (self.times[1:] > self.times[:-1]).all():
             raise ValidationError("trace times must be strictly increasing")
         for arr in (self.times, self.frequency_hz, self.active, self.reactive, self.pf_angle):
             arr.flags.writeable = False
@@ -377,6 +387,8 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
     schedule = [(_exact_step(ev.time, dt, "event time"), ev.action) for ev in scenario.events]
     ev_idx = 0
     n_events = len(schedule)
+
+    import numpy as np
 
     rows = steps // decim + 1 + (steps % decim != 0)
     try:

@@ -17,6 +17,13 @@ class ScenarioParseError(ValidationError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        # ``args`` holds the one formatted string, which ``__init__`` cannot
+        # take back; rebuild from both arguments so that a pool worker's
+        # parse error re-raises intact in the parent.
+        return type(self), (self.line, self.message), self.__dict__
 
 
 class AsymmetricMatrixError(ValidationError):

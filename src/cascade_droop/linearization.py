@@ -12,11 +12,19 @@ with dd the string-to-grid angle and D = n^2 V*^2 + V_g^2 - 2 n V* V_g cos(dd).
 The sign of (V_g - n V* cos(dd)) alone decides stability; the line impedance
 never enters.
 
+The n-1 modes at -m hold beyond first order.  Every module of the series
+string carries the same current I, so S_i = V* e^{j delta_i} conj(I) and each
+module measures phi_i = wrap(delta_i - angle(I)).  While every droop error
+sits on one side of the +/-pi seam and the clamp is idle, the droop law then
+gives d(delta_i - delta_j)/dt = -m (delta_i - delta_j) exactly, in both
+modes; only the common mode (lambda_1 here) depends on the circuit.
+
 Every constructed model carries both the closed-form eigenvalues and the
 spectrum of its matrix from LAPACK (``numpy.linalg.eigvalsh``), and refuses
 to exist if the two disagree beyond 1e-9 times the largest |eigenvalue|
-(or 1e-9 when that is below 1).  Verdicts on the runtime path
-(`stability_condition`) need no matrix at all.
+(or 1e-9 when that is below 1).  numpy is imported only where such a
+matrix is built; verdicts on the runtime path (`stability_condition`) need
+no matrix at all and stay plain ``math``.
 """
 
 from __future__ import annotations
@@ -24,10 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AsymmetricMatrixError, DegeneratePointError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EIG_AGREEMENT = 1e-9
 _MARGINAL_BAND = 1e-12  # on lambda_1 / m, dimensionless
@@ -101,12 +111,11 @@ def _uniform_structure_eigs(diag: float, off: float, n: int) -> list[float]:
     return sorted([diag + (n - 1) * off] + [diag - off] * (n - 1))
 
 
-def numeric_eigenvalues(matrix) -> list[float]:
-    """All eigenvalues of a real symmetric matrix, ascending, via ``numpy.linalg.eigvalsh``.
+def _symmetric_spectrum(matrix) -> tuple[np.ndarray, list[float]]:
+    # The one place this module imports numpy: the matrix as a float array
+    # and its eigenvalues, ascending.
+    import numpy as np
 
-    Deliberately independent of the closed forms used elsewhere in this
-    module so the two can check each other.
-    """
     a = [list(map(float, row)) for row in matrix]
     n = len(a)
     if any(len(row) != n for row in a):
@@ -114,10 +123,25 @@ def numeric_eigenvalues(matrix) -> list[float]:
     if n == 0:
         raise ValidationError("matrix must be non-empty")
     arr = np.array(a)
-    asym = float(np.max(np.abs(arr - arr.T)))
+    asym = float(abs(arr - arr.T).max())
     if asym > 1e-12:
         raise AsymmetricMatrixError(f"matrix is asymmetric by {asym:.3e} (> 1e-12)")
-    return np.linalg.eigvalsh(0.5 * (arr + arr.T)).tolist()
+    return arr, np.linalg.eigvalsh(0.5 * (arr + arr.T)).tolist()
+
+
+def numeric_eigenvalues(matrix) -> list[float]:
+    """All eigenvalues of a real symmetric matrix, ascending, via ``numpy.linalg.eigvalsh``.
+
+    Deliberately independent of the closed forms used elsewhere in this
+    module so the two can check each other.
+    """
+    return _symmetric_spectrum(matrix)[1]
+
+
+def _linear_model(rows: list[list[float]], analytic: list[float],
+                  verdict: Stability) -> LinearModel:
+    matrix, numeric = _symmetric_spectrum(rows)
+    return LinearModel(matrix, tuple(analytic), tuple(numeric), verdict)
 
 
 def islanded_jacobian(n: int, m: float) -> LinearModel:
@@ -130,9 +154,7 @@ def islanded_jacobian(n: int, m: float) -> LinearModel:
     off = m / n
     diag = -off * (n - 1)
     rows = [[diag if i == j else off for j in range(n)] for i in range(n)]
-    analytic = tuple(_uniform_structure_eigs(diag, off, n))
-    numeric = tuple(numeric_eigenvalues(rows))
-    return LinearModel(np.array(rows, dtype=float), analytic, numeric, Stability.MARGINAL)
+    return _linear_model(rows, _uniform_structure_eigs(diag, off, n), Stability.MARGINAL)
 
 
 def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLinearization:
@@ -182,10 +204,8 @@ def grid_jacobian(lin: GridLinearization, n: int, m: float) -> LinearModel:
     off = -m * lin.b
     rows = [[diag if i == j else off for j in range(n)] for i in range(n)]
     lambda_1 = -m * (lin.a + (n - 1) * lin.b)
-    analytic = tuple(sorted([lambda_1] + [-m] * (n - 1)))
-    numeric = tuple(numeric_eigenvalues(rows))
-    verdict = _verdict_from_scaled(-lambda_1 / m)
-    return LinearModel(np.array(rows, dtype=float), analytic, numeric, verdict)
+    analytic = sorted([lambda_1] + [-m] * (n - 1))
+    return _linear_model(rows, analytic, _verdict_from_scaled(-lambda_1 / m))
 
 
 def stability_condition(n: int, v_star: float, v_g: float, angle_diff: float) -> Stability:

@@ -3,16 +3,15 @@
 Both outputs are byte-deterministic for identical inputs: numbers are
 printed with 9 significant digits (below solver tolerance, above the noise
 a diff would amplify), rows are newline-terminated, and nothing
-time-of-day-dependent is ever written.
+time-of-day-dependent is ever written.  Only ``emit_trace_csv`` imports
+numpy, to read the trace arrays; stability reports are plain ``math``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .engine import SystemConfig, Trace
 from .errors import DegeneratePointError, EmptyTraceError, ValidationError
@@ -26,6 +25,9 @@ def _num(x: float) -> str:
 # Rows formatted and written per chunk, so the file is never one string.
 _CSV_CHUNK_ROWS = 256
 
+# Most rows one stability report may tabulate (about 75 MB of text).
+_MAX_SWEEP_ROWS = 1_000_000
+
 
 def emit_trace_csv(trace: Trace, path) -> Path:
     """Write a trace as CSV: ``time,f1..fn,P1..Pn,Q1..Qn,phi1..phin``.
@@ -33,6 +35,8 @@ def emit_trace_csv(trace: Trace, path) -> Path:
     Each row is one ``%.9g`` template; ``'%.9g' % x`` and ``_num(x)`` share
     CPython's float formatter, so every value prints as ``_num`` prints it.
     """
+    import numpy as np
+
     if len(trace) == 0:
         raise EmptyTraceError("refusing to write an empty trace")
     n = trace.module_count
@@ -58,11 +62,12 @@ def emit_trace_csv(trace: Trace, path) -> Path:
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """A closed numeric range ``lo:hi:step`` for stability sweeps."""
+    """A closed numeric range ``lo:hi:step`` for stability sweeps, of at most a million points."""
 
     lo: float
     hi: float
     step: float
+    count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -71,10 +76,17 @@ class SweepAxis:
             raise ValidationError(f"sweep step must be > 0, got {self.step}")
         if self.hi < self.lo:
             raise ValidationError(f"sweep range [{self.lo}, {self.hi}] is empty")
+        spans = (self.hi - self.lo) / self.step
+        if not math.isfinite(spans):
+            raise ValidationError(
+                f"sweep {self.lo}:{self.hi}:{self.step} has no finite number of points"
+            )
+        count = math.floor(spans + 1e-9) + 1
+        _check_rows(count)
+        object.__setattr__(self, "count", count)
 
     def points(self) -> list[float]:
-        count = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
-        return [self.lo + k * self.step for k in range(count)]
+        return [self.lo + k * self.step for k in range(self.count)]
 
     @classmethod
     def parse(cls, text: str) -> "SweepAxis":
@@ -86,6 +98,13 @@ class SweepAxis:
         except ValueError:
             raise ValidationError(f"sweep axis has a non-numeric bound: {text!r}") from None
         return cls(lo, hi, step)
+
+
+def _check_rows(rows: int) -> None:
+    if rows > _MAX_SWEEP_ROWS:
+        raise ValidationError(
+            f"sweep has {float(rows):.6g} rows; a report holds at most {_MAX_SWEEP_ROWS:,}"
+        )
 
 
 def _verdict_row(n: int, v_star: float, v_g: float, m: float, angle: float) -> str:
@@ -133,7 +152,9 @@ def report_stability(
         angle_axis, vstar_axis = sweep
         angles = angle_axis.points() if angle_axis is not None else [angle_diff]
         vstars = vstar_axis.points() if vstar_axis is not None else [d.nominal_voltage]
-        lines.append(f"sweep rows: {len(angles) * len(vstars)}")
+        rows = len(angles) * len(vstars)
+        _check_rows(rows)
+        lines.append(f"sweep rows: {rows}")
         for v_star in vstars:
             for angle in angles:
                 lines.append(

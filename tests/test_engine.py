@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from cascade_droop import (
@@ -128,6 +128,62 @@ def test_angle_differences_decay_exactly_exponentially():
     final = simulate(scenario).final_states
     spread = final[0].delta - final[1].delta
     assert spread == pytest.approx(0.6 * math.exp(-m * 6.0), abs=1e-12)
+
+
+@st.composite
+def _off_seam_runs(draw):
+    """A clamp-free run, n = 2..8, whose droop errors stay off the +/-pi seam.
+
+    The initial angles spread over exactly ``spread`` <= 0.2 rad, and phi*
+    sits at least 0.6 rad from the anti-reference, the measured angle at the
+    start plus pi.  Islanded, the synchronized string measures the constant
+    generalized-load angle.  Grid-connected the string is undersized
+    (n V* < V_g), where d(phi)/d(delta) > 0: the common droop error shrinks
+    monotonically and never reaches the seam.
+    """
+    n = draw(st.integers(2, 8))
+    m = draw(st.floats(0.5, 4.0))
+    line = Impedance(draw(st.floats(0.1, 1.0)), draw(st.floats(-PI / 2, PI / 2)))
+    center = draw(st.floats(-PI, PI))
+    spread = draw(st.floats(0.05, 0.2))
+    inner = draw(st.lists(st.floats(-0.5, 0.5), min_size=n - 2, max_size=n - 2))
+    deltas = [center + spread * u for u in [0.5, -0.5] + inner]
+    mode = draw(st.sampled_from([Mode.ISLANDED, Mode.GRID_CONNECTED]))
+    load = Impedance.from_rect(draw(st.floats(1.0, 20.0)), draw(st.floats(-10.0, 10.0)))
+    grid_angle = draw(st.floats(-PI, PI))
+    if mode is Mode.ISLANDED:
+        v_star = draw(st.floats(10.0, 300.0))
+        phi_start = generalized_load(line, load).angle
+    else:
+        v_star = draw(st.floats(0.1, 0.9)) * 315.0 / n
+        v = cmath.rect(v_star, center)
+        current = (n * v - cmath.rect(315.0, grid_angle)) / line.rect
+        phi_start = cmath.phase(v * current.conjugate())
+    phi_star = wrap_angle(phi_start + draw(st.floats(-(PI - 0.6), PI - 0.6)))
+    config = make_config(n=n, m=m, phi_star=phi_star, v_star=v_star, clamp=None, line=line,
+                         load=load, mode=mode, grid_angle=grid_angle)
+    return Scenario(config=config, initial_deltas=tuple(deltas), duration=0.5), spread
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@seed(3)
+@given(run=_off_seam_runs())
+def test_pairwise_angle_differences_decay_exactly_in_both_modes(run):
+    # every module carries the same current, so phi_i - phi_j = delta_i - delta_j
+    # and off the seam each difference obeys d/dt (delta_i - delta_j) = -m (delta_i - delta_j)
+    scenario, spread = run
+    m = scenario.config.droop.droop_gain
+    d0 = scenario.initial_deltas
+    result = simulate(scenario)
+    trace = result.trace
+    samples = list(zip(trace.times, trace.pf_angle.tolist()))
+    samples.append((scenario.duration, [s.delta for s in result.final_states]))
+    for t, angles in samples:
+        decay = math.exp(-m * t)
+        for i in range(len(d0)):
+            for j in range(i + 1, len(d0)):
+                got = wrap_angle(angles[i] - angles[j])
+                assert abs(got - (d0[i] - d0[j]) * decay) <= 1e-10 * spread * decay
 
 
 def test_common_mode_drifts_at_closed_form_rate():

@@ -25,6 +25,7 @@ from cascade_droop import (
     SystemConfig,
     Trace,
     emit_trace_csv,
+    parse_scenario,
     report_stability,
     run_scenario,
 )
@@ -274,9 +275,16 @@ def test_cli_exit_code_runtime_error(tmp_path):
     (["simulate", "demo.scn", "--dt", "1e-320"], 1, ""),
     (["simulate", "demo.scn", "--duration", "1e300"], 1, ""),
     (["stability", "demo.scn", "--sweep", "angle=0:inf:1"], 1, ""),
+    # (hi - lo) / step overflows to inf: no finite point count
+    (["stability", "demo.scn", "--sweep", "angle=0:1:5e-324"], 1, ""),
+    (["stability", "demo.scn", "--sweep", "angle=-1e308:1e308:1"], 1, ""),
+    # finite counts above the row ceiling, on one axis and as a product of two
+    (["stability", "demo.scn", "--sweep", "angle=0:1:1e-300"], 1, ""),
+    (["stability", "demo.scn", "--sweep", "angle=0:999:1", "vstar=1:1001:1"], 1, ""),
     # a report marks a point it cannot linearize instead of failing
     (["stability", "demo.scn", "--angle", "nan"], 0, "angle_diff=nan: invalid"),
-], ids=["tiny-dt", "huge-duration", "infinite-sweep", "nan-angle"])
+], ids=["tiny-dt", "huge-duration", "infinite-sweep", "subnormal-step", "overflowing-range",
+        "huge-count", "too-many-rows", "nan-angle"])
 def test_cli_bad_numbers_never_raise(tmp_path, monkeypatch, capsys, args, code, stdout_part):
     (tmp_path / "demo.scn").write_text(SCENARIO_TEXT.replace("mode = islanded", "mode = grid"))
     monkeypatch.chdir(tmp_path)
@@ -288,6 +296,38 @@ def test_cli_bad_numbers_never_raise(tmp_path, monkeypatch, capsys, args, code, 
         assert err.startswith("validation error:")
         # the scenario is validated before any output directory is made
         assert not (tmp_path / "out").exists()
+
+
+def test_cold_start_loads_numpy_only_to_simulate(tmp_path):
+    # a fresh interpreter: the package, stability reports, validation errors,
+    # parsing and the equilibria are plain math; simulate builds numpy arrays
+    (tmp_path / "grid.scn").write_text(SCENARIO_TEXT.replace("mode = islanded", "mode = grid"))
+    (tmp_path / "islanded.scn").write_text(SCENARIO_TEXT)
+    (tmp_path / "bad.scn").write_text(SCENARIO_TEXT.replace("m = 0.5", "m = -1"))
+    script = (
+        "import sys\n"
+        "import cascade_droop\n"
+        "from cascade_droop import cli, grid_equilibrium, parse_scenario, simulate\n"
+        "from cascade_droop.cases import build_case\n"
+        "assert cli.main(['stability', 'grid.scn', '--angle', '0.4']) == 0\n"
+        "assert cli.main(['stability', 'grid.scn', '--sweep', 'angle=-3:3:1']) == 0\n"
+        "assert cli.main(['stability', 'grid.scn', '--sweep', 'angle=0:1:5e-324']) == 1\n"
+        "assert cli.main(['simulate', 'bad.scn', '--out', 'out']) == 1\n"
+        "assert cli.main(['case', '6']) == 1\n"
+        "grid = parse_scenario(open('grid.scn').read())\n"
+        "grid_equilibrium(grid.config)\n"
+        "build_case(1)\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded before simulate'\n"
+        "trace = simulate(parse_scenario(open('islanded.scn').read())).trace\n"
+        "assert 'numpy' in sys.modules\n"
+        "cascade_droop.emit_trace_csv(trace, 'cold.csv')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    warm = emit_trace_csv(run_scenario(parse_scenario(SCENARIO_TEXT)), tmp_path / "warm.csv")
+    assert (tmp_path / "cold.csv").read_bytes() == warm.read_bytes()
 
 
 def test_cli_case_all(tmp_path):
