@@ -1,7 +1,7 @@
 """Quasi-static phasor simulation and small-signal analysis of series-cascaded
 inverters under power-factor-angle droop control."""
 
-from .droop import DroopParams, droop_frequency, power_factor_angle, voltage_reference
+from .droop import DroopParams, droop_frequency, power_factor_angle
 from .engine import (
     GridEquilibrium,
     InverterState,
@@ -19,9 +19,7 @@ from .engine import (
     Trace,
     grid_equilibrium,
     islanded_equilibrium,
-    run_scenario,
     simulate,
-    step,
     synchronized_grid_power,
 )
 from .errors import (

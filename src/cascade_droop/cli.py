@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cases import run_cases
-from .engine import run_scenario
+from .engine import simulate
 from .errors import SimulationError, ValidationError
 from .reports import SweepAxis, emit_trace_csv, report_stability
 from .scenario_io import parse_scenario
@@ -82,7 +82,7 @@ def _cmd_simulate(args) -> int:
                 scenario.config, droop=replace(scenario.config.droop, freq_clamp=None)
             ),
         )
-    trace = run_scenario(scenario)
+    trace = simulate(scenario).trace
     args.out.mkdir(parents=True, exist_ok=True)
     out = emit_trace_csv(trace, args.out / f"{args.scenario.stem}_trace.csv")
     final_f = ", ".join(f"{v:.6g}" for v in trace.frequency_hz[-1])

@@ -89,7 +89,3 @@ def droop_frequency(phi: float, params: DroopParams) -> float:
         omega = min(max(omega, TAU * lo), TAU * hi)
     return omega
 
-
-def voltage_reference(params: DroopParams) -> float:
-    """Amplitude command: the constant-voltage law."""
-    return params.nominal_voltage

@@ -12,15 +12,16 @@ Integration is fixed-step classical Runge-Kutta (RK4).  The closed-loop
 rates are of order the droop gain, so the default 1 ms step is deeply
 conservative; fixed stepping keeps every run bit-reproducible.
 
-One kernel, ``_Plant.rates``, holds the measurement and the droop law.  The
-three later RK4 stages call it with the previous slope and the step
-fraction; the call at each step boundary also fills the step's sample
-(phi, P, Q, omega) and updates the held measurements.  ``simulate`` and
-``step`` both advance through it.  The recorded sample count is known
+One kernel holds the measurement and the droop law: ``_plant(config)`` binds
+the configuration's constants once and returns the closure ``rates``.
+``simulate`` is the only way to advance the plant.  At each step boundary it
+calls ``rates`` to fill the step's sample (phi, P, Q, omega) and update the
+held measurements, then runs the three later RK4 stages inline, passing the
+previous slope and the step fraction.  The recorded sample count is known
 before the run, so ``simulate`` writes each retained sample straight into
 preallocated trace arrays.  Those arrays are the only numpy this module
 needs, so ``simulate`` imports numpy once the scenario has validated;
-validation, ``step`` and the equilibria are plain ``math``.
+validation and the equilibria are plain ``math``.
 
 Every module of the series string carries the same current I, so module i
 sees S_i = V* e^{j delta_i} conj(I) and measures the power factor angle
@@ -33,7 +34,7 @@ A scenario is a timeline of parameter/topology events applied atomically at
 exact step boundaries (event times must be multiples of dt).  A mode, load,
 line or reference event is a pure update of the configuration,
 ``apply_event(config, action)``; ``simulate`` maps the config through it and
-builds a new plant from the result, so the config in force on any stretch
+builds a new kernel from the result, so the config in force on any stretch
 of the timeline is the fold of ``apply_event`` over the events before it.
 Those events never touch the angles; only the explicit angle-reset event
 writes state, and it leaves the config unchanged.
@@ -253,66 +254,47 @@ class SimulationResult(NamedTuple):
     final_states: list[InverterState]
 
 
-class _Plant:
-    """The plant of one configuration, flattened for the hot evaluation loop."""
+def _plant(config: SystemConfig) -> Callable[..., list[float]]:
+    """The measure/droop kernel of one configuration, its constants bound once."""
+    d = config.droop
+    v_star = d.nominal_voltage
+    w_star = d.nominal_omega
+    m = d.droop_gain
+    phi_star = d.nominal_pf_angle
+    if d.freq_clamp is None:
+        w_lo, w_hi = -math.inf, math.inf
+    else:
+        w_lo, w_hi = TAU * d.freq_clamp[0], TAU * d.freq_clamp[1]
+    if config.mode is Mode.ISLANDED:
+        z = config.line.rect + config.load.rect
+        if abs(z) < 1e-12:
+            raise SingularImpedanceError(f"islanded series impedance cancels to {abs(z):.3e} ohm")
+        drive = 0j
+    else:
+        z = config.line.rect
+        drive = cmath.rect(config.grid_voltage, config.grid_angle)
+    floor = _ZERO_POWER_FRACTION * (config.n * v_star * v_star / abs(z))
+    rect = cmath.rect
+    atan2 = math.atan2
 
-    __slots__ = ("n", "v_star", "w_star", "m", "phi_star", "w_lo", "w_hi",
-                 "drive", "z", "zero_floor")
-
-    def __init__(self, config: SystemConfig):
-        d = config.droop
-        self.n = config.n
-        self.v_star = d.nominal_voltage
-        self.w_star = d.nominal_omega
-        self.m = d.droop_gain
-        self.phi_star = d.nominal_pf_angle
-        if d.freq_clamp is None:
-            self.w_lo, self.w_hi = -math.inf, math.inf
-        else:
-            self.w_lo = TAU * d.freq_clamp[0]
-            self.w_hi = TAU * d.freq_clamp[1]
-        if config.mode is Mode.ISLANDED:
-            z = config.line.rect + config.load.rect
-            if abs(z) < 1e-12:
-                raise SingularImpedanceError(
-                    f"islanded series impedance cancels to {abs(z):.3e} ohm"
-                )
-            self.z = z
-            self.drive = 0j
-        else:
-            self.z = config.line.rect
-            self.drive = cmath.rect(config.grid_voltage, config.grid_angle)
-        scale = self.n * self.v_star * self.v_star / abs(self.z)
-        self.zero_floor = _ZERO_POWER_FRACTION * scale
-
-    def rates(self, deltas: list[float], held: list[float],
+    def rates(deltas: list[float], held: list[float],
               sample: tuple[list[float], ...] | None = None,
               k: list[float] | None = None, h: float = 0.0) -> list[float]:
-        """Angle velocities (rad/s, frame-relative): the one measure/droop kernel.
+        """Angle velocities (rad/s, frame-relative) at ``deltas``, or at ``deltas + h * k``.
 
-        Evaluates at ``deltas``, or at ``deltas + h * k`` when an RK4 stage
-        passes the previous slope ``k`` and its step fraction ``h``.  A
-        step-boundary call passes ``sample``, four lists that receive each
-        module's phi, P, Q and omega; only such a call updates ``held``
-        wherever the measurement was valid.
+        An RK4 stage passes the previous slope ``k`` and its step fraction
+        ``h``.  A step-boundary call passes ``sample``, four lists that
+        receive each module's phi, P, Q and omega; only such a call updates
+        ``held`` wherever the measurement was valid.
         """
-        rect = cmath.rect
-        v_star = self.v_star
         if k is None:
-            volts = [rect(v_star, d) for d in deltas]
+            volts = [rect(v_star, x) for x in deltas]
         else:
-            volts = [rect(v_star, d + h * s) for d, s in zip(deltas, k)]
+            volts = [rect(v_star, x + h * s) for x, s in zip(deltas, k)]
         total = 0j
         for v in volts:
             total += v
-        icon = ((total - self.drive) / self.z).conjugate()
-        atan2 = math.atan2
-        floor = self.zero_floor
-        m = self.m
-        phi_star = self.phi_star
-        w_star = self.w_star
-        w_lo = self.w_lo
-        w_hi = self.w_hi
+        icon = ((total - drive) / z).conjugate()
         record = sample is not None
         if record:
             phis, actives, reactives, omegas = sample
@@ -347,19 +329,7 @@ class _Plant:
             out.append(w - w_star)
         return out
 
-    def rk4_step(self, deltas: list[float], held: list[float], dt: float,
-                 k1: list[float] | None = None) -> list[float]:
-        if k1 is None:
-            k1 = self.rates(deltas, held)
-        half = 0.5 * dt
-        k2 = self.rates(deltas, held, None, k1, half)
-        k3 = self.rates(deltas, held, None, k2, half)
-        k4 = self.rates(deltas, held, None, k3, dt)
-        sixth = dt / 6.0
-        return [
-            d + sixth * (a + 2.0 * (b + c) + e)
-            for d, a, b, c, e in zip(deltas, k1, k2, k3, k4)
-        ]
+    return rates
 
 
 EventCallback = Callable[[float, EventAction, list[float], list[float]], None]
@@ -367,6 +337,10 @@ EventCallback = Callable[[float, EventAction, list[float], list[float]], None]
 
 def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> SimulationResult:
     """Run a scenario to completion; deterministic for identical inputs.
+
+    This is the one way to advance the plant: each step calls the kernel at
+    the step boundary (which records the sample), then at the three later
+    RK4 stages, and combines the four slopes with weight dt/6.
 
     Parameters
     ----------
@@ -378,10 +352,13 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
     """
     steps = scenario.validate()
     config = scenario.config
-    plant = _Plant(config)
+    n = config.n
+    rates = _plant(config)
     deltas = list(scenario.initial_deltas)
-    held = [config.droop.nominal_pf_angle] * plant.n
+    held = [config.droop.nominal_pf_angle] * n
     dt = scenario.dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
     decim = scenario.record_decimation
 
     schedule = [(_exact_step(ev.time, dt, "event time"), ev.action) for ev in scenario.events]
@@ -393,10 +370,10 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
     rows = steps // decim + 1 + (steps % decim != 0)
     try:
         times = np.empty(rows)
-        omega = np.empty((rows, plant.n))
-        active = np.empty((rows, plant.n))
-        reactive = np.empty((rows, plant.n))
-        pf_angle = np.empty((rows, plant.n))
+        omega = np.empty((rows, n))
+        active = np.empty((rows, n))
+        reactive = np.empty((rows, n))
+        pf_angle = np.empty((rows, n))
     except (ValueError, MemoryError):
         raise ValidationError(
             f"duration {scenario.duration} s at dt={dt} s records {float(rows):.3g} samples, "
@@ -413,63 +390,41 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
             else:
                 try:
                     config = apply_event(config, action)
-                    plant = _Plant(config)
+                    rates = _plant(config)
                 except SingularImpedanceError as exc:
                     raise SingularImpedanceError(f"at event time t={k * dt:g} s: {exc}") from exc
             if on_event is not None:
                 on_event(k * dt, action, before, deltas.copy())
             ev_idx += 1
         sample = ([], [], [], [])
-        rates = plant.rates(deltas, held, sample)
+        k1 = rates(deltas, held, sample)
         if k % decim == 0 or k == steps:
             times[row] = k * dt
             pf_angle[row], active[row], reactive[row], omega[row] = sample
             row += 1
         if k < steps:
-            deltas = plant.rk4_step(deltas, held, dt, k1=rates)
+            k2 = rates(deltas, held, None, k1, half)
+            k3 = rates(deltas, held, None, k2, half)
+            k4 = rates(deltas, held, None, k3, dt)
+            deltas = [
+                x + sixth * (a + 2.0 * (b + c) + e)
+                for x, a, b, c, e in zip(deltas, k1, k2, k3, k4)
+            ]
 
+    np.divide(omega, TAU, out=omega)  # rad/s to Hz without a second (rows, n) array
     trace = Trace(
         times=times,
-        frequency_hz=omega / TAU,
+        frequency_hz=omega,
         active=active,
         reactive=reactive,
         pf_angle=pf_angle,
     )
-    return SimulationResult(trace, _states(deltas, plant.v_star, sample))
-
-
-def _states(deltas: list[float], voltage: float,
-            sample: tuple[list[float], ...]) -> list[InverterState]:
-    phis, actives, reactives, omegas = sample
-    return [
-        InverterState(
-            delta=deltas[i],
-            voltage=voltage,
-            power=PowerPair(actives[i], reactives[i]),
-            pf_angle=phis[i],
-            omega=omegas[i],
-        )
-        for i in range(len(deltas))
+    v_star = config.droop.nominal_voltage
+    final = [
+        InverterState(x, v_star, PowerPair(p, q), phi, w)
+        for x, phi, p, q, w in zip(deltas, *sample)
     ]
-
-
-def run_scenario(scenario: Scenario) -> Trace:
-    """Deterministic trace of a scenario from t=0 to its duration."""
-    return simulate(scenario).trace
-
-
-def step(states: list[InverterState], config: SystemConfig, dt: float) -> list[InverterState]:
-    """Advance every module by one RK4 step and refresh its measurements."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    if len(states) != config.n:
-        raise ValidationError(f"got {len(states)} states for n={config.n} modules")
-    plant = _Plant(config)
-    held = [s.pf_angle for s in states]
-    deltas = plant.rk4_step([s.delta for s in states], held, dt)
-    sample = ([], [], [], [])
-    plant.rates(deltas, held, sample)
-    return _states(deltas, plant.v_star, sample)
+    return SimulationResult(trace, final)
 
 
 # --- equilibria -----------------------------------------------------------

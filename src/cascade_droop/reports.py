@@ -34,6 +34,8 @@ def emit_trace_csv(trace: Trace, path) -> Path:
 
     Each row is one ``%.9g`` template; ``'%.9g' % x`` and ``_num(x)`` share
     CPython's float formatter, so every value prints as ``_num`` prints it.
+    Rows are stacked from the channels one chunk at a time, so no second
+    copy of the whole trace is ever built.
     """
     import numpy as np
 
@@ -48,14 +50,12 @@ def emit_trace_csv(trace: Trace, path) -> Path:
         + ",".join(f"phi{i}" for i in range(1, n + 1))
     )
     row = ",".join(["%.9g"] * (1 + 4 * n)) + "\n"
-    table = np.column_stack(
-        (trace.times, trace.frequency_hz, trace.active, trace.reactive, trace.pf_angle)
-    )
+    channels = (trace.times, trace.frequency_hz, trace.active, trace.reactive, trace.pf_angle)
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(header + "\n")
-        for a in range(0, len(table), _CSV_CHUNK_ROWS):
-            chunk = table[a:a + _CSV_CHUNK_ROWS].tolist()
+        for a in range(0, len(trace), _CSV_CHUNK_ROWS):
+            chunk = np.column_stack([c[a:a + _CSV_CHUNK_ROWS] for c in channels]).tolist()
             out.write("".join([row % tuple(values) for values in chunk]))
     return path
 

@@ -28,7 +28,7 @@ from cascade_droop import (
     islanded_jacobian,
     islanded_power_flow,
     power_factor_angle,
-    run_scenario,
+    simulate,
     stability_condition,
     synchronized_grid_power,
     wrap_angle,
@@ -259,7 +259,7 @@ def _measured_rate(config, delta_s, lam1):
         dt=dt,
         record_decimation=1,
     )
-    trace = run_scenario(scenario)
+    trace = simulate(scenario).trace
     phi_star = config.droop.nominal_pf_angle
     err = np.array([
         wrap_angle(float(np.mean(row)) - phi_star) for row in trace.pf_angle

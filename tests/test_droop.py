@@ -7,12 +7,18 @@ import pytest
 
 from cascade_droop import (
     DroopParams,
+    Impedance,
+    Mode,
     PowerPair,
+    Scenario,
+    SetPfRef,
+    SystemConfig,
+    TimedEvent,
     ValidationError,
     ZeroPowerError,
     droop_frequency,
     power_factor_angle,
-    voltage_reference,
+    simulate,
 )
 
 PI = math.pi
@@ -91,9 +97,17 @@ def test_clamp_containment():
 
 
 def test_voltage_reference_is_constant():
-    params = make_params()
-    assert voltage_reference(params) == 78.75
-    assert voltage_reference(params) == voltage_reference(params)
+    # no amplitude droop: every module holds V* whatever its droop error, so
+    # the modules of the string, which share one current, share one |S| = V* |I|
+    config = SystemConfig(n=3, droop=make_params(m=4.0), grid_voltage=315.0, grid_angle=0.0,
+                          line=Impedance(0.314, PI / 2), load=Impedance.from_rect(12.0, 6.0),
+                          mode=Mode.ISLANDED)
+    scenario = Scenario(config=config, initial_deltas=(0.9, 0.0, -0.9),
+                        events=(TimedEvent(0.1, SetPfRef(2.0)),), duration=0.2)
+    result = simulate(scenario)
+    apparent = np.hypot(result.trace.active, result.trace.reactive)
+    assert np.ptp(apparent, axis=1).max() <= 1e-12 * apparent.max()
+    assert [s.voltage for s in result.final_states] == [78.75] * 3
 
 
 def test_params_validation():

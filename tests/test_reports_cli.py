@@ -27,7 +27,7 @@ from cascade_droop import (
     emit_trace_csv,
     parse_scenario,
     report_stability,
-    run_scenario,
+    simulate,
 )
 from cascade_droop import cli, reports
 from cascade_droop.cases import run_case
@@ -77,7 +77,7 @@ def small_trace(samples=3, modules=2):
         dt=1e-2,
         record_decimation=1,
     )
-    return run_scenario(scenario)
+    return simulate(scenario).trace
 
 
 def test_csv_shape_and_rows(tmp_path):
@@ -326,7 +326,7 @@ def test_cold_start_loads_numpy_only_to_simulate(tmp_path):
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    warm = emit_trace_csv(run_scenario(parse_scenario(SCENARIO_TEXT)), tmp_path / "warm.csv")
+    warm = emit_trace_csv(simulate(parse_scenario(SCENARIO_TEXT)).trace, tmp_path / "warm.csv")
     assert (tmp_path / "cold.csv").read_bytes() == warm.read_bytes()
 
 
