@@ -41,7 +41,6 @@ from .engine import (
     SystemConfig,
     TimedEvent,
     Trace,
-    apply_event,
     grid_equilibrium,
     islanded_equilibrium,
     simulate,
@@ -151,31 +150,25 @@ def _params_lines(scenario: Scenario) -> tuple[str, ...]:
     )
 
 
-def _sample_index_before(trace: Trace, t: float) -> int:
-    idx = int(trace.times.searchsorted(t - 1e-12)) - 1
-    if idx < 0:
-        raise ValidationError(f"no trace sample before t={t}")
-    return idx
-
-
 def _sample_index_at(trace: Trace, t: float) -> int:
     return int(abs(trace.times - t).argmin())
 
 
 def _segments(scenario: Scenario, trace: Trace) -> list[tuple[float, int, SystemConfig]]:
-    """(start time, last sample index, config in force) of each stretch between events.
+    """(start time, last sample index, config in force) of each stretch between event steps.
 
-    A stretch ends before each distinct event time and at the end of the run;
-    its config is ``apply_event`` folded over the events before it.
+    A stretch ends before each event step of ``scenario.schedule`` after
+    step 0 and at the end of the run.  Row r of the trace holds step
+    r * decimation, so the last row before step s is (s - 1) // decimation.
     """
     out = []
     start = 0.0
     config = scenario.config
-    for ev in scenario.events:
-        if ev.time > start:
-            out.append((start, _sample_index_before(trace, ev.time), config))
-            start = ev.time
-        config = apply_event(config, ev.action)
+    for group in scenario.schedule:
+        if group.step > 0:
+            out.append((start, (group.step - 1) // scenario.record_decimation, config))
+        start = group.time
+        config = group.config
     out.append((start, len(trace) - 1, config))
     return out
 
@@ -351,21 +344,12 @@ def _checks_case3(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     p_means = [float(trace.active[idx].mean()) for idx in marks]
     q_means = [float(trace.reactive[idx].mean()) for idx in marks]
     f_means = [float(trace.frequency_hz[idx].mean()) for idx in marks]
-    return [
-        CheckResult("modules-resynchronize-each-quadrant", sync < 1e-8, sync, 1e-8),
-        CheckResult(
-            "active-power-identical-across-quadrants",
-            _relative_spread(p_means) < 1e-6, _relative_spread(p_means), 1e-6,
-        ),
-        CheckResult(
-            "reactive-power-identical-across-quadrants",
-            _relative_spread(q_means) < 1e-6, _relative_spread(q_means), 1e-6,
-        ),
-        CheckResult(
-            "frequency-identical-across-quadrants",
-            _relative_spread(f_means) < 1e-6, _relative_spread(f_means), 1e-6,
-        ),
-    ]
+    out = [CheckResult("modules-resynchronize-each-quadrant", sync < 1e-8, sync, 1e-8)]
+    for name, means in (("active-power", p_means), ("reactive-power", q_means),
+                        ("frequency", f_means)):
+        spread = _relative_spread(means)
+        out.append(CheckResult(f"{name}-identical-across-quadrants", spread < 1e-6, spread, 1e-6))
+    return out
 
 
 def _checks_case4(scenario: Scenario, trace: Trace) -> list[CheckResult]:
@@ -455,7 +439,7 @@ def run_cases(ids, out_dir) -> list[CaseReport]:
 
     def cost(case_id):
         scenario = build_case(case_id)[0]
-        return scenario.validate() * scenario.config.n
+        return scenario.steps * scenario.config.n
 
     with ProcessPoolExecutor(workers) as pool:
         futures = {case_id: pool.submit(run_case, case_id, out_dir)

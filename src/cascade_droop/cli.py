@@ -71,17 +71,15 @@ def _load_scenario(path: Path):
 
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
+    overrides = {}
     if args.dt is not None:
-        scenario = replace(scenario, dt=args.dt)
+        overrides["dt"] = args.dt
     if args.duration is not None:
-        scenario = replace(scenario, duration=args.duration)
+        overrides["duration"] = args.duration
     if args.no_clamp:
-        scenario = replace(
-            scenario,
-            config=replace(
-                scenario.config, droop=replace(scenario.config.droop, freq_clamp=None)
-            ),
-        )
+        config = scenario.config
+        overrides["config"] = replace(config, droop=replace(config.droop, freq_clamp=None))
+    scenario = replace(scenario, **overrides)
     trace = simulate(scenario).trace
     args.out.mkdir(parents=True, exist_ok=True)
     out = emit_trace_csv(trace, args.out / f"{args.scenario.stem}_trace.csv")

@@ -20,8 +20,8 @@ held measurements, then runs the three later RK4 stages inline, passing the
 previous slope and the step fraction.  The recorded sample count is known
 before the run, so ``simulate`` writes each retained sample straight into
 preallocated trace arrays.  Those arrays are the only numpy this module
-needs, so ``simulate`` imports numpy once the scenario has validated;
-validation and the equilibria are plain ``math``.
+needs, so ``simulate`` imports numpy only to allocate them; scenario checks
+and the equilibria are plain ``math``.
 
 Every module of the series string carries the same current I, so module i
 sees S_i = V* e^{j delta_i} conj(I) and measures the power factor angle
@@ -30,14 +30,15 @@ of the +/-pi seam and the clamp is idle, pairwise angle differences
 therefore decay as exactly exp(-m t) in both modes, not just to first order;
 the tests use this as an oracle that is independent of the linearization.
 
-A scenario is a timeline of parameter/topology events applied atomically at
-exact step boundaries (event times must be multiples of dt).  A mode, load,
-line or reference event is a pure update of the configuration,
-``apply_event(config, action)``; ``simulate`` maps the config through it and
-builds a new kernel from the result, so the config in force on any stretch
-of the timeline is the fold of ``apply_event`` over the events before it.
-Those events never touch the angles; only the explicit angle-reset event
-writes state, and it leaves the config unchanged.
+A scenario is a timeline of parameter/topology events at exact step
+boundaries (event times must be multiples of dt); a ``Scenario`` that fails
+a check raises ``ValidationError`` when it is built.  A mode, load, line or
+reference event is a pure update of the configuration, ``apply_event(config,
+action)``; only the angle-reset event writes state, and it leaves the config
+unchanged.  Events at one time apply together, in file order: the
+scenario's ``schedule`` holds one entry per event step with the fold of
+``apply_event`` over all events so far, and ``simulate`` builds one kernel
+per entry whose config changed, never one for a config between two events.
 
 At (essentially) zero apparent power the power factor angle is undefined;
 the engine holds each module's previous valid measurement, initialized to
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
@@ -161,9 +162,18 @@ class TimedEvent:
     action: EventAction
 
 
+class EventStep(NamedTuple):
+    """The events of one step: the first one's time, the actions in file order, the config after."""
+
+    step: int
+    time: float
+    actions: tuple[EventAction, ...]
+    config: SystemConfig
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A timeline: initial condition, events, and solver settings."""
+    """A timeline: initial condition, events, and solver settings, checked when built."""
 
     config: SystemConfig
     initial_deltas: tuple[float, ...]
@@ -171,13 +181,12 @@ class Scenario:
     duration: float = 1.0
     dt: float = 1e-3
     record_decimation: int = 10
+    steps: int = field(init=False, repr=False, compare=False)
+    schedule: tuple[EventStep, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "initial_deltas", tuple(float(d) for d in self.initial_deltas))
         object.__setattr__(self, "events", tuple(self.events))
-
-    def validate(self) -> int:
-        """Check cross-field constraints; returns the step count."""
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValidationError(f"dt must be > 0, got {self.dt}")
         if not (math.isfinite(self.duration) and self.duration > 0.0):
@@ -195,6 +204,8 @@ class Scenario:
         steps = _exact_step(self.duration, self.dt, "duration")
         if steps < 1:
             raise ValidationError("duration must cover at least one step")
+        schedule: list[EventStep] = []
+        config = self.config
         last = -math.inf
         for ev in self.events:
             if ev.time < last:
@@ -202,13 +213,19 @@ class Scenario:
             last = ev.time
             if not (0.0 <= ev.time <= self.duration):
                 raise ValidationError(f"event time {ev.time} outside [0, {self.duration}]")
-            _exact_step(ev.time, self.dt, "event time")
-            if isinstance(ev.action, SetInitialDelta):
-                if not (1 <= ev.action.index <= self.config.n):
-                    raise ValidationError(
-                        f"angle-reset index {ev.action.index} outside 1..{self.config.n}"
-                    )
-        return steps
+            step = _exact_step(ev.time, self.dt, "event time")
+            if isinstance(ev.action, SetInitialDelta) and not 1 <= ev.action.index <= self.config.n:
+                raise ValidationError(
+                    f"angle-reset index {ev.action.index} outside 1..{self.config.n}"
+                )
+            config = apply_event(config, ev.action)
+            if schedule and schedule[-1].step == step:
+                actions = (*schedule[-1].actions, ev.action)
+                schedule[-1] = schedule[-1]._replace(actions=actions, config=config)
+            else:
+                schedule.append(EventStep(step, ev.time, (ev.action,), config))
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "schedule", tuple(schedule))
 
 
 def _exact_step(t: float, dt: float, what: str) -> int:
@@ -340,17 +357,18 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
 
     This is the one way to advance the plant: each step calls the kernel at
     the step boundary (which records the sample), then at the three later
-    RK4 stages, and combines the four slopes with weight dt/6.
+    RK4 stages, and combines the four slopes with weight dt/6.  Between
+    stretches it applies one ``scenario.schedule`` entry.
 
     Parameters
     ----------
     scenario : Scenario
-        Validated timeline.  The scenario object is never mutated.
+        The timeline; it is never mutated.
     on_event : callable, optional
         Invoked as ``on_event(time, action, deltas_before, deltas_after)``
         with copies of the angle vector around each event application.
     """
-    steps = scenario.validate()
+    steps = scenario.steps
     config = scenario.config
     n = config.n
     rates = _plant(config)
@@ -360,10 +378,6 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
     half = 0.5 * dt
     sixth = dt / 6.0
     decim = scenario.record_decimation
-
-    schedule = [(_exact_step(ev.time, dt, "event time"), ev.action) for ev in scenario.events]
-    ev_idx = 0
-    n_events = len(schedule)
 
     import numpy as np
 
@@ -381,35 +395,37 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         ) from None
     row = 0
 
-    for k in range(steps + 1):
-        while ev_idx < n_events and schedule[ev_idx][0] == k:
-            action = schedule[ev_idx][1]
-            before = deltas.copy() if on_event is not None else None
-            if isinstance(action, SetInitialDelta):
-                deltas[action.index - 1] = float(action.delta)
-            else:
+    bounds = [group.step for group in scenario.schedule]
+    for group, start, stop in zip((None, *scenario.schedule), [0, *bounds], [*bounds, steps + 1]):
+        if group is not None:
+            for action in group.actions:
+                before = deltas.copy() if on_event is not None else None
+                if isinstance(action, SetInitialDelta):
+                    deltas[action.index - 1] = float(action.delta)
+                if on_event is not None:
+                    on_event(start * dt, action, before, deltas.copy())
+            if group.config != config:
+                config = group.config
                 try:
-                    config = apply_event(config, action)
                     rates = _plant(config)
                 except SingularImpedanceError as exc:
-                    raise SingularImpedanceError(f"at event time t={k * dt:g} s: {exc}") from exc
-            if on_event is not None:
-                on_event(k * dt, action, before, deltas.copy())
-            ev_idx += 1
-        sample = ([], [], [], [])
-        k1 = rates(deltas, held, sample)
-        if k % decim == 0 or k == steps:
-            times[row] = k * dt
-            pf_angle[row], active[row], reactive[row], omega[row] = sample
-            row += 1
-        if k < steps:
-            k2 = rates(deltas, held, None, k1, half)
-            k3 = rates(deltas, held, None, k2, half)
-            k4 = rates(deltas, held, None, k3, dt)
-            deltas = [
-                x + sixth * (a + 2.0 * (b + c) + e)
-                for x, a, b, c, e in zip(deltas, k1, k2, k3, k4)
-            ]
+                    raise SingularImpedanceError(
+                        f"at event time t={start * dt:g} s: {exc}") from exc
+        for k in range(start, stop):
+            sample = ([], [], [], [])
+            k1 = rates(deltas, held, sample)
+            if k % decim == 0 or k == steps:
+                times[row] = k * dt
+                pf_angle[row], active[row], reactive[row], omega[row] = sample
+                row += 1
+            if k < steps:
+                k2 = rates(deltas, held, None, k1, half)
+                k3 = rates(deltas, held, None, k2, half)
+                k4 = rates(deltas, held, None, k3, dt)
+                deltas = [
+                    x + sixth * (a + 2.0 * (b + c) + e)
+                    for x, a, b, c, e in zip(deltas, k1, k2, k3, k4)
+                ]
 
     np.divide(omega, TAU, out=omega)  # rad/s to Hz without a second (rows, n) array
     trace = Trace(

@@ -85,10 +85,6 @@ class Impedance:
         return cmath.rect(self.magnitude, self.angle)
 
     @property
-    def resistance(self) -> float:
-        return self.magnitude * math.cos(self.angle)
-
-    @property
     def reactance(self) -> float:
         return self.magnitude * math.sin(self.angle)
 

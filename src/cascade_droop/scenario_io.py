@@ -24,12 +24,12 @@ Grammar (``#`` starts a comment, blank lines are ignored)::
     [initial]             # optional; default all zeros
     delta = 0.1, 0.05, -0.05, -0.1     # rad, one per module
 
-    [events]              # optional; '<time> <kind> <args>' one per line
-    2.0 mode islanded
-    6.0 load r=12 x=6
-    50.0 line mag=0.314 theta=0
+    [events]              # optional; '<time> <kind> <args>' one per line,
+    2.0 mode islanded     # sorted by time; events at one time apply together,
+    6.0 load r=12 x=6     # in file order, with one new plant per event time
     5.0 phi_star 2.356194490192345
     5.0 delta 1 0.7853981633974483    # module index (1-based), angle (rad)
+    50.0 line mag=0.314 theta=0
 
     [solver]
     dt = 0.001            # step, s (default 0.001)
@@ -37,7 +37,9 @@ Grammar (``#`` starts a comment, blank lines are ignored)::
     decimation = 10       # record every k-th step (default 10)
 
 Unknown sections or keys are rejected; every parse or validation error
-carries the offending line number where one exists.
+carries the offending line number where one exists.  Checks that span
+sections (event times against dt and duration, angle-reset indices against
+n) run when the ``Scenario`` is built and raise ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -213,9 +215,12 @@ def parse_scenario(text: str) -> Scenario:
 
     mode_lineno, mode_text = sys_kv["mode"]
     mode_text = mode_text.lower()
-    if mode_text not in ("grid", "islanded"):
-        raise ScenarioParseError(mode_lineno, f"mode must be 'grid' or 'islanded', got {mode_text!r}")
-    mode = Mode.GRID_CONNECTED if mode_text == "grid" else Mode.ISLANDED
+    try:
+        mode = Mode(mode_text)
+    except ValueError:
+        raise ScenarioParseError(
+            mode_lineno, f"mode must be 'grid' or 'islanded', got {mode_text!r}"
+        ) from None
 
     try:
         droop = DroopParams(
@@ -275,9 +280,11 @@ def parse_scenario(text: str) -> Scenario:
         kind = tokens[1].lower()
         args = tokens[2:]
         if kind == "mode":
-            if len(args) != 1 or args[0].lower() not in ("grid", "islanded"):
-                raise ScenarioParseError(lineno, "mode event takes 'grid' or 'islanded'")
-            action = SetMode(Mode.GRID_CONNECTED if args[0].lower() == "grid" else Mode.ISLANDED)
+            try:
+                (word,) = args
+                action = SetMode(Mode(word.lower()))
+            except ValueError:
+                raise ScenarioParseError(lineno, "mode event takes 'grid' or 'islanded'") from None
         elif kind == "load":
             action = SetLoad(_parse_event_impedance(args, "events", omega_star, lineno))
         elif kind == "line":
@@ -304,7 +311,7 @@ def parse_scenario(text: str) -> Scenario:
     solver_kv = _parse_kv(sections["solver"], _SOLVER_KEYS, "solver")
     if "duration" not in solver_kv:
         raise ScenarioParseError(0, "[solver] is missing required key 'duration'")
-    scenario = Scenario(
+    return Scenario(
         config=config,
         initial_deltas=initial,
         events=tuple(events),
@@ -314,8 +321,6 @@ def parse_scenario(text: str) -> Scenario:
         if "decimation" in solver_kv
         else DEFAULT_DECIMATION,
     )
-    scenario.validate()
-    return scenario
 
 
 def _fmt(x: float) -> str:
@@ -347,7 +352,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         f"m = {_fmt(d.droop_gain)}",
         "clamp = off" if d.freq_clamp is None
         else f"clamp = {_fmt(d.freq_clamp[0])}, {_fmt(d.freq_clamp[1])}",
-        f"mode = {'grid' if c.mode is Mode.GRID_CONNECTED else 'islanded'}",
+        f"mode = {c.mode.value}",
         "",
         "[line]",
         f"mag = {_fmt(c.line.magnitude)}",
@@ -365,8 +370,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         for ev in scenario.events:
             a = ev.action
             if isinstance(a, SetMode):
-                word = "grid" if a.mode is Mode.GRID_CONNECTED else "islanded"
-                lines.append(f"{_fmt(ev.time)} mode {word}")
+                lines.append(f"{_fmt(ev.time)} mode {a.mode.value}")
             elif isinstance(a, SetLoad):
                 lines.append(f"{_fmt(ev.time)} load {_impedance_text(a.load)}")
             elif isinstance(a, SetLine):

@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -43,6 +43,7 @@ from cascade_droop import (
     synchronized_grid_power,
     wrap_angle,
 )
+from cascade_droop import engine
 from cascade_droop.cases import build_case
 from cascade_droop.engine import apply_event
 
@@ -415,19 +416,64 @@ def test_scenario_validation_errors():
     good = dict(config=config, initial_deltas=(0.0, 0.0, 0.0, 0.0), duration=1.0, dt=1e-3)
     with pytest.raises(ValidationError, match="sorted"):
         Scenario(**good, events=(TimedEvent(0.5, SetPfRef(0.1)),
-                                 TimedEvent(0.2, SetPfRef(0.2)))).validate()
+                                 TimedEvent(0.2, SetPfRef(0.2))))
     with pytest.raises(ValidationError, match="outside"):
-        Scenario(**good, events=(TimedEvent(5.0, SetPfRef(0.1)),)).validate()
+        Scenario(**good, events=(TimedEvent(5.0, SetPfRef(0.1)),))
     with pytest.raises(ValidationError, match="multiple"):
-        Scenario(**good, events=(TimedEvent(0.0005, SetPfRef(0.1)),)).validate()
+        Scenario(**good, events=(TimedEvent(0.0005, SetPfRef(0.1)),))
     with pytest.raises(ValidationError, match="dt"):
-        Scenario(config=config, initial_deltas=(0.0,) * 4, duration=1.0, dt=-1e-3).validate()
+        Scenario(config=config, initial_deltas=(0.0,) * 4, duration=1.0, dt=-1e-3)
     with pytest.raises(ValidationError, match="initial_deltas"):
-        Scenario(config=config, initial_deltas=(0.0,) * 3, duration=1.0, dt=1e-3).validate()
+        Scenario(config=config, initial_deltas=(0.0,) * 3, duration=1.0, dt=1e-3)
     with pytest.raises(ValidationError, match="decimation"):
-        Scenario(**good, record_decimation=0).validate()
+        Scenario(**good, record_decimation=0)
     with pytest.raises(ValidationError, match="index"):
-        Scenario(**good, events=(TimedEvent(0.5, SetInitialDelta(9, 0.0)),)).validate()
+        Scenario(**good, events=(TimedEvent(0.5, SetInitialDelta(9, 0.0)),))
+
+
+def test_scenario_schedule_groups_events_by_step():
+    config = make_config(mode=Mode.GRID_CONNECTED)
+    load = Impedance.from_rect(3.0, -1.0)
+    events = (TimedEvent(0.0, SetInitialDelta(1, 0.3)),
+              TimedEvent(0.5, SetMode(Mode.ISLANDED)),
+              TimedEvent(0.5 + 1e-13, SetLoad(load)),  # the same step as 0.5
+              TimedEvent(0.7, SetInitialDelta(2, 0.1)))
+    scenario = Scenario(config=config, initial_deltas=(0.0,) * 4, events=events, duration=1.0)
+    assert scenario.steps == 1000
+    assert [(g.step, g.time, g.actions) for g in scenario.schedule] == [
+        (0, 0.0, (events[0].action,)),
+        (500, 0.5, (events[1].action, events[2].action)),
+        (700, 0.7, (events[3].action,)),
+    ]
+    after = apply_event(apply_event(config, events[1].action), events[2].action)
+    assert scenario.schedule[0].config is config
+    assert scenario.schedule[1].config == after
+    assert scenario.schedule[2].config is scenario.schedule[1].config
+    # replace() builds a new scenario, so the schedule follows the new config
+    clamp_off = replace(config, droop=replace(config.droop, freq_clamp=None))
+    again = replace(scenario, config=clamp_off)
+    assert again.schedule[1].config == replace(after, droop=clamp_off.droop)
+    assert again != scenario and replace(scenario) == scenario
+
+
+def test_simulate_binds_one_kernel_per_changed_config(monkeypatch):
+    built = []
+    real_plant = engine._plant
+
+    def counting_plant(config):
+        built.append(config)
+        return real_plant(config)
+
+    monkeypatch.setattr(engine, "_plant", counting_plant)
+    config = make_config(mode=Mode.GRID_CONNECTED)
+    load = Impedance.from_rect(3.0, -1.0)
+    events = (TimedEvent(0.2, SetMode(Mode.ISLANDED)),
+              TimedEvent(0.2, SetLoad(load)),
+              TimedEvent(0.4, SetInitialDelta(1, 0.3)),
+              TimedEvent(0.6, SetLoad(load)))
+    scenario = Scenario(config=config, initial_deltas=(0.0,) * 4, events=events, duration=1.0)
+    simulate(scenario)
+    assert built == [config, scenario.schedule[0].config]
 
 
 def test_engine_omega_matches_droop_law():

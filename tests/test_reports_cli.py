@@ -30,7 +30,8 @@ from cascade_droop import (
     simulate,
 )
 from cascade_droop import cli, reports
-from cascade_droop.cases import run_case
+from cascade_droop.cases import _segments, build_case, run_case
+from cascade_droop.engine import apply_event
 
 PI = math.pi
 TAU = math.tau
@@ -220,6 +221,27 @@ def test_case1_smoke(tmp_path):
     assert "pass" in text
 
 
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5])
+def test_case_segments_match_a_search_of_the_sample_times(case_id):
+    # oracle: fold the events again and search the recorded times for the
+    # last sample before each event time
+    scenario = build_case(case_id)[0]
+    steps, decim = scenario.steps, scenario.record_decimation
+    times = np.array([k for k in range(steps + 1) if k % decim == 0 or k == steps]) * scenario.dt
+    zeros = np.zeros((len(times), scenario.config.n))
+    trace = Trace(times, zeros, zeros.copy(), zeros.copy(), zeros.copy())
+    want = []
+    start = 0.0
+    config = scenario.config
+    for ev in scenario.events:
+        if ev.time > start:
+            want.append((start, int(times.searchsorted(ev.time - 1e-12)) - 1, config))
+            start = ev.time
+        config = apply_event(config, ev.action)
+    want.append((start, len(times) - 1, config))
+    assert _segments(scenario, trace) == want
+
+
 # --- CLI ------------------------------------------------------------------------
 
 
@@ -247,6 +269,51 @@ def test_cli_simulate_overrides(tmp_path):
     assert proc.returncode == 0, proc.stderr
     header, first, *_rest, last = (tmp_path / "o" / "demo_trace.csv").read_text().splitlines()
     assert last.split(",")[0] == "1"
+    # the new dt is checked against the new duration, not the file's 0.25 s
+    scenario.write_text(SCENARIO_TEXT.replace("duration = 2", "duration = 0.25"))
+    proc = _cli("simulate", "demo.scn", "--out", "p", "--dt", "0.1", "--duration", "0.3",
+                cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+SAME_TIME_TEXT = """
+[system]
+n = 2
+f_star = 50
+v_star = 50
+v_grid = 100
+phi_star = 0.2
+m = 0.5
+mode = grid
+
+[line]
+mag = 1
+theta = 1.5707963267948966
+
+[load]
+r = 0
+x = -1
+
+[events]
+{events}
+
+[solver]
+duration = 2
+"""
+
+
+def test_same_time_events_apply_together(tmp_path, monkeypatch, capsys):
+    # islanded, the -j1 ohm load cancels the j1 ohm line; only a config
+    # between the two events at t=1 would pair them, and none is built
+    monkeypatch.chdir(tmp_path)
+    orders = {"island_first": "1.0 mode islanded\n1.0 load r=12",
+              "load_first": "1.0 load r=12\n1.0 mode islanded"}
+    for name, events in orders.items():
+        (tmp_path / f"{name}.scn").write_text(SAME_TIME_TEXT.format(events=events))
+        assert cli.main(["simulate", f"{name}.scn", "--out", "out"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+    traces = [(tmp_path / "out" / f"{name}_trace.csv").read_bytes() for name in orders]
+    assert traces[0] == traces[1]
 
 
 def test_cli_exit_code_validation_error(tmp_path):
