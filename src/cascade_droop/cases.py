@@ -6,6 +6,19 @@ tolerances; running one writes a trace CSV and a plain-text report with one
 are independent, so ``run_cases`` runs several in up to one worker process
 per CPU; each writes only its own files, and the bytes match a serial run.
 
+Every checker reads the trace at rows of the stretches between events
+(``_segments``) and measures its claims through four claim functions, which
+the claims ledger ``tests/test_claims.py`` calls too:
+
+* ``frequency_error``: final-frequency-matches-closed-form (case 1),
+  steady-frequency-* (2), frequency-locks-to-grid-all-lines (4) and
+  frequency-returns-to-nominal (5);
+* ``tracking_error``: pf-angle-tracks-reference-all-lines (4) and
+  pf-angle-tracks-within-3s (5);
+* ``angle_spread``: modules-resynchronize-each-quadrant (3);
+* ``relative_spread``: active-power-equalized-within-5s (1) and the three
+  *-identical-across-quadrants checks (3).
+
 Parameter choices that the qualitative claims do not pin down (loads,
 pre-switch conditions, and the gain/sizing of the tight-settling cases) are
 artifact defaults; every report lists the exact values used, and the
@@ -150,10 +163,6 @@ def _params_lines(scenario: Scenario) -> tuple[str, ...]:
     )
 
 
-def _sample_index_at(trace: Trace, t: float) -> int:
-    return int(abs(trace.times - t).argmin())
-
-
 def _segments(scenario: Scenario, trace: Trace) -> list[tuple[float, int, SystemConfig]]:
     """(start time, last sample index, config in force) of each stretch between event steps.
 
@@ -173,16 +182,36 @@ def _segments(scenario: Scenario, trace: Trace) -> list[tuple[float, int, System
     return out
 
 
-def _max_pairwise_wrapped(values) -> float:
-    worst = 0.0
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            worst = max(worst, abs(wrap_angle(vals[i] - vals[j])))
-    return worst
+# --- claims -----------------------------------------------------------------
 
 
-def _relative_spread(values) -> float:
+def frequency_error(trace: Trace, row: int, config: SystemConfig) -> float:
+    """|module-mean frequency at ``row`` - its closed form under ``config``|, in Hz.
+
+    The closed form is ``islanded_equilibrium`` when islanded, else the nominal frequency.
+    """
+    if config.mode is Mode.ISLANDED:
+        closed = islanded_equilibrium(config).frequency_hz
+    else:
+        closed = config.droop.nominal_omega / math.tau
+    return abs(float(trace.frequency_hz[row].mean()) - closed)
+
+
+def tracking_error(trace: Trace, row: int, config: SystemConfig) -> float:
+    """The largest |wrap(phi_i - phi*)| over the modules at ``row``, in rad."""
+    phi_star = config.droop.nominal_pf_angle
+    return max(abs(wrap_angle(phi - phi_star)) for phi in trace.pf_angle[row])
+
+
+def angle_spread(angles) -> float:
+    """The largest wrapped difference between any two of ``angles``, in rad."""
+    vals = list(angles)
+    return max((abs(wrap_angle(a - b)) for i, a in enumerate(vals) for b in vals[i + 1:]),
+               default=0.0)
+
+
+def relative_spread(values) -> float:
+    """(max - min) / mean |value| of ``values``; max - min when they are all 0."""
     import numpy as np
 
     arr = np.asarray(values, dtype=float)
@@ -206,11 +235,10 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
             events=(TimedEvent(2.0, SetMode(Mode.ISLANDED)),),
             duration=10.0,
         )
-        notes = (
+        return scenario, (
             "pre-switch state is the grid-tied operating point plus a deterministic angle spread",
             "the island inherits the 12 ohm resistive load in series with the line (artifact default)",
         )
-        return scenario, notes
 
     if case_id == 2:
         scenario = Scenario(
@@ -222,11 +250,10 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
             ),
             duration=18.0,
         )
-        notes = (
+        return scenario, (
             "load values 12, 12+j6 and 12-j6 ohm keep the three intervals at comparable current "
             "(artifact defaults)",
         )
-        return scenario, notes
 
     if case_id == 3:
         events = []
@@ -240,12 +267,11 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
             events=tuple(events),
             duration=20.0,
         )
-        notes = (
+        return scenario, (
             "module 1 is re-aimed into each quadrant at 5 s intervals while the rest restart at 0",
             f"droop gain raised to {M_FAST:g} (baseline 0.5): disagreements contract at exactly the "
             "gain, and the settling tolerances must be met inside each 5 s window",
         )
-        return scenario, notes
 
     if case_id == 4:
         scenario = Scenario(
@@ -258,13 +284,12 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
             duration=150.0,
             dt=2e-3,
         )
-        notes = (
+        return scenario, (
             "line is capacitive, then inductive, then resistive, all at 0.314 ohm magnitude",
             f"string sized at v_star={V_STAR_REDUCED:.9g} (30% of the grid voltage): with the "
             "string matched to the grid the reference angle is unreachable on a capacitive line",
             "segments are 50 s: the slow mode decays at about m/(1+r) with r the voltage ratio",
         )
-        return scenario, notes
 
     if case_id == 5:
         scenario = Scenario(
@@ -279,13 +304,12 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
             ),
             duration=20.0,
         )
-        notes = (
+        return scenario, (
             "reference steps through all four quadrants, crossing the +/-pi seam on the short path",
             f"string sized at v_star={V_STAR_REDUCED:.9g} and gain raised to {M_FAST:g}: matched "
             "sizing cannot reach quadrants III/IV, and the 3 s tracking deadline needs a loop "
             "faster than the baseline gain",
         )
-        return scenario, notes
 
     raise ValidationError(f"case id must be 1..5, got {case_id!r}")
 
@@ -293,72 +317,53 @@ def build_case(case_id: int) -> tuple[Scenario, tuple[str, ...]]:
 # --- per-case checks --------------------------------------------------------
 
 
-def _checks_case1(scenario: Scenario, trace: Trace, continuity_max: float) -> list[CheckResult]:
-    _, (switch, _, island_config) = _segments(scenario, trace)
+def _checks_case1(segments, trace: Trace, continuity: float) -> list[CheckResult]:
+    _, (switch, end, island_config) = segments
     f = trace.frequency_hz
     excursion = max(0.0, CLAMP[0] - float(f.min()), float(f.max()) - CLAMP[1])
-    post = trace.times >= switch + 5.0 - 1e-12
-    p_post = trace.active[post]
-    spread = float(
-        ((p_post.max(axis=1) - p_post.min(axis=1)) / abs(p_post.mean(axis=1))).max()
-    )
-    f_err = abs(float(f[-1].mean()) - islanded_equilibrium(island_config).frequency_hz)
+    settled = trace.times.searchsorted(switch + 5.0 - 1e-12)
+    spread = max(relative_spread(p) for p in trace.active[settled:])
+    f_err = frequency_error(trace, end, island_config)
     return [
-        CheckResult("delta-continuity-at-switch", continuity_max <= 0.0, continuity_max, 0.0),
+        CheckResult("delta-continuity-at-switch", continuity <= 0.0, continuity, 0.0),
         CheckResult("frequency-within-clamp-band", excursion <= 0.0, excursion, 0.0),
         CheckResult("active-power-equalized-within-5s", spread < 1e-3, spread, 1e-3),
         CheckResult("final-frequency-matches-closed-form", f_err < 1e-3, f_err, 1e-3),
     ]
 
 
-def _checks_case2(scenario: Scenario, trace: Trace) -> list[CheckResult]:
+def _checks_case2(segments, trace: Trace, continuity: float) -> list[CheckResult]:
     out = []
-    freqs = {}
-    powers = {}
-    labels = ("resistive", "inductive", "capacitive")
-    for label, (_, idx, config) in zip(labels, _segments(scenario, trace), strict=True):
-        f_meas = float(trace.frequency_hz[idx].mean())
-        freqs[label] = f_meas
-        powers[label] = (float(trace.active[idx].mean()), float(trace.reactive[idx].mean()))
-        err = abs(f_meas - islanded_equilibrium(config).frequency_hz)
+    for label, (_, idx, config) in zip(("resistive", "inductive", "capacitive"), segments):
+        err = frequency_error(trace, idx, config)
         out.append(CheckResult(f"steady-frequency-{label}", err < 1e-4, err, 1e-4))
-    margin = min(freqs["capacitive"] - freqs["resistive"], freqs["resistive"] - freqs["inductive"])
-    out.append(CheckResult("frequency-ordering-rc-above-r-above-rl", margin > 0.0, margin, 0.0))
-    p_r, q_r = powers["resistive"]
-    ratio = abs(q_r / p_r)
-    out.append(CheckResult(
-        "reactive-small-positive-resistive", q_r > 0.0 and ratio <= 0.05, ratio, 0.05
-    ))
-    out.append(CheckResult(
-        "reactive-positive-inductive", powers["inductive"][1] > 0.0, powers["inductive"][1], 0.0
-    ))
-    out.append(CheckResult(
-        "reactive-negative-capacitive", powers["capacitive"][1] < 0.0, powers["capacitive"][1], 0.0
-    ))
-    return out
+    ends = [idx for _, idx, _ in segments]
+    f_r, f_rl, f_rc = (float(trace.frequency_hz[idx].mean()) for idx in ends)
+    q_r, q_rl, q_rc = (float(trace.reactive[idx].mean()) for idx in ends)
+    margin = min(f_rc - f_r, f_r - f_rl)
+    ratio = abs(q_r / float(trace.active[ends[0]].mean()))
+    return out + [
+        CheckResult("frequency-ordering-rc-above-r-above-rl", margin > 0.0, margin, 0.0),
+        CheckResult("reactive-small-positive-resistive", q_r > 0.0 and ratio <= 0.05, ratio, 0.05),
+        CheckResult("reactive-positive-inductive", q_rl > 0.0, q_rl, 0.0),
+        CheckResult("reactive-negative-capacitive", q_rc < 0.0, q_rc, 0.0),
+    ]
 
 
-def _checks_case3(scenario: Scenario, trace: Trace) -> list[CheckResult]:
-    marks = [idx for _, idx, _ in _segments(scenario, trace)]
-    sync = max(_max_pairwise_wrapped(trace.pf_angle[idx]) for idx in marks)
-    p_means = [float(trace.active[idx].mean()) for idx in marks]
-    q_means = [float(trace.reactive[idx].mean()) for idx in marks]
-    f_means = [float(trace.frequency_hz[idx].mean()) for idx in marks]
+def _checks_case3(segments, trace: Trace, continuity: float) -> list[CheckResult]:
+    ends = [idx for _, idx, _ in segments]
+    sync = max(angle_spread(trace.pf_angle[idx]) for idx in ends)
     out = [CheckResult("modules-resynchronize-each-quadrant", sync < 1e-8, sync, 1e-8)]
-    for name, means in (("active-power", p_means), ("reactive-power", q_means),
-                        ("frequency", f_means)):
-        spread = _relative_spread(means)
+    for name, channel in (("active-power", trace.active), ("reactive-power", trace.reactive),
+                          ("frequency", trace.frequency_hz)):
+        spread = relative_spread([float(channel[idx].mean()) for idx in ends])
         out.append(CheckResult(f"{name}-identical-across-quadrants", spread < 1e-6, spread, 1e-6))
     return out
 
 
-def _checks_case4(scenario: Scenario, trace: Trace) -> list[CheckResult]:
-    segments = _segments(scenario, trace)
-    f_err = max(abs(float(trace.frequency_hz[idx].mean()) - F_STAR) for _, idx, _ in segments)
-    phi_err = max(
-        abs(wrap_angle(v - config.droop.nominal_pf_angle))
-        for _, idx, config in segments for v in trace.pf_angle[idx]
-    )
+def _checks_case4(segments, trace: Trace, continuity: float) -> list[CheckResult]:
+    f_err = max(frequency_error(trace, idx, config) for _, idx, config in segments)
+    phi_err = max(tracking_error(trace, idx, config) for _, idx, config in segments)
     reports = {report_stability(config, sweep=_CASE4_SWEEP) for _, _, config in segments}
     distinct = float(len(reports) - 1)
     return [
@@ -368,21 +373,19 @@ def _checks_case4(scenario: Scenario, trace: Trace) -> list[CheckResult]:
     ]
 
 
-def _checks_case5(scenario: Scenario, trace: Trace) -> list[CheckResult]:
-    segments = _segments(scenario, trace)
+def _checks_case5(segments, trace: Trace, continuity: float) -> list[CheckResult]:
     track_err = max(
-        abs(wrap_angle(v - config.droop.nominal_pf_angle))
+        tracking_error(trace, trace.times.searchsorted(start + 3.0 - 1e-12), config)
         for start, _, config in segments
-        for v in trace.pf_angle[_sample_index_at(trace, start + 3.0)]
     )
-    f_err = max(abs(float(trace.frequency_hz[idx].mean()) - F_STAR) for _, idx, _ in segments)
+    f_err = max(frequency_error(trace, idx, config) for _, idx, config in segments)
     return [
         CheckResult("pf-angle-tracks-within-3s", track_err < 1e-4, track_err, 1e-4),
         CheckResult("frequency-returns-to-nominal", f_err < 1e-4, f_err, 1e-4),
     ]
 
 
-_CHECKERS = {2: _checks_case2, 3: _checks_case3, 4: _checks_case4, 5: _checks_case5}
+_CHECKERS = {1: _checks_case1, 2: _checks_case2, 3: _checks_case3, 4: _checks_case4, 5: _checks_case5}
 
 
 def run_case(case_id: int, out_dir) -> CaseReport:
@@ -399,10 +402,7 @@ def run_case(case_id: int, out_dir) -> CaseReport:
             continuity = max(continuity, max(abs(b - a) for b, a in zip(before, after)))
 
     trace = simulate(scenario, on_event=watch).trace
-    if case_id == 1:
-        checks = _checks_case1(scenario, trace, continuity)
-    else:
-        checks = _CHECKERS[case_id](scenario, trace)
+    checks = _CHECKERS[case_id](_segments(scenario, trace), trace, continuity)
 
     trace_path = emit_trace_csv(trace, out_dir / f"case{case_id}.csv")
     report = CaseReport(

@@ -68,6 +68,9 @@ PI = math.pi
 # zero power for the measurement-hold rule.
 _ZERO_POWER_FRACTION = 1e-12
 
+# Most modules one string may have; every per-module list is sized from n.
+_MAX_MODULES = 1_000_000
+
 
 class Mode(Enum):
     ISLANDED = "islanded"
@@ -100,6 +103,8 @@ class SystemConfig:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
+        if self.n > _MAX_MODULES:
+            raise ValidationError(f"n={self.n} exceeds the cap of {_MAX_MODULES:,} modules")
         if not (math.isfinite(self.grid_voltage) and self.grid_voltage >= 0.0):
             raise ValidationError(f"grid_voltage must be >= 0, got {self.grid_voltage}")
         if not math.isfinite(self.grid_angle):
@@ -506,8 +511,8 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
     |S| = t / |Z|, roots with t <= 1e-9 c sit in the zero-power hole, where
     the angle is undefined, and are dropped.  There are at most two roots,
     returned sorted; ``delta_s`` is the first stable one, else the first
-    marginal one, else the first.  Each verdict is the sign condition of
-    ``linearization.stability_condition``.
+    marginal one, else the first.  Each root's lambda_1 and verdict come
+    from ``linearization.slow_mode``.
 
     Raises NoRootError when no root is left: the requested power factor
     angle is unreachable at this sizing.
@@ -540,10 +545,8 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
     for delta in deltas:
         angle_diff = wrap_angle(delta - config.grid_angle)
         try:
-            lin = linearization.grid_ab(n, d.nominal_voltage, config.grid_voltage, angle_diff)
-            lam = -d.droop_gain * (lin.a + (n - 1) * lin.b)
-            verdict = linearization.stability_condition(
-                n, d.nominal_voltage, config.grid_voltage, angle_diff
+            lam, verdict = linearization.slow_mode(
+                n, d.nominal_voltage, config.grid_voltage, d.droop_gain, angle_diff
             )
         except ValidationError:
             lam = math.nan

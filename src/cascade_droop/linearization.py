@@ -23,7 +23,7 @@ Every constructed model carries both the closed-form eigenvalues and the
 spectrum of its matrix from LAPACK (``numpy.linalg.eigvalsh``), and refuses
 to exist if the two disagree beyond 1e-9 times the largest |eigenvalue|
 (or 1e-9 when that is below 1).  numpy is imported only where such a
-matrix is built; verdicts on the runtime path (`stability_condition`) need
+matrix is built; verdicts on the runtime path (`slow_mode`) need
 no matrix at all and stay plain ``math``.
 """
 
@@ -185,6 +185,10 @@ def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLineari
     return GridLinearization(a, b, denom)
 
 
+def _lambda_1(lin: GridLinearization, n: int, m: float) -> float:
+    return -m * (lin.a + (n - 1) * lin.b)
+
+
 def _verdict_from_scaled(scaled: float) -> Stability:
     # scaled = -lambda_1 / m; positive means decay.
     if abs(scaled) <= _MARGINAL_BAND:
@@ -203,9 +207,23 @@ def grid_jacobian(lin: GridLinearization, n: int, m: float) -> LinearModel:
     diag = -m * lin.a
     off = -m * lin.b
     rows = [[diag if i == j else off for j in range(n)] for i in range(n)]
-    lambda_1 = -m * (lin.a + (n - 1) * lin.b)
+    lambda_1 = _lambda_1(lin, n, m)
     analytic = sorted([lambda_1] + [-m] * (n - 1))
     return _linear_model(rows, analytic, _verdict_from_scaled(-lambda_1 / m))
+
+
+def slow_mode(n: int, v_star: float, v_g: float, m: float,
+              angle_diff: float) -> tuple[float, Stability]:
+    """The slow eigenvalue lambda_1 = -m (a + (n-1) b) and its verdict, from one `grid_ab`.
+
+    The verdict is the sign of V_g - n V* cos(angle_diff) alone, over the
+    shared (positive) denominator; it does not depend on ``m``.  Raises what
+    `grid_ab` raises.
+    """
+    lin = grid_ab(n, v_star, v_g, angle_diff)
+    lambda_1 = _lambda_1(lin, n, m)
+    scaled = v_g * (v_g - n * v_star * math.cos(angle_diff)) / lin.denom
+    return lambda_1, _verdict_from_scaled(scaled)
 
 
 def stability_condition(n: int, v_star: float, v_g: float, angle_diff: float) -> Stability:
@@ -215,6 +233,4 @@ def stability_condition(n: int, v_star: float, v_g: float, angle_diff: float) ->
     its slow eigenvalue: the two share the (positive) denominator, which
     preserves the sign.
     """
-    lin = grid_ab(n, v_star, v_g, angle_diff)
-    scaled = v_g * (v_g - n * v_star * math.cos(angle_diff)) / lin.denom
-    return _verdict_from_scaled(scaled)
+    return slow_mode(n, v_star, v_g, 1.0, angle_diff)[1]

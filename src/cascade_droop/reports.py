@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .engine import SystemConfig, Trace
 from .errors import DegeneratePointError, EmptyTraceError, ValidationError
-from .linearization import grid_ab, stability_condition
+from .linearization import slow_mode
 
 
 def _num(x: float) -> str:
@@ -109,13 +109,11 @@ def _check_rows(rows: int) -> None:
 
 def _verdict_row(n: int, v_star: float, v_g: float, m: float, angle: float) -> str:
     try:
-        lin = grid_ab(n, v_star, v_g, angle)
+        lam1, verdict = slow_mode(n, v_star, v_g, m, angle)
     except DegeneratePointError:
         return "degenerate"
     except ValidationError:
         return "invalid"
-    lam1 = -m * (lin.a + (n - 1) * lin.b)
-    verdict = stability_condition(n, v_star, v_g, angle)
     return f"lambda1={_num(lam1)} verdict={verdict.value}"
 
 

@@ -3,7 +3,7 @@
 Grammar (``#`` starts a comment, blank lines are ignored)::
 
     [system]
-    n = 4                 # module count, integer >= 1
+    n = 4                 # module count, integer 1..1,000,000
     f_star = 50           # nominal frequency, Hz
     v_star = 78.75        # per-module voltage amplitude, V
     v_grid = 315          # grid voltage amplitude, V (>= 0)
@@ -259,17 +259,17 @@ def parse_scenario(text: str) -> Scenario:
     except ValidationError as exc:
         raise ScenarioParseError(sys_kv["n"][0], f"[system]: {exc}") from None
 
-    initial = tuple(0.0 for _ in range(n))
-    if "initial" in sections:
-        init_kv = _parse_kv(sections["initial"], ("delta",), "initial")
-        if "delta" in init_kv:
-            lineno, value = init_kv["delta"]
-            parts = [p.strip() for p in value.split(",") if p.strip()]
-            initial = tuple(_as_float((lineno, p), "[initial] delta") for p in parts)
-            if len(initial) != n:
-                raise ScenarioParseError(
-                    lineno, f"[initial] delta lists {len(initial)} angles for n={n} modules"
-                )
+    init_kv = _parse_kv(sections.get("initial", []), ("delta",), "initial")
+    if "delta" in init_kv:
+        lineno, value = init_kv["delta"]
+        parts = [p.strip() for p in value.split(",") if p.strip()]
+        initial = tuple(_as_float((lineno, p), "[initial] delta") for p in parts)
+        if len(initial) != n:
+            raise ScenarioParseError(
+                lineno, f"[initial] delta lists {len(initial)} angles for n={n} modules"
+            )
+    else:
+        initial = (0.0,) * n
 
     events: list[TimedEvent] = []
     for lineno, line_text in sections.get("events", []):

@@ -1,9 +1,13 @@
-"""The abstract's benefits as seeded properties over generated configurations."""
+"""The abstract's benefits as seeded properties over generated configurations and timelines.
+
+The dynamics halves measure each claim through the claim functions of
+`cascade_droop.cases`, the same ones the built-in cases' CHECK lines use.
+"""
 
 import math
 from dataclasses import replace
 
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from cascade_droop import (
@@ -11,12 +15,20 @@ from cascade_droop import (
     Impedance,
     Mode,
     NoRootError,
+    Scenario,
+    SetLoad,
+    SetPfRef,
     Stability,
     SweepAxis,
     SystemConfig,
+    TimedEvent,
+    generalized_load,
     grid_equilibrium,
     report_stability,
+    simulate,
+    wrap_angle,
 )
+from cascade_droop.cases import _segments, frequency_error, tracking_error
 
 PI = math.pi
 TAU = math.tau
@@ -37,6 +49,27 @@ def grid_config(n, sizing, phi_star, line, m=0.5, grid_angle=0.0):
 
 
 lines = st.builds(Impedance, st.floats(1e-3, 10.0), st.floats(-PI / 2, PI / 2))
+loads = st.builds(
+    lambda kind, r, x: Impedance.from_rect(r, kind * x),  # R, RC or RL
+    st.sampled_from((0.0, -1.0, 1.0)), st.floats(1.0, 30.0), st.floats(0.5, 30.0),
+)
+# a common angle plus offsets of at most 0.05 rad: a start within 0.1 rad of
+# synchronized, since strings started from uniform angles can split
+commons = st.floats(-PI, PI)
+offsets = st.lists(st.floats(-0.05, 0.05), min_size=5, max_size=5)
+
+
+def stretch_ends(config, common, offsets, events, stretch):
+    """Simulate events at multiples of ``stretch`` s; the trace and its stretches."""
+    scenario = Scenario(
+        config=config,
+        initial_deltas=tuple(common + x for x in offsets[:config.n]),
+        events=tuple(TimedEvent(stretch * k, action) for k, action in enumerate(events, start=1)),
+        duration=stretch * (len(events) + 1),
+        dt=2e-3,
+    )
+    trace = simulate(scenario).trace
+    return trace, _segments(scenario, trace)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -81,3 +114,50 @@ def test_benefit5_never_two_stable_equilibria(n, sizing, phi_star, line, grid_an
     # margin keeps the root out of the zero-power hole, which closes at sizing 1
     if sizing < 1.0 - 1e-6:
         assert [root.verdict for root in roots] == [Stability.STABLE]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@seed(5)
+@given(
+    n=st.integers(1, 5),
+    m=st.floats(1.0, 2.0),
+    phi_star=st.floats(-PI, PI),
+    line=lines,
+    timeline=st.lists(loads, min_size=2, max_size=3),
+    common=commons,
+    offsets=offsets,
+)
+def test_benefit4_islanded_frequency_is_the_closed_form_under_any_load(
+        n, m, phi_star, line, timeline, common, offsets):
+    # droop errors off the +/-pi seam, where modules on both sides split
+    assume(all(abs(wrap_angle(generalized_load(line, load).angle - phi_star)) < PI - 0.3
+               for load in timeline))
+    config = replace(grid_config(n, 1.0, phi_star, line, m=m), load=timeline[0],
+                     mode=Mode.ISLANDED)
+    events = [SetLoad(load) for load in timeline[1:]]
+    trace, stretches = stretch_ends(config, common, offsets, events, 4.0)
+    for _, row, stretch_config in stretches:
+        assert frequency_error(trace, row, stretch_config) < 1e-6
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@seed(5)
+@given(
+    n=st.integers(1, 5),
+    sizing=st.floats(0.1, 0.9),
+    m=st.floats(4.0, 8.0),
+    references=st.lists(st.floats(-PI, PI), min_size=2, max_size=4),
+    line=lines,
+    grid_angle=st.floats(-PI, PI),
+    common=commons,
+    offsets=offsets,
+)
+def test_benefit6_undersized_string_tracks_every_reference(
+        n, sizing, m, references, line, grid_angle, common, offsets):
+    # four quadrants: an undersized string reaches any reference, clamp and all
+    config = grid_config(n, sizing, references[0], line, m=m, grid_angle=grid_angle)
+    events = [SetPfRef(phi) for phi in references[1:]]
+    trace, stretches = stretch_ends(config, common, offsets, events, 6.0)
+    for _, row, stretch_config in stretches:
+        assert tracking_error(trace, row, stretch_config) < 1e-4
+        assert frequency_error(trace, row, stretch_config) < 1e-4

@@ -221,6 +221,33 @@ def test_case1_smoke(tmp_path):
     assert "pass" in text
 
 
+CHECK_TABLES = {
+    1: [("delta-continuity-at-switch", 0.0), ("frequency-within-clamp-band", 0.0),
+        ("active-power-equalized-within-5s", 1e-3),
+        ("final-frequency-matches-closed-form", 1e-3)],
+    2: [("steady-frequency-resistive", 1e-4), ("steady-frequency-inductive", 1e-4),
+        ("steady-frequency-capacitive", 1e-4), ("frequency-ordering-rc-above-r-above-rl", 0.0),
+        ("reactive-small-positive-resistive", 0.05), ("reactive-positive-inductive", 0.0),
+        ("reactive-negative-capacitive", 0.0)],
+    3: [("modules-resynchronize-each-quadrant", 1e-8),
+        ("active-power-identical-across-quadrants", 1e-6),
+        ("reactive-power-identical-across-quadrants", 1e-6),
+        ("frequency-identical-across-quadrants", 1e-6)],
+    4: [("frequency-locks-to-grid-all-lines", 1e-4),
+        ("pf-angle-tracks-reference-all-lines", 1e-6),
+        ("stability-report-line-independent", 0.0)],
+    5: [("pf-angle-tracks-within-3s", 1e-4), ("frequency-returns-to-nominal", 1e-4)],
+}
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5])
+def test_case_check_table_is_pinned(case_id, tmp_path):
+    # names, order, tolerances and verdicts; the measured digits depend on libm
+    checks = run_case(case_id, tmp_path).checks
+    assert [(c.name, c.tol, c.passed) for c in checks] == [
+        (name, tol, True) for name, tol in CHECK_TABLES[case_id]]
+
+
 @pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5])
 def test_case_segments_match_a_search_of_the_sample_times(case_id):
     # oracle: fold the events again and search the recorded times for the
@@ -326,6 +353,25 @@ def test_cli_exit_code_validation_error(tmp_path):
     assert proc.returncode == 1
     proc = _cli("bogus-command", cwd=tmp_path)
     assert proc.returncode == 1
+
+
+def test_cli_rejects_a_module_count_above_the_cap(tmp_path):
+    # no [initial] section, so no default angles may be built before the cap
+    # check; the address-space limit turns an attempt into a quick failure
+    import resource
+
+    limit = 1 << 30
+    huge = tmp_path / "huge.scn"
+    huge.write_text(SCENARIO_TEXT.replace("n = 2", "n = 1000000000")
+                    .replace("[initial]\ndelta = 0.2, -0.2\n", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cascade_droop", "stability", "huge.scn"],
+        capture_output=True, text=True, cwd=tmp_path,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "line 3" in proc.stderr and "cap of 1,000,000 modules" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_exit_code_runtime_error(tmp_path):
