@@ -1,9 +1,10 @@
-"""Power flow of a series string, both topologies, and the oracle cross-check.
+"""Power flow of a series string, both topologies, and the shared-current identity.
 
 Four modules add their voltages in series.  Islanded, the string drives a
 lumped load; grid-tied, it pushes current through the line against a stiff
-source.  The trigonometric power expressions and the rectangular complex
-evaluation must agree to machine precision.
+source.  Either way every module carries the same current I, so module i
+delivers S_i = V_i conj(I).  The trigonometric power expressions the
+analysis uses must agree with that product to machine precision.
 """
 
 import math
@@ -11,7 +12,6 @@ import math
 from cascade_droop import (
     Impedance,
     Phasor,
-    complex_power_oracle,
     generalized_load,
     grid_power_flow,
     islanded_power_flow,
@@ -25,11 +25,12 @@ print(f"generalized load: {zload.magnitude:.6g} ohm at {zload.angle:.6g} rad")
 volts = [Phasor(78.75, d) for d in (0.05, 0.02, -0.02, -0.05)]
 
 print("\nislanded power flow (slightly desynchronized string):")
-trig = islanded_power_flow(volts, zload)
-oracle = complex_power_oracle(volts, None, zload)
-for i, (a, b) in enumerate(zip(trig, oracle), start=1):
-    print(f"  module {i}: P={a.active:10.3f} W  Q={a.reactive:9.3f} var"
-          f"   |trig-oracle|={max(abs(a.active - b.active), abs(a.reactive - b.reactive)):.2e}")
+current = sum(v.rect for v in volts) / zload.rect   # the one string current
+print(f"  string current: {abs(current):.6g} A at {math.atan2(current.imag, current.real):.6g} rad")
+for i, (v, pq) in enumerate(zip(volts, islanded_power_flow(volts, zload)), start=1):
+    s = v.rect * current.conjugate()
+    print(f"  module {i}: P={pq.active:10.3f} W  Q={pq.reactive:9.3f} var"
+          f"   |trig - V_i conj(I)|={abs(complex(pq.active, pq.reactive) - s):.2e}")
 
 grid = Phasor(315.0, 0.0)
 print("\ngrid-connected power flow (same angles, stiff 315 V grid):")

@@ -47,7 +47,6 @@ from .phasors import (
     Impedance,
     Phasor,
     PowerPair,
-    complex_power_oracle,
     generalized_load,
     grid_power_flow,
     islanded_power_flow,

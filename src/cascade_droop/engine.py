@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 from . import linearization
 from .droop import DroopParams, droop_frequency
 from .errors import NoRootError, SingularImpedanceError, ValidationError
-from .phasors import Impedance, PowerPair, generalized_load, wrap_angle
+from .phasors import Impedance, PowerPair, generalized_load, series_impedance, wrap_angle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -288,14 +288,19 @@ def _plant(config: SystemConfig) -> Callable[..., list[float]]:
     else:
         w_lo, w_hi = TAU * d.freq_clamp[0], TAU * d.freq_clamp[1]
     if config.mode is Mode.ISLANDED:
-        z = config.line.rect + config.load.rect
-        if abs(z) < 1e-12:
-            raise SingularImpedanceError(f"islanded series impedance cancels to {abs(z):.3e} ohm")
+        z = series_impedance(config.line, config.load)
         drive = 0j
     else:
         z = config.line.rect
         drive = cmath.rect(config.grid_voltage, config.grid_angle)
-    floor = _ZERO_POWER_FRACTION * (config.n * v_star * v_star / abs(z))
+    # The floor's scale and bounds on |I| and every |S_i|: past float range
+    # the kernel's floor, current or powers would be inf or nan.
+    rated = config.n * v_star * v_star / abs(z)
+    current = (config.n * v_star + abs(drive)) / abs(z)
+    if not max(rated, current, v_star * current) < math.inf:
+        raise ValidationError(f"power scale n V*^2/|Z| = {rated:g} VA, current (n V* + V_g)/|Z| = "
+                              f"{current:g} A or V* times it is not finite")
+    floor = _ZERO_POWER_FRACTION * rated
     rect = cmath.rect
     atan2 = math.atan2
 
@@ -413,9 +418,8 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
                 config = group.config
                 try:
                     rates = _plant(config)
-                except SingularImpedanceError as exc:
-                    raise SingularImpedanceError(
-                        f"at event time t={start * dt:g} s: {exc}") from exc
+                except (SingularImpedanceError, ValidationError) as exc:
+                    raise type(exc)(f"at event time t={start * dt:g} s: {exc}") from exc
         for k in range(start, stop):
             sample = ([], [], [], [])
             k1 = rates(deltas, held, sample)
@@ -515,7 +519,8 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
     from ``linearization.slow_mode``.
 
     Raises NoRootError when no root is left: the requested power factor
-    angle is unreachable at this sizing.
+    angle is unreachable at this sizing.  Raises ValidationError when c or
+    r is too large to square in floating point.
     """
     if config.mode is not Mode.GRID_CONNECTED:
         raise ValidationError("grid_equilibrium requires a grid-connected configuration")
@@ -523,6 +528,8 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
     n = config.n
     c = n * d.nominal_voltage * d.nominal_voltage
     r = d.nominal_voltage * config.grid_voltage
+    if not (c * c < math.inf and r * r < math.inf):
+        raise ValidationError(f"n V*^2 = {c:g} or V* V_g = {r:g} (V^2) overflow when squared")
     psi = d.nominal_pf_angle - config.line.angle
     cos_psi = math.cos(psi)
     sin_psi = math.sin(psi)

@@ -1,16 +1,17 @@
 """Small-signal models of the closed loop around a synchronized operating point.
 
-Islanded, the angle dynamics linearize to a complete-graph Laplacian scaled
-by -m/n: one zero eigenvalue (the rotational symmetry of the string) and
-n-1 eigenvalues at exactly -m, independent of the load.  Grid-connected,
-the Jacobian is the uniform a/b matrix whose closed-form spectrum is
+Grid-connected, the Jacobian is the uniform a/b matrix whose closed-form
+spectrum is
 
     lambda_1      = -m * V_g (V_g - n V* cos(dd)) / D
     lambda_2..n   = -m
 
 with dd the string-to-grid angle and D = n^2 V*^2 + V_g^2 - 2 n V* V_g cos(dd).
 The sign of (V_g - n V* cos(dd)) alone decides stability; the line impedance
-never enters.
+never enters.  The islanded model is the same one at V_g = 0: there a = (n-1)/n
+and b = -1/n for any load, the Jacobian is the complete-graph Laplacian
+scaled by -m/n, and its spectrum is one zero eigenvalue (the rotational
+symmetry of the string) and n-1 eigenvalues at exactly -m.
 
 The n-1 modes at -m hold beyond first order.  Every module of the series
 string carries the same current I, so S_i = V* e^{j delta_i} conj(I) and each
@@ -65,11 +66,11 @@ class LinearModel:
             raise ValidationError(f"matrix must be square, got shape {self.matrix.shape}")
         if len(self.analytic_eigs) != n or len(self.numeric_eigs) != n:
             raise ValidationError("eigenvalue lists must have one entry per state")
-        worst = max(
-            abs(a - b) for a, b in zip(sorted(self.analytic_eigs), sorted(self.numeric_eigs))
-        )
+        gaps = [abs(a - b) for a, b in zip(sorted(self.analytic_eigs), sorted(self.numeric_eigs))]
         bound = _EIG_AGREEMENT * max(1.0, max(abs(a) for a in self.analytic_eigs))
-        if worst > bound:
+        # written so that a NaN gap or bound fails too
+        worst = next((g for g in gaps if not g <= bound), None)
+        if worst is not None:
             raise ValidationError(
                 f"analytic and numeric eigenvalues disagree by {worst:.3e} (> {bound:.3g})"
             )
@@ -84,7 +85,7 @@ class GridLinearization:
     algebraic identity of the two formulas (held to 1e-12 at well-conditioned
     points).  The construction-time bound is relative to the larger of |a|
     and |b|, which grow as 1/D near the degenerate point: it catches formula
-    bugs, not conditioning.
+    bugs, not conditioning.  A NaN or infinite coefficient fails it too.
     """
 
     a: float
@@ -92,23 +93,15 @@ class GridLinearization:
     denom: float
 
     def __post_init__(self):
-        if abs(self.a - self.b - 1.0) > 1e-6 * max(1.0, abs(self.a), abs(self.b)):
+        if not abs(self.a - self.b - 1.0) <= 1e-6 * max(1.0, abs(self.a), abs(self.b)) < math.inf:
             raise ValidationError(
                 f"a - b = {self.a - self.b!r} violates the unit-difference identity"
             )
 
 
-def _validate_count_gain(n: int, m: float) -> None:
+def _check_count(n: int) -> None:
     if not (isinstance(n, int) and n >= 1):
         raise ValidationError(f"module count must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(m) and m > 0.0):
-        raise ValidationError(f"droop gain must be > 0, got {m}")
-
-
-def _uniform_structure_eigs(diag: float, off: float, n: int) -> list[float]:
-    # Uniform symmetric matrices (diag on the diagonal, off elsewhere) have
-    # spectrum {diag + (n-1) off} + {diag - off} x (n-1).
-    return sorted([diag + (n - 1) * off] + [diag - off] * (n - 1))
 
 
 def _symmetric_spectrum(matrix) -> tuple[np.ndarray, list[float]]:
@@ -138,23 +131,14 @@ def numeric_eigenvalues(matrix) -> list[float]:
     return _symmetric_spectrum(matrix)[1]
 
 
-def _linear_model(rows: list[list[float]], analytic: list[float],
-                  verdict: Stability) -> LinearModel:
-    matrix, numeric = _symmetric_spectrum(rows)
-    return LinearModel(matrix, tuple(analytic), tuple(numeric), verdict)
-
-
 def islanded_jacobian(n: int, m: float) -> LinearModel:
     """Closed-loop Jacobian A = -(m/n) L, with L the complete-graph Laplacian.
 
-    Spectrum {0, -m x (n-1)}; the zero mode is the common rotation of all
-    angles, so the verdict is Marginal by construction.
+    This is `grid_jacobian` at V_g = 0 (a = (n-1)/n, b = -1/n).  Spectrum
+    {0, -m x (n-1)}; the zero mode is the common rotation of all angles, so
+    lambda_1 falls in the 1e-12 band and the verdict is Marginal.
     """
-    _validate_count_gain(n, m)
-    off = m / n
-    diag = -off * (n - 1)
-    rows = [[diag if i == j else off for j in range(n)] for i in range(n)]
-    return _linear_model(rows, _uniform_structure_eigs(diag, off, n), Stability.MARGINAL)
+    return grid_jacobian(grid_ab(n, 1.0, 0.0, 0.0), n, m)
 
 
 def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLinearization:
@@ -164,14 +148,16 @@ def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLineari
     positive, i.e. at the operating point where the string voltage phasor
     exactly meets the grid phasor and the current vanishes.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValidationError(f"module count must be an integer >= 1, got {n!r}")
+    _check_count(n)
     if not (math.isfinite(v_star) and v_star > 0.0):
         raise ValidationError(f"module voltage must be > 0, got {v_star}")
     if not (math.isfinite(v_g) and v_g >= 0.0):
         raise ValidationError(f"grid voltage must be >= 0, got {v_g}")
     if not math.isfinite(angle_diff):
         raise ValidationError(f"angle difference must be finite, got {angle_diff}")
+    span = n * v_star + v_g  # its square bounds D and both numerators below
+    if not span * span < math.inf:
+        raise ValidationError(f"voltages n V* + V_g = {span:g} V overflow when squared")
     cos_dd = math.cos(angle_diff)
     # D = n^2 V*^2 + V_g^2 - 2 n V* V_g cos(dd), rewritten without cancellation.
     denom = (n * v_star - v_g) ** 2 + 4.0 * n * v_star * v_g * math.sin(0.5 * angle_diff) ** 2
@@ -203,13 +189,17 @@ def grid_jacobian(lin: GridLinearization, n: int, m: float) -> LinearModel:
     Verdict: Stable if lambda_1 < 0, Marginal within 1e-12*m of zero,
     Unstable otherwise.
     """
-    _validate_count_gain(n, m)
+    _check_count(n)
+    if not (math.isfinite(m) and m > 0.0):
+        raise ValidationError(f"droop gain must be > 0, got {m}")
     diag = -m * lin.a
     off = -m * lin.b
-    rows = [[diag if i == j else off for j in range(n)] for i in range(n)]
+    matrix, numeric = _symmetric_spectrum(
+        [[diag if i == j else off for j in range(n)] for i in range(n)])
     lambda_1 = _lambda_1(lin, n, m)
     analytic = sorted([lambda_1] + [-m] * (n - 1))
-    return _linear_model(rows, analytic, _verdict_from_scaled(-lambda_1 / m))
+    return LinearModel(matrix, tuple(analytic), tuple(numeric),
+                       _verdict_from_scaled(-lambda_1 / m))
 
 
 def slow_mode(n: int, v_star: float, v_g: float, m: float,

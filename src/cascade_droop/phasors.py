@@ -8,11 +8,12 @@ circuit is solved algebraically at nominal frequency.  Two topologies exist:
   line in series with the load);
 * grid-connected -- the string ties to a stiff grid source through the line.
 
-Per-module active/reactive power is provided in two mathematically equivalent
-forms.  The trigonometric expansions (`islanded_power_flow`,
-`grid_power_flow`) are the forms the control analysis is built on; the
-rectangular complex evaluation (`complex_power_oracle`) is kept as an
-independent cross-check and the two must agree to near machine precision.
+Per-module active/reactive power is given here in the trigonometric form the
+control analysis is built on (`islanded_power_flow`, `grid_power_flow`).
+Islanded is grid-connected at V_g = 0 through the generalized load.  The
+simulation kernel evaluates the same circuit in rectangular form,
+S_i = V_i conj(I) with the one string current I, and the tests hold the
+kernel to these expansions.
 
 Sign convention: S = V * conj(I) with the current flowing from the string
 into the load (or grid), so an inductive load absorbs positive Q.
@@ -111,32 +112,30 @@ class PowerPair:
         return math.hypot(self.active, self.reactive)
 
 
-def generalized_load(line: Impedance, load: Impedance) -> Impedance:
-    """Series combination of the transmission line and the load.
+def series_impedance(line: Impedance, load: Impedance) -> complex:
+    """``line.rect + load.rect``, the impedance the islanded string drives.
 
-    Raises
-    ------
-    SingularImpedanceError
-        If the combined magnitude falls below 1e-12 ohm (a near-resonant
-        series LC cancellation leaves the string with no defined current).
+    Raises SingularImpedanceError below 1e-12 ohm: a near-resonant series
+    LC cancellation leaves the string with no defined current.
     """
     z = line.rect + load.rect
-    mag = abs(z)
-    if mag < 1e-12:
+    if abs(z) < 1e-12:
         raise SingularImpedanceError(
             f"series combination of {line.magnitude:g} ohm and {load.magnitude:g} ohm "
-            f"elements cancels to {mag:.3e} ohm"
+            f"elements cancels to {abs(z):.3e} ohm"
         )
-    return Impedance(mag, cmath.phase(z))
+    return z
 
 
-def _check_voltages(voltages) -> None:
-    if len(voltages) < 1:
-        raise ValidationError("at least one module voltage is required")
+def generalized_load(line: Impedance, load: Impedance) -> Impedance:
+    """Series combination of the transmission line and the load, in polar form."""
+    z = series_impedance(line, load)
+    return Impedance(abs(z), cmath.phase(z))
 
 
 def _trig_power_flow(voltages: list[Phasor], grid: Phasor | None, z: Impedance) -> list[PowerPair]:
-    _check_voltages(voltages)
+    if not voltages:
+        raise ValidationError("at least one module voltage is required")
     zmag = z.magnitude
     theta = z.angle
     out = []
@@ -173,21 +172,3 @@ def grid_power_flow(voltages: list[Phasor], grid: Phasor, zline: Impedance) -> l
     """
     return _trig_power_flow(voltages, grid, zline)
 
-
-def complex_power_oracle(
-    voltages: list[Phasor], sink: Phasor | None, z: Impedance
-) -> list[PowerPair]:
-    """S_i = V_i * conj(I) evaluated with rectangular complex arithmetic.
-
-    With ``sink`` absent the current is the islanded one, I = sum(V_j)/Z;
-    with ``sink`` present it is the grid-connected one,
-    I = (sum(V_j) - V_sink)/Z.  Serves as the independent oracle for the
-    trig-expanded power flows above.
-    """
-    _check_voltages(voltages)
-    rects = [v.rect for v in voltages]
-    total = sum(rects)
-    if sink is not None:
-        total -= sink.rect
-    current_conj = (total / z.rect).conjugate()
-    return [PowerPair((v * current_conj).real, (v * current_conj).imag) for v in rects]

@@ -167,17 +167,7 @@ def _impedance_from_fields(fields: dict[str, tuple[int, str]], section: str,
 
 def _parse_event_impedance(tokens: list[str], section: str, omega_star: float,
                            lineno: int) -> Impedance:
-    fields: dict[str, tuple[int, str]] = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ScenarioParseError(lineno, f"expected key=value impedance fields, got {tok!r}")
-        key, value = tok.split("=", 1)
-        key = key.strip().lower()
-        if key not in _IMPEDANCE_KEYS:
-            raise ScenarioParseError(lineno, f"unknown impedance key {key!r}")
-        if key in fields:
-            raise ScenarioParseError(lineno, f"duplicate impedance key {key!r}")
-        fields[key] = (lineno, value)
+    fields = _parse_kv([(lineno, tok) for tok in tokens], _IMPEDANCE_KEYS, section)
     if not fields:
         raise ScenarioParseError(lineno, "impedance event needs at least one field")
     return _impedance_from_fields(fields, section, omega_star, lineno)

@@ -11,7 +11,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from cascade_droop import (
     DegeneratePointError,
@@ -21,19 +20,18 @@ from cascade_droop import (
     Phasor,
     Scenario,
     SystemConfig,
-    complex_power_oracle,
     grid_ab,
     grid_jacobian,
     grid_power_flow,
     islanded_jacobian,
     islanded_power_flow,
-    power_factor_angle,
     simulate,
     stability_condition,
     synchronized_grid_power,
     wrap_angle,
 )
 from cascade_droop.cases import run_case
+from oracles import central_difference, phi_vector, rect_power_flow
 
 PI = math.pi
 TAU = math.tau
@@ -46,7 +44,7 @@ def _check(name: str, measured: float, tol: float, ok: bool | None = None) -> No
     assert ok, f"{name}: measured {measured:.6g} vs tol {tol:.6g}"
 
 
-# --- criterion 1: trig power flows match the complex oracle ---------------------
+# --- criterion 1: trig power flows match the rectangular reference --------------
 
 
 def test_criterion_01_oracle_equivalence():
@@ -65,9 +63,8 @@ def test_criterion_01_oracle_equivalence():
         v_sum = sum(v.magnitude for v in volts)
 
         for got, want, extra in (
-            (islanded_power_flow(volts, z), complex_power_oracle(volts, None, z), 0.0),
-            (grid_power_flow(volts, grid, z), complex_power_oracle(volts, grid, z),
-             grid.magnitude),
+            (islanded_power_flow(volts, z), rect_power_flow(volts, None, z), 0.0),
+            (grid_power_flow(volts, grid, z), rect_power_flow(volts, grid, z), grid.magnitude),
         ):
             for pq_a, pq_b, vi in zip(got, want, volts):
                 scale = vi.magnitude * (v_sum + extra) / z.magnitude
@@ -141,26 +138,6 @@ def test_criterion_03_grid_spectrum():
 # --- criterion 4: linearization vs central finite differences --------------------
 
 
-def _phi_vector_islanded(deltas, v_star, z):
-    volts = [Phasor(v_star, d) for d in deltas]
-    return [power_factor_angle(pq, rated=pq.apparent)
-            for pq in islanded_power_flow(volts, z)]
-
-
-def _phi_vector_grid(deltas, v_star, grid, z):
-    volts = [Phasor(v_star, d) for d in deltas]
-    return [power_factor_angle(pq, rated=pq.apparent)
-            for pq in grid_power_flow(volts, grid, z)]
-
-
-def _fd(phi_of, deltas, i, k, h=1e-6):
-    up = list(deltas)
-    dn = list(deltas)
-    up[k] += h
-    dn[k] -= h
-    return wrap_angle(phi_of(up)[i] - phi_of(dn)[i]) / (2.0 * h)
-
-
 def test_criterion_04_linearization_vs_finite_differences():
     rng = np.random.default_rng(104)
     worst = 0.0
@@ -170,11 +147,11 @@ def test_criterion_04_linearization_vs_finite_differences():
         v_star = float(rng.uniform(20.0, 120.0))
         z = Impedance(float(rng.uniform(0.5, 20.0)), float(rng.uniform(-PI / 2, PI / 2)))
         deltas = [float(rng.uniform(-PI, PI))] * n
-        phi_of = lambda d: _phi_vector_islanded(d, v_star, z)
+        phi_of = lambda d: phi_vector(d, v_star, z)
         for i in range(n):
             for k in range(n):
                 want = (n - 1) / n if i == k else -1.0 / n
-                worst = max(worst, abs(_fd(phi_of, deltas, i, k) - want))
+                worst = max(worst, abs(central_difference(phi_of, deltas, i, k) - want))
         done += 1
     done = 0
     while done < 50:  # grid points
@@ -193,11 +170,11 @@ def test_criterion_04_linearization_vs_finite_differences():
         grid = Phasor(v_g, delta_g)
         z = Impedance(0.5, theta)
         deltas = [delta_s] * n
-        phi_of = lambda d: _phi_vector_grid(d, v_star, grid, z)
+        phi_of = lambda d: phi_vector(d, v_star, z, grid)
         for i in range(n):
             for k in range(n):
                 want = lin.a if i == k else lin.b
-                worst = max(worst, abs(_fd(phi_of, deltas, i, k) - want))
+                worst = max(worst, abs(central_difference(phi_of, deltas, i, k) - want))
         done += 1
     _check("criterion-04-linearization-fd", worst, 1e-6)
 

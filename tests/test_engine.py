@@ -15,7 +15,6 @@ from cascade_droop import (
     Impedance,
     Mode,
     NoRootError,
-    Phasor,
     Scenario,
     SetInitialDelta,
     SetLine,
@@ -27,17 +26,12 @@ from cascade_droop import (
     SystemConfig,
     TimedEvent,
     ValidationError,
-    ZeroPowerError,
-    complex_power_oracle,
     droop_frequency,
     generalized_load,
     grid_ab,
     grid_equilibrium,
     grid_jacobian,
-    grid_power_flow,
     islanded_equilibrium,
-    islanded_power_flow,
-    power_factor_angle,
     report_stability,
     simulate,
     synchronized_grid_power,
@@ -46,6 +40,7 @@ from cascade_droop import (
 from cascade_droop import engine
 from cascade_droop.cases import build_case
 from cascade_droop.engine import apply_event
+from oracles import module_rows, power_scales
 
 PI = math.pi
 TAU = math.tau
@@ -116,34 +111,6 @@ def test_rk4_local_error_is_fifth_order():
     assert 20.0 < ratio < 45.0  # halving dt shrinks the one-vs-two gap ~2^5
 
 
-def _oracle_sample(config, deltas):
-    """Per module (phi, P, Q, f) at ``deltas`` from the phasor and droop oracles alone.
-
-    Also returns the zero-power scale n V*^2/|Z| of the hold rule and a
-    bound V* (n V* + V_sink)/|Z| on any module's |S|.
-    """
-    d = config.droop
-    v_star = d.nominal_voltage
-    volts = [Phasor(v_star, x) for x in deltas]
-    if config.mode is Mode.ISLANDED:
-        z = generalized_load(config.line, config.load)
-        powers = complex_power_oracle(volts, None, z)
-        sink = 0.0
-    else:
-        z = config.line
-        powers = complex_power_oracle(volts, Phasor(config.grid_voltage, config.grid_angle), z)
-        sink = config.grid_voltage
-    rated = config.n * v_star * v_star / z.magnitude
-    rows = []
-    for pq in powers:
-        try:
-            phi = power_factor_angle(pq, rated=rated)
-        except ZeroPowerError:
-            phi = d.nominal_pf_angle  # the held measurement starts at the reference
-        rows.append((phi, pq.active, pq.reactive, droop_frequency(phi, d) / TAU))
-    return rows, rated, v_star * (config.n * v_star + sink) / z.magnitude
-
-
 @st.composite
 def _one_step_runs(draw):
     n = draw(st.integers(1, 8))
@@ -173,7 +140,8 @@ def test_kernel_sample_matches_power_flow_and_droop_oracles(run):
     # the first trace row is the kernel's step-boundary sample at the initial angles
     config, deltas = run
     trace = simulate_from(config, deltas, 1e-3).trace
-    rows, rated, scale = _oracle_sample(config, deltas)
+    rated, scale = power_scales(config)
+    rows = module_rows(config, deltas)
     for i, (phi, p, q, f) in enumerate(rows):
         assert abs(trace.active[0, i] - p) <= 1e-12 * scale
         assert abs(trace.reactive[0, i] - q) <= 1e-12 * scale
@@ -508,24 +476,6 @@ def test_recording_with_decimation_beyond_the_run_keeps_both_ends():
 # --- integrator oracle -------------------------------------------------------------
 
 
-def _oracle_velocities(config):
-    """d(delta)/dt from the trig-form power flow and the droop law, for ``solve_ivp``."""
-    d = config.droop
-    if config.mode is Mode.ISLANDED:
-        z, grid = generalized_load(config.line, config.load), None
-    else:
-        z, grid = config.line, Phasor(config.grid_voltage, config.grid_angle)
-    rated = config.n * d.nominal_voltage**2 / z.magnitude
-
-    def velocities(_t, deltas):
-        volts = [Phasor(d.nominal_voltage, x) for x in deltas]
-        powers = islanded_power_flow(volts, z) if grid is None else grid_power_flow(volts, grid, z)
-        return [droop_frequency(power_factor_angle(pq, rated=rated), d) - d.nominal_omega
-                for pq in powers]
-
-    return velocities
-
-
 # 10x the gap measured with scipy 1.17 (1.2e-13, 6.0e-13, 1.6e-7, 7.8e-13,
 # 3.7e-12 rad); case 3's clamp engages and disengages, and at each kink the
 # fixed-step RK4 loses its fourth order
@@ -544,8 +494,10 @@ def test_rk4_angles_match_an_adaptive_integrator(case_id, bound):
     def integrate_to(t_end):
         nonlocal deltas, t
         if t_end > t:
-            sol = solve_ivp(_oracle_velocities(config), (t, t_end), deltas, method="DOP853",
-                            rtol=1e-12, atol=1e-12)
+            d = config.droop
+            sol = solve_ivp(lambda _t, x: [droop_frequency(row.phi, d) - d.nominal_omega
+                                           for row in module_rows(config, x)],
+                            (t, t_end), deltas, method="DOP853", rtol=1e-12, atol=1e-12)
             assert sol.success, sol.message
             deltas, t = sol.y[:, -1].tolist(), t_end
 
@@ -630,17 +582,6 @@ def test_islanded_equilibrium_rc_faster_than_rl():
     assert f_rc > f_rl
 
 
-def _trig_route_residual(config, delta, phi_star):
-    # independent of the root solver's complex path: trig-form power flow
-    # at the synchronized point, then the four-quadrant measurement
-    from cascade_droop import Phasor, grid_power_flow, power_factor_angle
-
-    volts = [Phasor(config.droop.nominal_voltage, delta)] * config.n
-    pq = grid_power_flow(volts, Phasor(config.grid_voltage, config.grid_angle),
-                         config.line)[0]
-    return wrap_angle(power_factor_angle(pq, rated=pq.apparent) - phi_star)
-
-
 def test_grid_equilibrium_matched_sizing_hand_root():
     # matched string on an inductive line: synchronized angle is exactly 2*phi*
     config = make_config(mode=Mode.GRID_CONNECTED)
@@ -649,7 +590,8 @@ def test_grid_equilibrium_matched_sizing_hand_root():
     assert len(eq.roots) == 1
     assert eq.roots[0].verdict is Stability.STABLE
     assert eq.roots[0].lambda_slow == pytest.approx(-0.25, abs=1e-9)
-    assert abs(_trig_route_residual(config, eq.delta_s, 0.2)) < 1e-10
+    # independent of the root solver's complex path: the trig-form measurement at the root
+    assert abs(wrap_angle(module_rows(config, [eq.delta_s] * 4)[0].phi - 0.2)) < 1e-10
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
@@ -666,7 +608,8 @@ def test_grid_equilibrium_resolves_near_tangent_root_pairs(eps):
         assert len(eq.roots) == 2
         assert {root.verdict for root in eq.roots} == {Stability.STABLE, Stability.UNSTABLE}
         for root in eq.roots:
-            assert abs(_trig_route_residual(config, root.delta, phi_star)) < 1e-10
+            phi = module_rows(config, [root.delta] * n)[0].phi
+            assert abs(wrap_angle(phi - phi_star)) < 1e-10
 
 
 _SCAN_POINTS = 50_000
@@ -757,7 +700,7 @@ def test_grid_equilibrium_undersized_unique_for_any_reference():
         eq = grid_equilibrium(config)
         assert len(eq.roots) == 1
         assert eq.roots[0].verdict is Stability.STABLE
-        assert abs(_trig_route_residual(config, eq.delta_s, phi_star)) < 1e-10
+        assert abs(wrap_angle(module_rows(config, [eq.delta_s] * 4)[0].phi - phi_star)) < 1e-10
 
 
 def test_grid_equilibrium_degenerate_grid_voltage():
@@ -771,6 +714,20 @@ def test_grid_equilibrium_degenerate_grid_voltage():
                          mode=Mode.GRID_CONNECTED)
     with pytest.raises(NoRootError):
         grid_equilibrium(config)
+
+
+def test_simulate_refuses_a_current_past_float_range():
+    # (n V* + V_g)/|Z| overflows while V* times it would not; the powers come out nan
+    config = make_config(v_star=1e-30, v_grid=1e300, line=Impedance(1e-11, 0.0),
+                         mode=Mode.GRID_CONNECTED)
+    with pytest.raises(ValidationError, match=r"current \(n V\* \+ V_g\)/\|Z\| = inf A or V\* times it is not finite"):
+        simulate_from(config, [0.1, 0.0, -0.1, 0.2], 1e-3)
+
+
+def test_grid_equilibrium_refuses_scales_past_float_range():
+    # c = n V*^2 = 4e306 V^2 squares past float range, in the root quadratic
+    with pytest.raises(ValidationError, match="overflow when squared"):
+        grid_equilibrium(make_config(v_star=1e153, mode=Mode.GRID_CONNECTED))
 
 
 def test_grid_equilibrium_mode_guard():

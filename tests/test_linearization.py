@@ -12,6 +12,7 @@ from cascade_droop import (
     DroopParams,
     GridLinearization,
     Impedance,
+    LinearModel,
     Mode,
     Phasor,
     Stability,
@@ -19,15 +20,13 @@ from cascade_droop import (
     ValidationError,
     grid_ab,
     grid_jacobian,
-    grid_power_flow,
     islanded_jacobian,
-    islanded_power_flow,
     numeric_eigenvalues,
-    power_factor_angle,
     report_stability,
     stability_condition,
     wrap_angle,
 )
+from oracles import central_difference, phi_vector
 
 PI = math.pi
 
@@ -162,6 +161,23 @@ def test_grid_ab_near_degenerate_point_keeps_its_identity():
         GridLinearization(2.0, 0.5, 1.0)
 
 
+def test_construction_checks_reject_nan():
+    # every comparison with NaN is False, so each check must fail unless its bound holds
+    with pytest.raises(ValidationError, match="unit-difference"):
+        GridLinearization(math.nan, math.nan, 1.0)
+    with pytest.raises(ValidationError, match="unit-difference"):
+        GridLinearization(math.inf, 0.5, 1.0)
+    for analytic, numeric in (((math.nan, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, math.nan))):
+        with pytest.raises(ValidationError, match="disagree"):
+            LinearModel(np.zeros((2, 2)), analytic, numeric, Stability.MARGINAL)
+
+
+def test_grid_ab_refuses_voltages_that_overflow_when_squared():
+    with pytest.raises(ValidationError, match="overflow when squared"):
+        grid_ab(4, 1e160, 315.0, 0.1)
+    assert grid_ab(4, 1e150, 315.0, 0.1).denom > 0.0
+
+
 def test_grid_jacobian_accepts_large_slow_eigenvalues():
     # near D -> 0 the slow eigenvalue reaches |lambda_1| ~ 1e3..1e5, where an
     # absolute 1e-9 analytic-vs-numeric bound is below LAPACK's rounding
@@ -226,30 +242,6 @@ def test_stability_condition_examples_and_consistency():
 # --- linearization vs finite differences ---------------------------------------
 
 
-def _islanded_phi(deltas, v_star, z):
-    volts = [Phasor(v_star, d) for d in deltas]
-    return [
-        power_factor_angle(pq, rated=pq.apparent)
-        for pq in islanded_power_flow(volts, z)
-    ]
-
-
-def _grid_phi(deltas, v_star, grid, z):
-    volts = [Phasor(v_star, d) for d in deltas]
-    return [
-        power_factor_angle(pq, rated=pq.apparent)
-        for pq in grid_power_flow(volts, grid, z)
-    ]
-
-
-def _central_difference(phi_of, deltas, i, k, h=1e-6):
-    up = list(deltas)
-    dn = list(deltas)
-    up[k] += h
-    dn[k] -= h
-    return wrap_angle(phi_of(up)[i] - phi_of(dn)[i]) / (2.0 * h)
-
-
 def test_islanded_linearization_matches_finite_differences():
     rng = np.random.default_rng(37)
     for _ in range(10):
@@ -258,11 +250,11 @@ def test_islanded_linearization_matches_finite_differences():
         z = Impedance(float(rng.uniform(0.5, 20.0)), float(rng.uniform(-PI / 2, PI / 2)))
         common = float(rng.uniform(-PI, PI))
         deltas = [common] * n
-        phi_of = lambda d: _islanded_phi(d, v_star, z)
+        phi_of = lambda d: phi_vector(d, v_star, z)
         for i in range(n):
             for k in range(n):
                 want = (n - 1) / n if i == k else -1.0 / n
-                assert abs(_central_difference(phi_of, deltas, i, k) - want) < 1e-6
+                assert abs(central_difference(phi_of, deltas, i, k) - want) < 1e-6
 
 
 def test_grid_linearization_matches_finite_differences():
@@ -289,9 +281,9 @@ def test_grid_linearization_matches_finite_differences():
         if string < 1e-3 * n * v_star:
             continue
         deltas = [delta_s] * n
-        phi_of = lambda d: _grid_phi(d, v_star, grid, z)
+        phi_of = lambda d: phi_vector(d, v_star, z, grid)
         for i in range(n):
             for k in range(n):
                 want = lin.a if i == k else lin.b
-                assert abs(_central_difference(phi_of, deltas, i, k) - want) < 1e-6
+                assert abs(central_difference(phi_of, deltas, i, k) - want) < 1e-6
         done += 1

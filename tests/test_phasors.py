@@ -1,4 +1,4 @@
-"""Phasor arithmetic and the two power-flow forms against the complex oracle."""
+"""Phasor arithmetic and the trig-form power flows against a rectangular reference."""
 
 import cmath
 import math
@@ -14,13 +14,13 @@ from cascade_droop import (
     PowerPair,
     SingularImpedanceError,
     ValidationError,
-    complex_power_oracle,
     generalized_load,
     grid_power_flow,
     islanded_power_flow,
     power_factor_angle,
     wrap_angle,
 )
+from oracles import rect_power_flow
 
 PI = math.pi
 
@@ -117,11 +117,11 @@ def test_grid_sized_string_powers_vanish_at_zero_angle():
 
 def test_oracle_hand_values():
     # rotation of a single module leaves (P, Q) unchanged
-    (pq,) = complex_power_oracle([Phasor(1.0, PI / 2)], None, Impedance(1.0, 0.0))
+    (pq,) = rect_power_flow([Phasor(1.0, PI / 2)], None, Impedance(1.0, 0.0))
     assert pq.active == pytest.approx(1.0)
     assert pq.reactive == pytest.approx(0.0, abs=1e-15)
     # hand value: S = 1 * conj((1 - (-j))/1) = 1 - j
-    (pq,) = complex_power_oracle(
+    (pq,) = rect_power_flow(
         [Phasor(1.0, 0.0)], Phasor(1.0, -PI / 2), Impedance(1.0, 0.0)
     )
     assert pq.active == pytest.approx(1.0)
@@ -130,7 +130,7 @@ def test_oracle_hand_values():
 
 def test_oracle_matches_islanded_symmetric_case():
     volts = [Phasor(1.0, 0.0), Phasor(1.0, 0.0)]
-    for pq in complex_power_oracle(volts, None, Impedance(1.0, 0.0)):
+    for pq in rect_power_flow(volts, None, Impedance(1.0, 0.0)):
         assert pq.active == pytest.approx(2.0)
         assert pq.reactive == pytest.approx(0.0, abs=1e-15)
 
@@ -162,10 +162,10 @@ _angles = st.floats(-PI, PI)
 )
 def test_trig_forms_match_complex_oracle(volts, z, grid):
     _assert_flows_match(
-        islanded_power_flow(volts, z), complex_power_oracle(volts, None, z), volts, z
+        islanded_power_flow(volts, z), rect_power_flow(volts, None, z), volts, z
     )
     got = grid_power_flow(volts, grid, z)
-    want = complex_power_oracle(volts, grid, z)
+    want = rect_power_flow(volts, grid, z)
     v_sum = sum(v.magnitude for v in volts) + grid.magnitude
     for pq_a, pq_b, vi in zip(got, want, volts):
         scale = vi.magnitude * v_sum / z.magnitude

@@ -29,7 +29,7 @@ from cascade_droop import (
     report_stability,
     simulate,
 )
-from cascade_droop import cli, reports
+from cascade_droop import cli, engine, reports
 from cascade_droop.cases import _segments, build_case, run_case
 from cascade_droop.engine import apply_event
 
@@ -396,8 +396,10 @@ def test_cli_exit_code_runtime_error(tmp_path):
     (["stability", "demo.scn", "--sweep", "angle=0:999:1", "vstar=1:1001:1"], 1, ""),
     # a report marks a point it cannot linearize instead of failing
     (["stability", "demo.scn", "--angle", "nan"], 0, "angle_diff=nan: invalid"),
+    (["stability", "demo.scn", "--sweep", "vstar=1e150:1e160:2e159"], 0,
+     "v_star=2e+159: invalid"),
 ], ids=["tiny-dt", "huge-duration", "infinite-sweep", "subnormal-step", "overflowing-range",
-        "huge-count", "too-many-rows", "nan-angle"])
+        "huge-count", "too-many-rows", "nan-angle", "overflowing-vstar"])
 def test_cli_bad_numbers_never_raise(tmp_path, monkeypatch, capsys, args, code, stdout_part):
     (tmp_path / "demo.scn").write_text(SCENARIO_TEXT.replace("mode = islanded", "mode = grid"))
     monkeypatch.chdir(tmp_path)
@@ -409,6 +411,30 @@ def test_cli_bad_numbers_never_raise(tmp_path, monkeypatch, capsys, args, code, 
         assert err.startswith("validation error:")
         # the scenario is validated before any output directory is made
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("v_star", ["1e154", "1e160"])
+def test_cli_simulate_refuses_an_overflowing_power_scale(tmp_path, monkeypatch, capsys, v_star):
+    # 1e154 overflows the zero-power floor, which would hold every measurement
+    # at 50 Hz; 1e160 overflows the measured powers as well
+    (tmp_path / "big.scn").write_text(
+        SCENARIO_TEXT.replace("n = 2", "n = 4").replace("v_star = 50", f"v_star = {v_star}")
+        .replace("m = 0.5", "m = 0.5\nclamp = off")
+        .replace("delta = 0.2, -0.2", "delta = 0.5, -0.5, 0.5, -0.5"))
+    monkeypatch.chdir(tmp_path)
+    plant = engine._plant
+    stages = []
+
+    def counting_plant(config):
+        rates = plant(config)
+        return lambda *args: stages.append(1) or rates(*args)
+
+    monkeypatch.setattr(engine, "_plant", counting_plant)
+    assert cli.main(["simulate", "big.scn", "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: power scale n V*^2/|Z| = inf VA")
+    assert stages == []  # refused before the first step
+    assert not (tmp_path / "out").exists()
 
 
 def test_cold_start_loads_numpy_only_to_simulate(tmp_path):

@@ -157,6 +157,22 @@ def test_initial_length_mismatch():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ("r12", "expected 'key = value' in [events], got 'r12'"),
+    ("r=12 q=6", "unknown key 'q' in [events]"),
+    ("r=12 R=6", "duplicate key 'r' in [events]"),
+    ("r=", "empty value for 'r' in [events]"),
+    ("", "impedance event needs at least one field"),
+], ids=["malformed", "unknown", "duplicate", "empty", "no-fields"])
+def test_event_impedance_fields_share_the_key_value_reader(fields, message):
+    new = f"6.0 load {fields}".rstrip()
+    text = BASELINE.replace("6.0 load r=12 x=6", new)
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert message in str(err.value)
+    assert err.value.line == text.splitlines().index(new) + 1
+
+
 def test_mixed_polar_and_rect_impedance_rejected():
     text = BASELINE.replace("mag = 0.314", "mag = 0.314\nr = 1")
     with pytest.raises(ScenarioParseError, match="polar form"):
