@@ -8,7 +8,7 @@ arbitrary lines workable.
 
 import math
 
-from cascade_droop import Stability, stability_condition
+from cascade_droop import DegeneratePointError, Stability, stability_condition
 
 V_GRID = 315.0
 N = 4
@@ -28,7 +28,7 @@ for ratio in sizings:
     for angle in angles:
         try:
             cells.append(MARKS[stability_condition(N, v_star, V_GRID, angle)])
-        except Exception:
+        except DegeneratePointError:
             cells.append("x")  # degenerate: string phasor meets the grid phasor
     print(f"  {ratio:4.2f}  " + " ".join(f"{c:>5}" for c in cells))
 

@@ -97,19 +97,18 @@ def _cmd_case(args) -> int:
 
 
 def _parse_sweep(tokens: list[str]):
-    angle = vstar = None
+    axes = {}
     for tok in tokens:
         if "=" not in tok:
             raise ValidationError(f"sweep axis must look like angle=lo:hi:step, got {tok!r}")
         key, axis_text = tok.split("=", 1)
         key = key.strip().lower()
-        if key == "angle":
-            angle = SweepAxis.parse(axis_text)
-        elif key == "vstar":
-            vstar = SweepAxis.parse(axis_text)
-        else:
+        if key not in ("angle", "vstar"):
             raise ValidationError(f"unknown sweep axis {key!r} (use angle or vstar)")
-    return angle, vstar
+        if key in axes:
+            raise ValidationError(f"sweep axis {key!r} is given more than once")
+        axes[key] = SweepAxis.parse(axis_text)
+    return axes.get("angle"), axes.get("vstar")
 
 
 def _cmd_stability(args) -> int:

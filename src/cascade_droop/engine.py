@@ -505,31 +505,29 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
     """Synchronized grid-mode operating points, in closed form.
 
     With every angle at delta and x = delta - delta_g, the per-module power
-    is S(x) = (c - r e^{jx}) / conj(Z_line), c = n V*^2, r = V* V_g.  The
+    is S(x) = k (c - r e^{jx}) / conj(Z_line), k = V* (n V* + V_g), with (c, r)
+    the `linearization.voltage_shares`: no root depends on the voltage scale.  The
     condition arg S = phi* asks where the ray at psi = phi* - theta_line
     meets the circle of centre c and radius r: the roots t > 0 of
 
         t^2 - 2 c cos(psi) t + c^2 - r^2 = 0,
 
     each mapped back by x = atan2(-t sin psi, c - t cos psi).  Since
-    |S| = t / |Z|, roots with t <= 1e-9 c sit in the zero-power hole, where
+    |S| = k t / |Z|, roots with t <= 1e-9 c sit in the zero-power hole, where
     the angle is undefined, and are dropped.  There are at most two roots,
     returned sorted; ``delta_s`` is the first stable one, else the first
     marginal one, else the first.  Each root's lambda_1 and verdict come
     from ``linearization.slow_mode``.
 
     Raises NoRootError when no root is left: the requested power factor
-    angle is unreachable at this sizing.  Raises ValidationError when c or
-    r is too large to square in floating point.
+    angle is unreachable at this sizing.  Raises ValidationError when
+    n V* + V_g overflows.
     """
     if config.mode is not Mode.GRID_CONNECTED:
         raise ValidationError("grid_equilibrium requires a grid-connected configuration")
     d = config.droop
     n = config.n
-    c = n * d.nominal_voltage * d.nominal_voltage
-    r = d.nominal_voltage * config.grid_voltage
-    if not (c * c < math.inf and r * r < math.inf):
-        raise ValidationError(f"n V*^2 = {c:g} or V* V_g = {r:g} (V^2) overflow when squared")
+    c, r = linearization.voltage_shares(n, d.nominal_voltage, config.grid_voltage)
     psi = d.nominal_pf_angle - config.line.angle
     cos_psi = math.cos(psi)
     sin_psi = math.sin(psi)

@@ -3,15 +3,17 @@
 Grid-connected, the Jacobian is the uniform a/b matrix whose closed-form
 spectrum is
 
-    lambda_1      = -m * V_g (V_g - n V* cos(dd)) / D
+    lambda_1      = -m * w (w - u cos(dd)) / d
     lambda_2..n   = -m
 
-with dd the string-to-grid angle and D = n^2 V*^2 + V_g^2 - 2 n V* V_g cos(dd).
-The sign of (V_g - n V* cos(dd)) alone decides stability; the line impedance
-never enters.  The islanded model is the same one at V_g = 0: there a = (n-1)/n
-and b = -1/n for any load, the Jacobian is the complete-graph Laplacian
-scaled by -m/n, and its spectrum is one zero eigenvalue (the rotational
-symmetry of the string) and n-1 eigenvalues at exactly -m.
+with dd the string-to-grid angle, (u, w) = (n V*, V_g) / (n V* + V_g) the
+voltage shares and d = u^2 + w^2 - 2 u w cos(dd), degenerate at <= 1e-12.
+The sign of (V_g - n V* cos(dd)) alone decides stability; neither the voltage
+scale nor the line impedance enters.  The islanded model is the same one at
+V_g = 0: there a = (n-1)/n and b = -1/n for any load, the Jacobian is the
+complete-graph Laplacian scaled by -m/n, and its spectrum is one zero
+eigenvalue (the rotational symmetry of the string) and n-1 eigenvalues at
+exactly -m.
 
 The n-1 modes at -m hold beyond first order.  Every module of the series
 string carries the same current I, so S_i = V* e^{j delta_i} conj(I) and each
@@ -42,7 +44,7 @@ if TYPE_CHECKING:
 
 _EIG_AGREEMENT = 1e-9
 _MARGINAL_BAND = 1e-12  # on lambda_1 / m, dimensionless
-_DEGENERATE_DENOM = 1e-12
+_DEGENERATE_DENOM = 1e-12  # on d, dimensionless
 
 
 class Stability(Enum):
@@ -81,16 +83,17 @@ class LinearModel:
 class GridLinearization:
     """Coefficients of the grid-connected angle sensitivity d(phi_i) = a*dd_i + b*sum_j dd_j.
 
-    ``denom`` is the common positive denominator D; ``a - b == 1`` is an
-    algebraic identity of the two formulas (held to 1e-12 at well-conditioned
-    points).  The construction-time bound is relative to the larger of |a|
-    and |b|, which grow as 1/D near the degenerate point: it catches formula
+    ``denom`` is D in V^2 (inf past float range), ``slow_rate`` = a + (n-1) b
+    = -lambda_1 / m in closed form; ``a - b == 1`` is an algebraic identity of
+    the two formulas (held to 1e-12 at well-conditioned points).  The construction-time bound is relative to the larger of |a|
+    and |b|, which grow as 1/d near the degenerate point: it catches formula
     bugs, not conditioning.  A NaN or infinite coefficient fails it too.
     """
 
     a: float
     b: float
     denom: float
+    slow_rate: float
 
     def __post_init__(self):
         if not abs(self.a - self.b - 1.0) <= 1e-6 * max(1.0, abs(self.a), abs(self.b)) < math.inf:
@@ -141,12 +144,20 @@ def islanded_jacobian(n: int, m: float) -> LinearModel:
     return grid_jacobian(grid_ab(n, 1.0, 0.0, 0.0), n, m)
 
 
-def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLinearization:
-    """Angle-sensitivity coefficients of the grid-connected string.
+def voltage_shares(n: int, v_star: float, v_g: float) -> tuple[float, float]:
+    """The voltage shares (n V*, V_g) / (n V* + V_g); ValidationError if the sum overflows."""
+    span = n * v_star + v_g
+    if not span < math.inf:
+        raise ValidationError(f"voltages n V* + V_g = {span:g} V exceed float range")
+    return n * v_star / span, v_g / span
 
-    Raises DegeneratePointError when the shared denominator D is not
-    positive, i.e. at the operating point where the string voltage phasor
-    exactly meets the grid phasor and the current vanishes.
+
+def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLinearization:
+    """Angle-sensitivity coefficients of the grid-connected string, from `voltage_shares`.
+
+    Raises DegeneratePointError when d <= 1e-12, i.e. at the operating
+    point where the string voltage phasor meets the grid phasor and the
+    current vanishes.
     """
     _check_count(n)
     if not (math.isfinite(v_star) and v_star > 0.0):
@@ -155,24 +166,21 @@ def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLineari
         raise ValidationError(f"grid voltage must be >= 0, got {v_g}")
     if not math.isfinite(angle_diff):
         raise ValidationError(f"angle difference must be finite, got {angle_diff}")
-    span = n * v_star + v_g  # its square bounds D and both numerators below
-    if not span * span < math.inf:
-        raise ValidationError(f"voltages n V* + V_g = {span:g} V overflow when squared")
+    u, w = voltage_shares(n, v_star, v_g)
+    span = n * v_star + v_g
+    # u - w unrounded, so d and w - u cos(dd) = 2 u sin^2(dd/2) - gap do not cancel
+    gap = (n * v_star - v_g) / span
     cos_dd = math.cos(angle_diff)
-    # D = n^2 V*^2 + V_g^2 - 2 n V* V_g cos(dd), rewritten without cancellation.
-    denom = (n * v_star - v_g) ** 2 + 4.0 * n * v_star * v_g * math.sin(0.5 * angle_diff) ** 2
-    if denom <= _DEGENERATE_DENOM:
+    half_sin2 = math.sin(0.5 * angle_diff) ** 2
+    d = gap * gap + 4.0 * u * w * half_sin2
+    if d <= _DEGENERATE_DENOM:
         raise DegeneratePointError(
-            f"denominator {denom:.3e} <= {_DEGENERATE_DENOM:g}: operating point is degenerate "
+            f"relative denominator {d:.3e} <= {_DEGENERATE_DENOM:g}: operating point is degenerate "
             "(string phasor coincides with the grid phasor)"
         )
-    a = ((n * n - n) * v_star * v_star + v_g * v_g + (1 - 2 * n) * v_star * v_g * cos_dd) / denom
-    b = (v_star * v_g * cos_dd - n * v_star * v_star) / denom
-    return GridLinearization(a, b, denom)
-
-
-def _lambda_1(lin: GridLinearization, n: int, m: float) -> float:
-    return -m * (lin.a + (n - 1) * lin.b)
+    a = ((1.0 - 1.0 / n) * u * u + w * w + (1.0 / n - 2.0) * u * w * cos_dd) / d
+    b = u * (w * cos_dd - u) / (n * d)
+    return GridLinearization(a, b, d * span * span, w * (2.0 * u * half_sin2 - gap) / d)
 
 
 def _verdict_from_scaled(scaled: float) -> Stability:
@@ -185,42 +193,36 @@ def _verdict_from_scaled(scaled: float) -> Stability:
 def grid_jacobian(lin: GridLinearization, n: int, m: float) -> LinearModel:
     """Grid-connected Jacobian B = -m [[a, b, ...], [b, a, ...], ...].
 
-    Closed-form spectrum: lambda_1 = -m (a + (n-1) b) and lambda_2..n = -m.
+    Closed-form spectrum: lambda_1 = -m * ``lin.slow_rate`` and lambda_2..n = -m.
     Verdict: Stable if lambda_1 < 0, Marginal within 1e-12*m of zero,
     Unstable otherwise.
     """
     _check_count(n)
     if not (math.isfinite(m) and m > 0.0):
         raise ValidationError(f"droop gain must be > 0, got {m}")
-    diag = -m * lin.a
-    off = -m * lin.b
     matrix, numeric = _symmetric_spectrum(
-        [[diag if i == j else off for j in range(n)] for i in range(n)])
-    lambda_1 = _lambda_1(lin, n, m)
-    analytic = sorted([lambda_1] + [-m] * (n - 1))
+        [[-m * (lin.a if i == j else lin.b) for j in range(n)] for i in range(n)])
+    analytic = sorted([-m * lin.slow_rate] + [-m] * (n - 1))
     return LinearModel(matrix, tuple(analytic), tuple(numeric),
-                       _verdict_from_scaled(-lambda_1 / m))
+                       _verdict_from_scaled(lin.slow_rate))
 
 
 def slow_mode(n: int, v_star: float, v_g: float, m: float,
               angle_diff: float) -> tuple[float, Stability]:
-    """The slow eigenvalue lambda_1 = -m (a + (n-1) b) and its verdict, from one `grid_ab`.
+    """The slow eigenvalue lambda_1 = -m * ``slow_rate`` and its verdict, from one `grid_ab`.
 
     The verdict is the sign of V_g - n V* cos(angle_diff) alone, over the
     shared (positive) denominator; it does not depend on ``m``.  Raises what
     `grid_ab` raises.
     """
-    lin = grid_ab(n, v_star, v_g, angle_diff)
-    lambda_1 = _lambda_1(lin, n, m)
-    scaled = v_g * (v_g - n * v_star * math.cos(angle_diff)) / lin.denom
-    return lambda_1, _verdict_from_scaled(scaled)
+    slow_rate = grid_ab(n, v_star, v_g, angle_diff).slow_rate
+    return -m * slow_rate, _verdict_from_scaled(slow_rate)
 
 
 def stability_condition(n: int, v_star: float, v_g: float, angle_diff: float) -> Stability:
     """Grid-mode stability from the sign of V_g - n V* cos(angle_diff) alone.
 
     The returned verdict always equals the one `grid_jacobian` derives from
-    its slow eigenvalue: the two share the (positive) denominator, which
-    preserves the sign.
+    its slow eigenvalue: both read `grid_ab`'s ``slow_rate``.
     """
     return slow_mode(n, v_star, v_g, 1.0, angle_diff)[1]

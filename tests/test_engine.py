@@ -724,10 +724,18 @@ def test_simulate_refuses_a_current_past_float_range():
         simulate_from(config, [0.1, 0.0, -0.1, 0.2], 1e-3)
 
 
-def test_grid_equilibrium_refuses_scales_past_float_range():
-    # c = n V*^2 = 4e306 V^2 squares past float range, in the root quadratic
-    with pytest.raises(ValidationError, match="overflow when squared"):
-        grid_equilibrium(make_config(v_star=1e153, mode=Mode.GRID_CONNECTED))
+def test_grid_equilibrium_roots_do_not_depend_on_the_voltage_scale():
+    # n V*^2 x 4^250 squares past float range; the root quadratic reads only the shares
+    config = build_case(1)[0].config
+    scaled = replace(
+        config,
+        droop=replace(config.droop, nominal_voltage=math.ldexp(config.droop.nominal_voltage, 250)),
+        grid_voltage=math.ldexp(config.grid_voltage, 250),
+    )
+    assert repr(grid_equilibrium(scaled)) == repr(grid_equilibrium(config))
+    # n V* + V_g = 4e308 V is past float range itself
+    with pytest.raises(ValidationError, match="exceed float range"):
+        grid_equilibrium(make_config(v_star=1e308, mode=Mode.GRID_CONNECTED))
 
 
 def test_grid_equilibrium_mode_guard():

@@ -1,10 +1,13 @@
 """Jacobians, closed-form spectra, the eigvalsh eigensolver oracle, and verdicts."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from cascade_droop import (
     AsymmetricMatrixError,
@@ -14,11 +17,13 @@ from cascade_droop import (
     Impedance,
     LinearModel,
     Mode,
+    NoRootError,
     Phasor,
     Stability,
     SystemConfig,
     ValidationError,
     grid_ab,
+    grid_equilibrium,
     grid_jacobian,
     islanded_jacobian,
     numeric_eigenvalues,
@@ -26,6 +31,7 @@ from cascade_droop import (
     stability_condition,
     wrap_angle,
 )
+from cascade_droop.linearization import slow_mode
 from oracles import central_difference, phi_vector
 
 PI = math.pi
@@ -158,24 +164,100 @@ def test_grid_ab_near_degenerate_point_keeps_its_identity():
     assert abs(Fraction(lam1) - exact) <= Fraction(1, 10**9) * abs(exact)
     # the relative identity bound still rejects a formula bug
     with pytest.raises(ValidationError, match="unit-difference"):
-        GridLinearization(2.0, 0.5, 1.0)
+        GridLinearization(2.0, 0.5, 1.0, 0.0)
 
 
 def test_construction_checks_reject_nan():
     # every comparison with NaN is False, so each check must fail unless its bound holds
     with pytest.raises(ValidationError, match="unit-difference"):
-        GridLinearization(math.nan, math.nan, 1.0)
+        GridLinearization(math.nan, math.nan, 1.0, 0.0)
     with pytest.raises(ValidationError, match="unit-difference"):
-        GridLinearization(math.inf, 0.5, 1.0)
+        GridLinearization(math.inf, 0.5, 1.0, 0.0)
     for analytic, numeric in (((math.nan, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, math.nan))):
         with pytest.raises(ValidationError, match="disagree"):
             LinearModel(np.zeros((2, 2)), analytic, numeric, Stability.MARGINAL)
 
 
-def test_grid_ab_refuses_voltages_that_overflow_when_squared():
-    with pytest.raises(ValidationError, match="overflow when squared"):
-        grid_ab(4, 1e160, 315.0, 0.1)
+def _exact_lambda_1(n, v_star, v_g, m, angle_diff):
+    # -m V_g (V_g - n V* cos dd) / D in exact arithmetic, from the float cos, sin^2 and
+    # n V*: near the degenerate point lambda_1 amplifies even the rounding of n V*
+    fs, fg = Fraction(n * v_star), Fraction(v_g)
+    cos_dd = Fraction(math.cos(angle_diff))
+    sin2 = Fraction(math.sin(0.5 * angle_diff) ** 2)
+    denom = (fs - fg) ** 2 + 4 * fs * fg * sin2
+    return -Fraction(m) * fg * (fg - fs * cos_dd) / denom
+
+
+def test_grid_ab_is_exact_until_the_voltage_sum_overflows():
+    # V*^2 is past float range here, the voltage shares are not
+    lin = grid_ab(4, 1e160, 315.0, 0.1)
+    exact = _exact_lambda_1(4, 1e160, 315.0, 1.0, 0.1)
+    assert abs(Fraction(-lin.slow_rate) - exact) <= Fraction(1, 10**12) * abs(exact)
+    assert lin.denom == math.inf
     assert grid_ab(4, 1e150, 315.0, 0.1).denom > 0.0
+    # n V* + V_g itself overflows
+    with pytest.raises(ValidationError, match="exceed float range"):
+        grid_ab(4, 1e308, 315.0, 0.1)
+
+
+@st.composite
+def _grid_points(draw):
+    """A grid-tied string of sizing n V*/V_g in 1e-8..1e8, and an angle to linearize at."""
+    n = draw(st.integers(1, 8))
+    v_star = 10.0 ** draw(st.floats(-8.0, 8.0)) * 315.0 / n
+    config = SystemConfig(
+        n=n,
+        droop=DroopParams(math.tau * 50.0, v_star, draw(st.floats(-PI, PI)), 0.5),
+        grid_voltage=315.0,
+        grid_angle=0.0,
+        line=Impedance(0.314, draw(st.floats(-PI / 2, PI / 2))),
+        load=Impedance(12.0, 0.0),
+        mode=Mode.GRID_CONNECTED,
+    )
+    return config, draw(st.floats(-PI, PI))
+
+
+def _outcome(f, *args):
+    # a result or the error it raised, printed so that every bit of a float shows
+    try:
+        return repr(f(*args))
+    except (ValidationError, NoRootError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(14)
+@given(point=_grid_points(), k=st.integers(-400, 400))
+def test_grid_analysis_is_free_of_the_voltage_scale(point, k):
+    config, dd = point
+    n, v_star, v_g, m = config.n, config.droop.nominal_voltage, config.grid_voltage, 0.5
+    sv, sg = math.ldexp(v_star, k), math.ldexp(v_g, k)
+    scaled = replace(config, droop=replace(config.droop, nominal_voltage=sv), grid_voltage=sg)
+    try:
+        lin = grid_ab(n, v_star, v_g, dd)
+    except DegeneratePointError:
+        with pytest.raises(DegeneratePointError):
+            grid_ab(n, sv, sg, dd)
+    else:
+        # D is the one field in volts: it scales by exactly 4^k
+        assert repr(grid_ab(n, sv, sg, dd)) == repr(replace(lin, denom=math.ldexp(lin.denom, 2 * k)))
+    assert _outcome(slow_mode, n, sv, sg, m, dd) == _outcome(slow_mode, n, v_star, v_g, m, dd)
+    assert _outcome(grid_equilibrium, scaled) == _outcome(grid_equilibrium, config)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(15)
+@given(point=_grid_points())
+def test_slow_mode_matches_the_exact_closed_form(point):
+    config, dd = point
+    n, v_star, v_g, m = config.n, config.droop.nominal_voltage, config.grid_voltage, 0.5
+    try:
+        lam = slow_mode(n, v_star, v_g, m, dd)[0]
+    except DegeneratePointError:
+        assume(False)
+    exact = _exact_lambda_1(n, v_star, v_g, m, dd)
+    assume(abs(exact) >= Fraction(m) * Fraction(1, 10**6))
+    assert abs(Fraction(lam) - exact) <= Fraction(1, 10**12) * abs(exact)
 
 
 def test_grid_jacobian_accepts_large_slow_eigenvalues():

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import importlib
 import io
 import math
 import os
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +281,20 @@ def _cli(*args, cwd):
     )
 
 
+def test_console_script_target_exits_1_on_bad_usage(monkeypatch, capsys):
+    # the installed cascade-droop command calls this target, not python -m
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module_name, _, attr = scripts["cascade-droop"].partition(":")
+    target = getattr(importlib.import_module(module_name), attr)
+    monkeypatch.setattr(sys, "argv", ["cascade-droop", "case", "6"])
+    with pytest.raises(SystemExit) as exit_info:
+        target()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.startswith("error: argument which: invalid choice")
+
+
 def test_cli_simulate_writes_trace(tmp_path):
     scenario = tmp_path / "demo.scn"
     scenario.write_text(SCENARIO_TEXT)
@@ -396,10 +412,15 @@ def test_cli_exit_code_runtime_error(tmp_path):
     (["stability", "demo.scn", "--sweep", "angle=0:999:1", "vstar=1:1001:1"], 1, ""),
     # a report marks a point it cannot linearize instead of failing
     (["stability", "demo.scn", "--angle", "nan"], 0, "angle_diff=nan: invalid"),
+    # V*^2 is past float range, the voltage shares are not; n V* + V_g is past it
     (["stability", "demo.scn", "--sweep", "vstar=1e150:1e160:2e159"], 0,
-     "v_star=2e+159: invalid"),
+     "v_star=2e+159: lambda1="),
+    (["stability", "demo.scn", "--sweep", "vstar=1e308:1e308:1"], 0,
+     "v_star=1e+308: invalid"),
+    (["stability", "demo.scn", "--sweep", "angle=0:1:0.5", "angle=2:3:0.5"], 1, ""),
 ], ids=["tiny-dt", "huge-duration", "infinite-sweep", "subnormal-step", "overflowing-range",
-        "huge-count", "too-many-rows", "nan-angle", "overflowing-vstar"])
+        "huge-count", "too-many-rows", "nan-angle", "overflowing-vstar", "overflowing-sum",
+        "repeated-axis"])
 def test_cli_bad_numbers_never_raise(tmp_path, monkeypatch, capsys, args, code, stdout_part):
     (tmp_path / "demo.scn").write_text(SCENARIO_TEXT.replace("mode = islanded", "mode = grid"))
     monkeypatch.chdir(tmp_path)
