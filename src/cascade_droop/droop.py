@@ -21,6 +21,9 @@ from .errors import ValidationError, ZeroPowerError
 from .phasors import PowerPair, wrap_angle
 
 TAU = math.tau
+# |S| at most this fraction of the power scale n V*^2/|Z| is zero power: the one
+# rule of the engine's measurement hold, the grid roots and the linearization.
+ZERO_POWER_FRACTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,18 +66,17 @@ class DroopParams:
 def power_factor_angle(power: PowerPair, rated: float = 1.0) -> float:
     """Four-quadrant angle atan2(Q, P) in (-pi, pi].
 
-    Raises ZeroPowerError when both |P| and |Q| fall below 1e-12 of the
+    Raises ZeroPowerError when |S| is at most ``ZERO_POWER_FRACTION`` of the
     rated power: the ratio is undefined at zero current.  Callers that must
     survive a dead start (the simulation engine) hold the previous
     measurement instead of calling this.
     """
     if rated <= 0.0:
         raise ValidationError(f"rated power must be > 0, got {rated}")
-    floor = 1e-12 * rated
-    if abs(power.active) < floor and abs(power.reactive) < floor:
+    floor = ZERO_POWER_FRACTION * rated
+    if power.apparent <= floor:
         raise ZeroPowerError(
-            f"power factor angle undefined: |P|={abs(power.active):.3e} W and "
-            f"|Q|={abs(power.reactive):.3e} var are both below {floor:.3e}"
+            f"power factor angle undefined: |S|={power.apparent:.3e} VA is at most {floor:.3e}"
         )
     return wrap_angle(math.atan2(power.reactive, power.active))
 

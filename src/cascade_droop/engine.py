@@ -40,9 +40,10 @@ scenario's ``schedule`` holds one entry per event step with the fold of
 ``apply_event`` over all events so far, and ``simulate`` builds one kernel
 per entry whose config changed, never one for a config between two events.
 
-At (essentially) zero apparent power the power factor angle is undefined;
-the engine holds each module's previous valid measurement, initialized to
-the reference angle, so a dead start is well defined.
+At zero current the power factor angle is undefined.  All modules carry one
+current, so the zero-power rule of ``droop.ZERO_POWER_FRACTION`` holds for
+all or none; the engine then holds each module's previous valid measurement,
+initialized to the reference angle, so a dead start is well defined.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 from . import linearization
-from .droop import DroopParams, droop_frequency
-from .errors import NoRootError, SingularImpedanceError, ValidationError
+from .droop import ZERO_POWER_FRACTION, DroopParams, droop_frequency
+from .errors import DegeneratePointError, NoRootError, SingularImpedanceError, ValidationError
 from .phasors import Impedance, PowerPair, generalized_load, series_impedance, wrap_angle
 
 if TYPE_CHECKING:
@@ -63,10 +64,6 @@ if TYPE_CHECKING:
 
 TAU = math.tau
 PI = math.pi
-
-# |S| below this fraction of the string's natural power scale counts as
-# zero power for the measurement-hold rule.
-_ZERO_POWER_FRACTION = 1e-12
 
 # Most modules one string may have; every per-module list is sized from n.
 _MAX_MODULES = 1_000_000
@@ -293,14 +290,16 @@ def _plant(config: SystemConfig) -> Callable[..., list[float]]:
     else:
         z = config.line.rect
         drive = cmath.rect(config.grid_voltage, config.grid_angle)
-    # The floor's scale and bounds on |I| and every |S_i|: past float range
-    # the kernel's floor, current or powers would be inf or nan.
+    # The power scale and bounds on |I| and every |S_i|: past float range
+    # the kernel's current or powers would be inf or nan.
     rated = config.n * v_star * v_star / abs(z)
     current = (config.n * v_star + abs(drive)) / abs(z)
     if not max(rated, current, v_star * current) < math.inf:
         raise ValidationError(f"power scale n V*^2/|Z| = {rated:g} VA, current (n V* + V_g)/|Z| = "
                               f"{current:g} A or V* times it is not finite")
-    floor = _ZERO_POWER_FRACTION * rated
+    # Every module carries the one string current, so |S_i| = V* |I| for all
+    # i, and |S| <= fraction * n V*^2/|Z| reads |sum V - V_g| <= fraction * n V*.
+    dead_band = ZERO_POWER_FRACTION * config.n * v_star
     rect = cmath.rect
     atan2 = math.atan2
 
@@ -321,7 +320,9 @@ def _plant(config: SystemConfig) -> Callable[..., list[float]]:
         total = 0j
         for v in volts:
             total += v
-        icon = ((total - drive) / z).conjugate()
+        total -= drive
+        icon = (total / z).conjugate()
+        dead = abs(total) <= dead_band
         record = sample is not None
         if record:
             phis, actives, reactives, omegas = sample
@@ -330,7 +331,7 @@ def _plant(config: SystemConfig) -> Callable[..., list[float]]:
             s = v * icon
             p = s.real
             q = s.imag
-            if -floor < p < floor and -floor < q < floor:
+            if dead:
                 phi = held[i]
             else:
                 phi = atan2(q, p)
@@ -462,6 +463,8 @@ class IslandedEquilibrium(NamedTuple):
 
 
 class GridRoot(NamedTuple):
+    """A synchronized grid-mode angle, its lambda_1 (always finite) and verdict."""
+
     delta: float
     lambda_slow: float
     verdict: linearization.Stability
@@ -513,11 +516,11 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
         t^2 - 2 c cos(psi) t + c^2 - r^2 = 0,
 
     each mapped back by x = atan2(-t sin psi, c - t cos psi).  Since
-    |S| = k t / |Z|, roots with t <= 1e-9 c sit in the zero-power hole, where
-    the angle is undefined, and are dropped.  There are at most two roots,
-    returned sorted; ``delta_s`` is the first stable one, else the first
-    marginal one, else the first.  Each root's lambda_1 and verdict come
-    from ``linearization.slow_mode``.
+    |S| = k t / |Z|, a root at or next to t = 0 has zero current and an
+    undefined angle: ``linearization.slow_mode`` calls its point degenerate
+    and it is dropped.  There are at most two roots, returned sorted, each
+    with a finite lambda_1 and verdict from ``slow_mode``; ``delta_s`` is
+    the first stable one, else the first marginal one, else the first.
 
     Raises NoRootError when no root is left: the requested power factor
     angle is unreachable at this sizing.  Raises ValidationError when
@@ -536,27 +539,24 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
     if disc >= 0.0:
         half_chord = math.sqrt(disc)
         ts = {c * cos_psi - half_chord, c * cos_psi + half_chord}  # one value when tangent
-    deltas = sorted(
+    infos = []
+    for delta in sorted(
         wrap_angle(math.atan2(-t * sin_psi, c - t * cos_psi) + config.grid_angle)
-        for t in ts if t > 1e-9 * c
-    )
-    if not deltas:
+        for t in ts if t > 0.0
+    ):
+        try:
+            lam, verdict = linearization.slow_mode(
+                n, d.nominal_voltage, config.grid_voltage, d.droop_gain,
+                wrap_angle(delta - config.grid_angle),
+            )
+        except DegeneratePointError:
+            continue
+        infos.append(GridRoot(delta, lam, verdict))
+    if not infos:
         raise NoRootError(
             "no synchronized grid-mode operating point: the power factor angle reference "
             "is unreachable for this string sizing and line"
         )
-
-    infos = []
-    for delta in deltas:
-        angle_diff = wrap_angle(delta - config.grid_angle)
-        try:
-            lam, verdict = linearization.slow_mode(
-                n, d.nominal_voltage, config.grid_voltage, d.droop_gain, angle_diff
-            )
-        except ValidationError:
-            lam = math.nan
-            verdict = linearization.Stability.MARGINAL
-        infos.append(GridRoot(delta, lam, verdict))
 
     for want in (linearization.Stability.STABLE, linearization.Stability.MARGINAL):
         for info in infos:

@@ -7,7 +7,7 @@ spectrum is
     lambda_2..n   = -m
 
 with dd the string-to-grid angle, (u, w) = (n V*, V_g) / (n V* + V_g) the
-voltage shares and d = u^2 + w^2 - 2 u w cos(dd), degenerate at <= 1e-12.
+voltage shares and d = u^2 + w^2 - 2 u w cos(dd), degenerate at zero current.
 The sign of (V_g - n V* cos(dd)) alone decides stability; neither the voltage
 scale nor the line impedance enters.  The islanded model is the same one at
 V_g = 0: there a = (n-1)/n and b = -1/n for any load, the Jacobian is the
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from .droop import ZERO_POWER_FRACTION
 from .errors import AsymmetricMatrixError, DegeneratePointError, ValidationError
 
 if TYPE_CHECKING:
@@ -44,7 +45,6 @@ if TYPE_CHECKING:
 
 _EIG_AGREEMENT = 1e-9
 _MARGINAL_BAND = 1e-12  # on lambda_1 / m, dimensionless
-_DEGENERATE_DENOM = 1e-12  # on d, dimensionless
 
 
 class Stability(Enum):
@@ -85,9 +85,10 @@ class GridLinearization:
 
     ``denom`` is D in V^2 (inf past float range), ``slow_rate`` = a + (n-1) b
     = -lambda_1 / m in closed form; ``a - b == 1`` is an algebraic identity of
-    the two formulas (held to 1e-12 at well-conditioned points).  The construction-time bound is relative to the larger of |a|
-    and |b|, which grow as 1/d near the degenerate point: it catches formula
-    bugs, not conditioning.  A NaN or infinite coefficient fails it too.
+    the two formulas, written without cancellation so that it holds down to
+    the degenerate point.  The construction-time bound is relative to the
+    larger of |a| and |b|, which grow as 1/d near that point: it catches
+    formula bugs, not conditioning.  A NaN or infinite coefficient fails it too.
     """
 
     a: float
@@ -155,9 +156,9 @@ def voltage_shares(n: int, v_star: float, v_g: float) -> tuple[float, float]:
 def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLinearization:
     """Angle-sensitivity coefficients of the grid-connected string, from `voltage_shares`.
 
-    Raises DegeneratePointError when d <= 1e-12, i.e. at the operating
-    point where the string voltage phasor meets the grid phasor and the
-    current vanishes.
+    At a synchronized point |sum V - V_g| = (n V* + V_g) sqrt(d), so the
+    engine's zero-power rule reads d <= (``ZERO_POWER_FRACTION`` u)^2; there
+    the string phasor meets the grid phasor and this raises DegeneratePointError.
     """
     _check_count(n)
     if not (math.isfinite(v_star) and v_star > 0.0):
@@ -168,18 +169,17 @@ def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLineari
         raise ValidationError(f"angle difference must be finite, got {angle_diff}")
     u, w = voltage_shares(n, v_star, v_g)
     span = n * v_star + v_g
-    # u - w unrounded, so d and w - u cos(dd) = 2 u sin^2(dd/2) - gap do not cancel
+    # u - w unrounded and cos(dd) = 1 - 2 sin^2(dd/2): d, a, b and w - u cos(dd) do not cancel
     gap = (n * v_star - v_g) / span
-    cos_dd = math.cos(angle_diff)
     half_sin2 = math.sin(0.5 * angle_diff) ** 2
     d = gap * gap + 4.0 * u * w * half_sin2
-    if d <= _DEGENERATE_DENOM:
+    if d <= (ZERO_POWER_FRACTION * u) ** 2:
         raise DegeneratePointError(
-            f"relative denominator {d:.3e} <= {_DEGENERATE_DENOM:g}: operating point is degenerate "
-            "(string phasor coincides with the grid phasor)"
+            f"|sum V - V_g| = {math.sqrt(d):.3e} (n V* + V_g) is at most {ZERO_POWER_FRACTION:g} n V*: "
+            "operating point is degenerate (string phasor coincides with the grid phasor)"
         )
-    a = ((1.0 - 1.0 / n) * u * u + w * w + (1.0 / n - 2.0) * u * w * cos_dd) / d
-    b = u * (w * cos_dd - u) / (n * d)
+    a = (gap * gap - u * gap / n + (4.0 - 2.0 / n) * u * w * half_sin2) / d
+    b = -u * (gap + 2.0 * w * half_sin2) / (n * d)
     return GridLinearization(a, b, d * span * span, w * (2.0 * u * half_sin2 - gap) / d)
 
 

@@ -73,14 +73,16 @@ DEFAULT_DT = 1e-3
 DEFAULT_DECIMATION = 10
 DEFAULT_CLAMP = (49.0, 51.0)
 
-# The [system] key behind each DroopParams field, by the field name that
-# opens the field's error message.  A default clamp is blamed on f_star.
-_DROOP_KEYS = {
+# The [system] key behind each DroopParams and SystemConfig field, by the field
+# name that opens its error message.  A default clamp is blamed on f_star.
+_SYSTEM_FIELD_KEYS = {
     "nominal_omega": "f_star",
     "nominal_voltage": "v_star",
     "nominal_pf_angle": "phi_star",
     "droop_gain": "m",
     "freq_clamp": "clamp",
+    "grid_voltage": "v_grid",
+    "grid_angle": "grid_angle",
 }
 
 
@@ -212,19 +214,8 @@ def parse_scenario(text: str) -> Scenario:
             mode_lineno, f"mode must be 'grid' or 'islanded', got {mode_text!r}"
         ) from None
 
-    try:
-        droop = DroopParams(
-            nominal_omega=omega_star,
-            nominal_voltage=_as_float(sys_kv["v_star"], "[system] v_star"),
-            nominal_pf_angle=_as_float(sys_kv["phi_star"], "[system] phi_star"),
-            droop_gain=_as_float(sys_kv["m"], "[system] m"),
-            freq_clamp=clamp,
-        )
-    except ValidationError as exc:
-        key = _DROOP_KEYS.get(str(exc).split(" ", 1)[0], "m")
-        lineno = sys_kv.get(key, sys_kv["f_star"])[0]
-        raise ScenarioParseError(lineno, f"[system]: {exc}") from None
-
+    num = {key: _as_float(entry, f"[system] {key}") for key, entry in sys_kv.items()
+           if key in ("v_star", "v_grid", "grid_angle", "phi_star", "m")}
     line_lineno = sections["line"][0][0] if sections["line"] else 0
     load_lineno = sections["load"][0][0] if sections["load"] else 0
     line = _impedance_from_fields(
@@ -237,17 +228,16 @@ def parse_scenario(text: str) -> Scenario:
     try:
         config = SystemConfig(
             n=n,
-            droop=droop,
-            grid_voltage=_as_float(sys_kv["v_grid"], "[system] v_grid"),
-            grid_angle=_as_float(sys_kv["grid_angle"], "[system] grid_angle")
-            if "grid_angle" in sys_kv
-            else 0.0,
+            droop=DroopParams(omega_star, num["v_star"], num["phi_star"], num["m"], clamp),
+            grid_voltage=num["v_grid"],
+            grid_angle=num.get("grid_angle", 0.0),
             line=line,
             load=load,
             mode=mode,
         )
     except ValidationError as exc:
-        raise ScenarioParseError(sys_kv["n"][0], f"[system]: {exc}") from None
+        key = _SYSTEM_FIELD_KEYS.get(str(exc).split(" ", 1)[0], "n")  # else one of n's messages
+        raise ScenarioParseError(sys_kv.get(key, sys_kv["f_star"])[0], f"[system]: {exc}") from None
 
     init_kv = _parse_kv(sections.get("initial", []), ("delta",), "initial")
     if "delta" in init_kv:

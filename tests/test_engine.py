@@ -3,6 +3,7 @@
 import cmath
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cascade_droop import (
     Impedance,
     Mode,
     NoRootError,
+    Phasor,
     Scenario,
     SetInitialDelta,
     SetLine,
@@ -40,7 +42,7 @@ from cascade_droop import (
 from cascade_droop import engine
 from cascade_droop.cases import build_case
 from cascade_droop.engine import apply_event
-from oracles import module_rows, power_scales
+from oracles import module_rows, power_scales, trig_power_flow
 
 PI = math.pi
 TAU = math.tau
@@ -379,6 +381,46 @@ def test_zero_power_startup_holds_reference_angle():
     assert np.max(np.abs(trace.pf_angle - 0.2)) < 1e-12
 
 
+@pytest.mark.parametrize("v_star", [78.75, 1e-100, 1e-160, 1e-200])
+def test_zero_current_polygon_holds_at_any_voltage_scale(v_star):
+    # four phasors pi/2 apart sum to zero current at any V*; at 1e-160 the
+    # power scale n V*^2/|Z| underflows, so the rule must not read it
+    config = make_config(v_star=v_star, mode=Mode.ISLANDED)
+    trace = simulate_from(config, [0.0, PI / 2, PI, 3 * PI / 2], 1.0, dt=1e-3).trace
+    assert np.max(np.abs(trace.frequency_hz - 50.0)) < 1e-12
+    assert np.all(trace.pf_angle == 0.2)
+
+
+@st.composite
+def _near_zero_current(draw):
+    """A string with |sum V - V_g| about 1e-11..1e-14 of n V*: an islanded polygon or a
+    grid-matched string, each angle nudged."""
+    n = draw(st.integers(2, 8))
+    islanded = draw(st.booleans())
+    base = draw(st.floats(-PI, PI))
+    scale = 10.0 ** -draw(st.floats(11.0, 14.0))
+    deltas = [base + (TAU * i / n if islanded else 0.0) + scale * draw(st.floats(-1.0, 1.0))
+              for i in range(n)]
+    config = make_config(n=n, v_star=315.0 / n, grid_angle=base,
+                         mode=Mode.ISLANDED if islanded else Mode.GRID_CONNECTED)
+    return config, deltas
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(16)
+@given(run=_near_zero_current())
+def test_kernel_holds_all_modules_or_none(run):
+    # every module carries the one string current, so |S_i| is the same for all
+    config, deltas = run
+    sentinels = [10.0 + i for i in range(config.n)]  # no measured angle reaches these
+    held = list(sentinels)
+    sample = ([], [], [], [])
+    engine._plant(config)(deltas, held, sample)
+    kept = [phi == mark for phi, mark in zip(sample[0], sentinels)]
+    assert all(kept) or not any(kept)
+    assert held == (sentinels if all(kept) else sample[0])
+
+
 def test_scenario_validation_errors():
     config = make_config()
     good = dict(config=config, initial_deltas=(0.0, 0.0, 0.0, 0.0), duration=1.0, dt=1e-3)
@@ -592,6 +634,50 @@ def test_grid_equilibrium_matched_sizing_hand_root():
     assert eq.roots[0].lambda_slow == pytest.approx(-0.25, abs=1e-9)
     # independent of the root solver's complex path: the trig-form measurement at the root
     assert abs(wrap_angle(module_rows(config, [eq.delta_s] * 4)[0].phi - 0.2)) < 1e-10
+
+
+@pytest.mark.parametrize("excess, lam", [(1e-8, 1.97e6), (1e-11, 1.97e9)])
+def test_grid_equilibrium_keeps_the_root_next_to_zero_current(excess, lam):
+    # a string just above matched sizing: besides the stable root near 2 phi*,
+    # a root at delta ~ 5 excess whose current is small but not zero
+    config = make_config(v_star=78.75 * (1.0 + excess), mode=Mode.GRID_CONNECTED)
+    low, high = grid_equilibrium(config).roots
+    assert high.delta == pytest.approx(0.4, abs=1e-6)
+    assert high.verdict is Stability.STABLE
+    assert low.verdict is Stability.UNSTABLE
+    assert low.lambda_slow == pytest.approx(lam, rel=1e-2)
+
+
+@st.composite
+def _near_matched_strings(draw):
+    """Sizing n V*/V_g = 1 +- 10^-k with k in 2..12, uniform reference, line and grid angles."""
+    n = draw(st.integers(1, 8))
+    sizing = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.floats(2.0, 12.0))
+    return make_config(n=n, v_star=sizing * 315.0 / n, phi_star=draw(st.floats(-PI, PI)),
+                       line=Impedance(0.314, draw(st.floats(-PI / 2, PI / 2))),
+                       grid_angle=draw(st.floats(-PI, PI)), mode=Mode.GRID_CONNECTED)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(17)
+@given(config=_near_matched_strings())
+def test_grid_roots_near_zero_current_have_finite_slow_modes(config):
+    try:
+        roots = grid_equilibrium(config).roots
+    except NoRootError:
+        roots = ()
+    d = config.droop
+    n, v_star, v_g, m = config.n, d.nominal_voltage, config.grid_voltage, d.droop_gain
+    grid = Phasor(v_g, config.grid_angle)
+    for root in roots:
+        assert math.isfinite(root.lambda_slow)
+        # V_g - n V* cos(dd) exactly, with cos(dd) = 1 - 2 sin^2(dd/2) from the float sine
+        dd = wrap_angle(root.delta - config.grid_angle)
+        margin = Fraction(v_g) - n * Fraction(v_star) * (1 - 2 * Fraction(math.sin(0.5 * dd)) ** 2)
+        assert root.verdict is (Stability.STABLE if margin > 0 else Stability.UNSTABLE)
+        pq = trig_power_flow([root.delta] * n, v_star, config.line, grid)[0]
+        residual = wrap_angle(math.atan2(pq.reactive, pq.active) - d.nominal_pf_angle)
+        assert abs(residual) <= 1e-12 * max(1.0, abs(root.lambda_slow) / m)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from cascade_droop import (
@@ -179,11 +179,12 @@ def test_construction_checks_reject_nan():
 
 
 def _exact_lambda_1(n, v_star, v_g, m, angle_diff):
-    # -m V_g (V_g - n V* cos dd) / D in exact arithmetic, from the float cos, sin^2 and
-    # n V*: near the degenerate point lambda_1 amplifies even the rounding of n V*
+    # -m V_g (V_g - n V* cos dd) / D in exact arithmetic, from the float sin^2 and
+    # n V*: near the degenerate point lambda_1 amplifies even the rounding of n V*.
+    # cos dd = 1 - 2 sin^2(dd/2) exactly; a float cos(dd) differs from it by an ulp.
     fs, fg = Fraction(n * v_star), Fraction(v_g)
-    cos_dd = Fraction(math.cos(angle_diff))
     sin2 = Fraction(math.sin(0.5 * angle_diff) ** 2)
+    cos_dd = 1 - 2 * sin2
     denom = (fs - fg) ** 2 + 4 * fs * fg * sin2
     return -Fraction(m) * fg * (fg - fs * cos_dd) / denom
 
@@ -200,20 +201,24 @@ def test_grid_ab_is_exact_until_the_voltage_sum_overflows():
         grid_ab(4, 1e308, 315.0, 0.1)
 
 
+def _grid_config(n, v_star, phi_star=0.0, line_angle=0.0):
+    return SystemConfig(
+        n=n,
+        droop=DroopParams(math.tau * 50.0, v_star, phi_star, 0.5),
+        grid_voltage=315.0,
+        grid_angle=0.0,
+        line=Impedance(0.314, line_angle),
+        load=Impedance(12.0, 0.0),
+        mode=Mode.GRID_CONNECTED,
+    )
+
+
 @st.composite
 def _grid_points(draw):
     """A grid-tied string of sizing n V*/V_g in 1e-8..1e8, and an angle to linearize at."""
     n = draw(st.integers(1, 8))
     v_star = 10.0 ** draw(st.floats(-8.0, 8.0)) * 315.0 / n
-    config = SystemConfig(
-        n=n,
-        droop=DroopParams(math.tau * 50.0, v_star, draw(st.floats(-PI, PI)), 0.5),
-        grid_voltage=315.0,
-        grid_angle=0.0,
-        line=Impedance(0.314, draw(st.floats(-PI / 2, PI / 2))),
-        load=Impedance(12.0, 0.0),
-        mode=Mode.GRID_CONNECTED,
-    )
+    config = _grid_config(n, v_star, draw(st.floats(-PI, PI)), draw(st.floats(-PI / 2, PI / 2)))
     return config, draw(st.floats(-PI, PI))
 
 
@@ -248,6 +253,7 @@ def test_grid_analysis_is_free_of_the_voltage_scale(point, k):
 @settings(max_examples=300, deadline=None, database=None)
 @seed(15)
 @given(point=_grid_points())
+@example(point=(_grid_config(1, 315.0), 2.0**-7))  # slow_mode gives exactly -0.25
 def test_slow_mode_matches_the_exact_closed_form(point):
     config, dd = point
     n, v_star, v_g, m = config.n, config.droop.nominal_voltage, config.grid_voltage, 0.5

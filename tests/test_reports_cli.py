@@ -2,10 +2,12 @@
 
 import concurrent.futures
 import contextlib
+import hashlib
 import importlib
 import io
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -498,6 +500,51 @@ def test_cli_case_all(tmp_path):
         assert (tmp_path / "cases" / f"case{k}.csv").exists()
         assert (tmp_path / "cases" / f"case{k}_report.txt").exists()
     assert "fail" not in proc.stdout
+
+
+EXAMPLE_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "example_scenario.scn"
+
+# sha256 of the reproduction's bytes; libm rounding may differ on other platforms
+_PINNED_DIGESTS = {
+    "case all": "924a70da4b3cf3082bc37ff2ba2ddccfb145e6fe8c5d6cfa1b100d15f39b2148",
+    "case1.csv": "33029bf90b9a5259664cedfaad196e85488a394a2d119055b6ec9d0aca48cdfe",
+    "case2.csv": "8b6b25ab32673c9cabb1cbc93c452bdce8c6e1b4fa61f494bb9e3c689e81792b",
+    "case3.csv": "1002a05c10daafc51c54030892c9fad9664e70ec79884d431497f92217d7f48f",
+    "case4.csv": "fb72c98edd963c17ec9dfeb3ca715be33b109f81778707b58dc456d4050898eb",
+    "case5.csv": "5c0429ce6de7aee22be445c33f4520bb6e3996b0f9258852e0dc2e9b1f0fae60",
+    "stability sweep": "210c5e1ad9acbc0702d892a0c34d3141da7937cb2bf8b3e039a2e83d8218c9b8",
+    "example_scenario_trace.csv": "8ac95b7e98d71eec5793dfe09464f05134afc03981073eebfec5f5d0fa95aea6",
+}
+
+
+@pytest.mark.skipif((sys.platform, platform.machine()) != ("linux", "x86_64"),
+                    reason="digests are pinned on Linux x86-64")
+def test_cli_reproduction_bytes_are_pinned(tmp_path, capsys):
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    got = {}
+    assert cli.main(["case", "all", "--out", str(tmp_path / "cases")]) == 0
+    got["case all"] = sha(capsys.readouterr().out.encode())
+    for k in range(1, 6):
+        got[f"case{k}.csv"] = sha((tmp_path / "cases" / f"case{k}.csv").read_bytes())
+    assert cli.main(["stability", str(EXAMPLE_SCENARIO),
+                     "--sweep", "angle=-3.14:3.14:0.01", "vstar=20:100:1"]) == 0
+    got["stability sweep"] = sha(capsys.readouterr().out.encode())
+    assert cli.main(["simulate", str(EXAMPLE_SCENARIO), "--out", str(tmp_path / "sim")]) == 0
+    got["example_scenario_trace.csv"] = sha(
+        (tmp_path / "sim" / "example_scenario_trace.csv").read_bytes())
+    assert got == _PINNED_DIGESTS
+
+
+def test_stability_linearizes_a_point_next_to_zero_current(tmp_path, capsys):
+    # |sum V - V_g| = 1e-8 n V*: small, but above the zero-power rule
+    scenario = tmp_path / "near.scn"
+    scenario.write_text(EXAMPLE_SCENARIO.read_text().replace("v_star = 78.75",
+                                                             "v_star = 78.7500007875"))
+    assert cli.main(["stability", str(scenario), "--angle", "0"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "point angle_diff=0: lambda1=50000000 verdict=unstable\n")
 
 
 def test_cli_case_and_stability(tmp_path):

@@ -119,7 +119,11 @@ def test_negative_gain_rejected_with_field_name():
     ("8.0 phi_star 0.75", "8.0 phi_star -inf", "nominal_pf_angle must be finite"),
     ("v_star = 78.75", "v_star = -1", "nominal_voltage"),
     ("mode = grid", "clamp = 51, 52\nmode = grid", "freq_clamp"),
-], ids=["phi_star-key", "phi_star-event", "phi_star-event-inf", "v_star-key", "clamp-key"])
+    ("v_grid = 315", "v_grid = -1", "grid_voltage must be >= 0"),
+    ("mode = grid", "grid_angle = inf\nmode = grid", "grid_angle must be finite"),
+    ("v_star = 78.75", "v_star = abc", r"^line \d+: \[system\] v_star: not a number"),
+], ids=["phi_star-key", "phi_star-event", "phi_star-event-inf", "v_star-key", "clamp-key",
+        "v_grid-key", "grid_angle-key", "v_star-not-a-number"])
 def test_droop_errors_name_their_own_line(old, new, message):
     text = BASELINE.replace(old, new)
     lineno = text.splitlines().index(new.split("\n")[0]) + 1
