@@ -3,8 +3,8 @@
 State per module is the phase angle delta_i, kept in a frame rotating at the
 nominal frequency; the grid, when connected, sits at a fixed angle in that
 frame (it runs at exactly nominal frequency).  Each integrator stage solves
-the quasi-static circuit at the current angles, measures per-module power,
-applies the droop law and advances
+the quasi-static circuit at the current angles, measures each module's
+power factor angle, applies the droop law and advances
 
     d(delta_i)/dt = omega_i - omega_star.
 
@@ -15,20 +15,27 @@ conservative; fixed stepping keeps every run bit-reproducible.
 One kernel holds the measurement and the droop law: ``_plant(config)`` binds
 the configuration's constants once and returns the closure ``rates``.
 ``simulate`` is the only way to advance the plant.  At each step boundary it
-calls ``rates`` to fill the step's sample (phi, P, Q, omega) and update the
-held measurements, then runs the three later RK4 stages inline, passing the
-previous slope and the step fraction.  The recorded sample count is known
-before the run, so ``simulate`` writes each retained sample straight into
-preallocated trace arrays.  Those arrays are the only numpy this module
-needs, so ``simulate`` imports numpy only to allocate them; scenario checks
-and the equilibria are plain ``math``.
+calls ``rates`` to update the held measurements and, on a recorded step
+only, to fill the step's sample (phi, P, Q, omega); then it runs the three
+later RK4 stages inline, passing the previous slope and the step fraction.
+The recorded sample count is known before the run, so ``simulate`` writes
+each retained sample straight into preallocated trace arrays.  Those arrays
+are the only numpy this module needs, so ``simulate`` imports numpy only to
+allocate them; scenario checks and the equilibria are plain ``math``.
 
 Every module of the series string carries the same current I, so module i
 sees S_i = V* e^{j delta_i} conj(I) and measures the power factor angle
-phi_i = wrap(delta_i - angle(I)).  While every droop error stays on one side
-of the +/-pi seam and the clamp is idle, pairwise angle differences
-therefore decay as exactly exp(-m t) in both modes, not just to first order;
-the tests use this as an oracle that is independent of the linearization.
+phi_i = wrap(delta_i - arg I).  The kernel uses that form: each call sums
+the string voltage once, takes one phase of I = (sum V - V_g)/Z, and droops
+module i on wrap(delta_i - arg I - phi*).  It forms the products
+V_i conj(I) only for a recorded row's P and Q, and the tests hold both to
+the trigonometric power flow.  The sum stays a normal number where the
+per-module powers V* |I| would be subnormal, so the measured angles keep
+their digits at any voltage scale the power-scale check admits.  While
+every droop error stays on one side of the +/-pi seam and the clamp is
+idle, pairwise angle differences decay as exactly exp(-m t) in both modes,
+not just to first order; the tests use this as an oracle that is
+independent of the linearization.
 
 A scenario is a timeline of parameter/topology events at exact step
 boundaries (event times must be multiples of dt); a ``Scenario`` that fails
@@ -63,7 +70,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 TAU = math.tau
-PI = math.pi
 
 # Most modules one string may have; every per-module list is sized from n.
 _MAX_MODULES = 1_000_000
@@ -301,7 +307,8 @@ def _plant(config: SystemConfig) -> Callable[..., list[float]]:
     # i, and |S| <= fraction * n V*^2/|Z| reads |sum V - V_g| <= fraction * n V*.
     dead_band = ZERO_POWER_FRACTION * config.n * v_star
     rect = cmath.rect
-    atan2 = math.atan2
+    phase = cmath.phase
+    remainder = math.remainder
 
     def rates(deltas: list[float], held: list[float],
               sample: tuple[list[float], ...] | None = None,
@@ -309,50 +316,46 @@ def _plant(config: SystemConfig) -> Callable[..., list[float]]:
         """Angle velocities (rad/s, frame-relative) at ``deltas``, or at ``deltas + h * k``.
 
         An RK4 stage passes the previous slope ``k`` and its step fraction
-        ``h``.  A step-boundary call passes ``sample``, four lists that
-        receive each module's phi, P, Q and omega; only such a call updates
-        ``held`` wherever the measurement was valid.
+        ``h``.  A step-boundary call (no ``k``) sets ``held[i]`` to each
+        module's measured phi_i = wrap(delta_i - arg I) while current flows.
+        A boundary call that records its row also passes ``sample``, four
+        lists that receive each module's phi (the held value), P, Q and the
+        clamped omega; only such a call forms the powers V_i conj(I).
         """
-        if k is None:
-            volts = [rect(v_star, x) for x in deltas]
-        else:
-            volts = [rect(v_star, x + h * s) for x, s in zip(deltas, k)]
+        angles = deltas if k is None else [x + h * s for x, s in zip(deltas, k)]
         total = 0j
-        for v in volts:
-            total += v
+        for x in angles:
+            total += rect(v_star, x)
         total -= drive
-        icon = (total / z).conjugate()
-        dead = abs(total) <= dead_band
-        record = sample is not None
-        if record:
+        current = total / z
+        if abs(total) <= dead_band:
+            # zero current: every module droops on its held measurement
+            xs = held
+            base = phi_star
+        else:
+            arg_i = phase(current)
+            if k is None:
+                held[:] = [wrap_angle(x - arg_i) for x in angles]
+            xs = angles
+            base = arg_i + phi_star
+        if sample is None:
+            omegas = None
+        else:
             phis, actives, reactives, omegas = sample
+            phis.extend(held)
+            icon = current.conjugate()
+            for x in angles:
+                s = rect(v_star, x) * icon
+                actives.append(s.real)
+                reactives.append(s.imag)
         out = []
-        for i, v in enumerate(volts):
-            s = v * icon
-            p = s.real
-            q = s.imag
-            if dead:
-                phi = held[i]
-            else:
-                phi = atan2(q, p)
-                if record:
-                    if phi <= -PI:
-                        phi = PI
-                    held[i] = phi
-            err = phi - phi_star
-            if err > PI:
-                err -= TAU
-            elif err <= -PI:
-                err += TAU
-            w = w_star - m * err
+        for x in xs:
+            w = w_star - m * remainder(x - base, TAU)
             if w < w_lo:
                 w = w_lo
             elif w > w_hi:
                 w = w_hi
-            if record:
-                phis.append(phi)
-                actives.append(p)
-                reactives.append(q)
+            if omegas is not None:
                 omegas.append(w)
             out.append(w - w_star)
         return out
@@ -367,8 +370,9 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
     """Run a scenario to completion; deterministic for identical inputs.
 
     This is the one way to advance the plant: each step calls the kernel at
-    the step boundary (which records the sample), then at the three later
-    RK4 stages, and combines the four slopes with weight dt/6.  Between
+    the step boundary (which updates the held measurements and, on a
+    recorded step, fills the sample), then at the three later RK4 stages,
+    and combines the four slopes with weight dt/6.  Between
     stretches it applies one ``scenario.schedule`` entry.
 
     Parameters
@@ -422,12 +426,14 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
                 except (SingularImpedanceError, ValidationError) as exc:
                     raise type(exc)(f"at event time t={start * dt:g} s: {exc}") from exc
         for k in range(start, stop):
-            sample = ([], [], [], [])
-            k1 = rates(deltas, held, sample)
             if k % decim == 0 or k == steps:
+                sample = ([], [], [], [])
+                k1 = rates(deltas, held, sample)
                 times[row] = k * dt
                 pf_angle[row], active[row], reactive[row], omega[row] = sample
                 row += 1
+            else:
+                k1 = rates(deltas, held)
             if k < steps:
                 k2 = rates(deltas, held, None, k1, half)
                 k3 = rates(deltas, held, None, k2, half)

@@ -1,6 +1,7 @@
 """Time-domain engine: integrator, events, equilibria, convergence invariants."""
 
 import cmath
+import functools
 import math
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -41,8 +42,9 @@ from cascade_droop import (
 )
 from cascade_droop import engine
 from cascade_droop.cases import build_case
+from cascade_droop.droop import ZERO_POWER_FRACTION
 from cascade_droop.engine import apply_event
-from oracles import module_rows, power_scales, trig_power_flow
+from oracles import module_rows, phi_vector, power_scales, trig_power_flow
 
 PI = math.pi
 TAU = math.tau
@@ -156,6 +158,90 @@ def test_kernel_sample_matches_power_flow_and_droop_oracles(run):
     if run is _ZERO_CURRENT:
         assert trace.pf_angle[0].tolist() == [config.droop.nominal_pf_angle] * 4
         assert trace.frequency_hz[0].tolist() == [config.droop.nominal_omega / TAU] * 4
+
+
+@st.composite
+def _stage_calls(draw):
+    """An RK4 stage call: config, angles, slopes, step fraction and held angles.
+
+    About half the draws carry no current: equal slopes keep a matched
+    grid-tied string at the grid angle, or an islanded polygon, dead.
+    """
+    config, deltas = draw(_one_step_runs())
+    n = config.n
+    h = draw(st.floats(1e-4, 0.05))
+    if draw(st.booleans()):
+        slopes = draw(st.lists(st.floats(-40.0, 40.0), min_size=n, max_size=n))
+    else:
+        s = draw(st.floats(-40.0, 40.0))
+        slopes = [s] * n
+        theta = draw(st.floats(-PI, PI))
+        if n >= 2 and draw(st.booleans()):
+            config = replace(config, mode=Mode.ISLANDED)
+            deltas = [theta + TAU * i / n - h * s for i in range(n)]
+        else:
+            config = replace(config, mode=Mode.GRID_CONNECTED, grid_angle=theta,
+                             grid_voltage=n * config.droop.nominal_voltage)
+            deltas = [theta - h * s] * n
+    held = draw(st.lists(st.floats(-PI, PI), min_size=n, max_size=n))
+    return config, deltas, slopes, h, held
+
+
+# both modules far enough off phi* that the (49.9, 50.2) Hz clamp cuts their droop
+_CLAMPED = (make_config(n=2, m=10.0, phi_star=0.0, clamp=(49.9, 50.2)),
+            [1.0, -1.0], [0.0, 0.0], 1e-3, [0.0, 0.0])
+# four phasors pi/2 apart at a common slope: no current, so each droops on its held angle
+_DEAD = (make_config(n=4), [0.0, PI / 2, PI, 3 * PI / 2], [3.0] * 4, 5e-4,
+         [0.5, -0.5, 2.0, -2.0])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(17)
+@example(call=_CLAMPED)
+@example(call=_DEAD)
+@given(call=_stage_calls())
+def test_kernel_stage_call_matches_power_flow_and_droop_oracles(call):
+    # a stage call measures at deltas + h k, droops there, and leaves the held angles alone
+    config, deltas, slopes, h, held = call
+    d = config.droop
+    before = list(held)
+    out = engine._plant(config)(deltas, held, None, slopes, h)
+    assert held == before
+    rated, scale = power_scales(config)
+    rows = module_rows(config, [x + h * s for x, s in zip(deltas, slopes)])
+    for i, row in enumerate(rows):
+        apparent = max(abs(row.active), abs(row.reactive))
+        if apparent < 1e-13 * rated:
+            phi = before[i]
+        elif apparent <= 1e-3 * scale:
+            continue  # near the hold threshold, or an angle that rounding dominates
+        else:
+            phi = row.phi
+        if abs(wrap_angle(phi - d.nominal_pf_angle)) < PI - 1e-9:  # off the seam
+            want = droop_frequency(phi, d) - d.nominal_omega
+            assert abs(out[i] - want) <= 1e-12 * d.nominal_omega
+    if call is _CLAMPED:
+        assert out == [TAU * 49.9 - d.nominal_omega, TAU * 50.2 - d.nominal_omega]
+    if call is _DEAD:
+        assert out == [droop_frequency(phi, d) - d.nominal_omega for phi in before]
+
+
+@pytest.mark.parametrize("share, holds", [(0.5, True), (2.0, False)])
+def test_kernel_dead_band_is_the_zero_power_fraction(share, holds):
+    # |sum V - V_g| = share * ZERO_POWER_FRACTION * n V*: held at half the rule, measured at twice
+    n, v_star = 4, 78.75
+    v_grid = n * v_star * (1.0 - share * ZERO_POWER_FRACTION)
+    config = make_config(n=n, v_star=v_star, v_grid=v_grid, mode=Mode.GRID_CONNECTED)
+    gap = n * v_star - config.grid_voltage  # exact: the string and the grid phasor are real
+    assert gap == pytest.approx(share * ZERO_POWER_FRACTION * n * v_star, rel=1e-3)
+    sentinels = [10.0 + i for i in range(n)]
+    held = list(sentinels)
+    sample = ([], [], [], [])
+    engine._plant(config)([0.0] * n, held, sample)
+    # a real positive gap drives I at -arg Z_line, so each module measures arg Z_line
+    want = sentinels if holds else [config.line.angle] * n
+    assert held == pytest.approx(want, abs=1e-12)
+    assert sample[0] == held
 
 
 def test_angle_differences_decay_exactly_exponentially():
@@ -389,6 +475,55 @@ def test_zero_current_polygon_holds_at_any_voltage_scale(v_star):
     trace = simulate_from(config, [0.0, PI / 2, PI, 3 * PI / 2], 1.0, dt=1e-3).trace
     assert np.max(np.abs(trace.frequency_hz - 50.0)) < 1e-12
     assert np.all(trace.pf_angle == 0.2)
+
+
+@pytest.mark.parametrize("v_star", [1e-155, 1e-160, 1e-165])
+def test_measured_angles_keep_their_digits_at_tiny_voltage(v_star):
+    # below V* ~ 1e-154 each module's power V* |I| is subnormal; sum V - V_g is not
+    config = make_config(v_star=v_star)
+    deltas = [0.1, 0.2, 0.3, 0.4]
+    sample = ([], [], [], [])
+    engine._plant(config)(deltas, [0.0] * 4, sample)
+    want = phi_vector(deltas, 1.0, generalized_load(config.line, config.load))
+    assert max(abs(wrap_angle(a - b)) for a, b in zip(sample[0], want)) <= 1e-13
+
+
+def _case1_scaled(k):
+    """Case 1's first 2.5 s, the island switch at 2 s included, with V* and V_g scaled by 2^k."""
+    scenario = build_case(1)[0]
+    config = scenario.config
+    droop = replace(config.droop, nominal_voltage=math.ldexp(config.droop.nominal_voltage, k))
+    config = replace(config, droop=droop, grid_voltage=math.ldexp(config.grid_voltage, k))
+    events = tuple(ev for ev in scenario.events if ev.time <= 2.5)
+    return simulate(Scenario(config=config, initial_deltas=scenario.initial_deltas,
+                             events=events, duration=2.5, dt=scenario.dt)).trace
+
+
+@functools.lru_cache(maxsize=1)
+def _case1_reference():
+    return _case1_scaled(0)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@seed(18)
+@example(k=-554)  # V* = 1.3e-165, where per-module atan2 measured 0.176 rad off
+@example(k=-517)  # P and Q next to the smallest normal
+@example(k=-950)
+@example(k=500)
+@given(k=st.integers(-950, 500))
+def test_traces_are_exact_under_power_of_two_voltage_scaling(k):
+    # angles and frequencies do not depend on the voltage scale, and P, Q scale by 4^k
+    ref = _case1_reference()
+    trace = _case1_scaled(k)
+    assert np.array_equal(trace.pf_angle, ref.pf_angle)
+    assert np.array_equal(trace.frequency_hz, ref.frequency_hz)
+    # P = Re(V conj(I)) sums two products; within 2^56 of the smallest normal a
+    # subnormal product can move P's last bit, so only values above that compare
+    floor = np.ldexp(np.finfo(float).tiny, 56)
+    for got, base in ((trace.active, ref.active), (trace.reactive, ref.reactive)):
+        want = np.ldexp(base, 2 * k)
+        normal = np.abs(want) >= floor
+        assert np.array_equal(got[normal], want[normal])
 
 
 @st.composite

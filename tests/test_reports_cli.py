@@ -506,7 +506,7 @@ EXAMPLE_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "example_s
 
 # sha256 of the reproduction's bytes; libm rounding may differ on other platforms
 _PINNED_DIGESTS = {
-    "case all": "924a70da4b3cf3082bc37ff2ba2ddccfb145e6fe8c5d6cfa1b100d15f39b2148",
+    "case all": "b433727222bafb069222674ca583da6c00d37dc0681ac772d2f23b1f1913ee32",
     "case1.csv": "33029bf90b9a5259664cedfaad196e85488a394a2d119055b6ec9d0aca48cdfe",
     "case2.csv": "8b6b25ab32673c9cabb1cbc93c452bdce8c6e1b4fa61f494bb9e3c689e81792b",
     "case3.csv": "1002a05c10daafc51c54030892c9fad9664e70ec79884d431497f92217d7f48f",
