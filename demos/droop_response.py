@@ -11,7 +11,7 @@ from cascade_droop import DroopParams, PowerPair, droop_frequency, power_factor_
 
 TAU = math.tau
 params = DroopParams(
-    nominal_omega=TAU * 50.0,
+    nominal_frequency=50.0,
     nominal_voltage=78.75,
     nominal_pf_angle=0.2,
     droop_gain=0.5,
@@ -29,6 +29,6 @@ for p, q in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)):
     print(f"  P={p:+.0f}, Q={q:+.0f}  ->  phi = {phi:+.6f} rad ({phi / math.pi:+.2f} pi)")
 
 print("\nshort-path tracking across the seam:")
-near_seam = DroopParams(TAU * 50.0, 78.75, -math.pi + 0.1, 0.5, (49.0, 51.0))
+near_seam = DroopParams(50.0, 78.75, -math.pi + 0.1, 0.5, (49.0, 51.0))
 f = droop_frequency(math.pi - 0.1, near_seam) / TAU
 print(f"  measured pi-0.1 against reference -pi+0.1: wrapped error -0.2 rad, f = {f:.5f} Hz")

@@ -23,7 +23,7 @@ from cascade_droop import (
 
 config = SystemConfig(
     n=5,
-    droop=DroopParams(math.tau * 50.0, 63.0, 0.2, 2.0, (49.0, 51.0)),
+    droop=DroopParams(50.0, 63.0, 0.2, 2.0, (49.0, 51.0)),
     grid_voltage=315.0,
     grid_angle=0.0,
     line=Impedance(0.314, math.pi / 2),

@@ -25,7 +25,7 @@ from cascade_droop import (
 
 config = SystemConfig(
     n=4,
-    droop=DroopParams(math.tau * 50.0, 78.75, 0.2, 0.5, (49.0, 51.0)),
+    droop=DroopParams(50.0, 78.75, 0.2, 0.5, (49.0, 51.0)),
     grid_voltage=315.0,
     grid_angle=0.0,
     line=Impedance(0.314, math.pi / 2),

@@ -135,7 +135,7 @@ def _config(mode: Mode, m: float, v_star: float, line: Impedance = LINE_INDUCTIV
     return SystemConfig(
         n=N_MODULES,
         droop=DroopParams(
-            nominal_omega=math.tau * F_STAR,
+            nominal_frequency=F_STAR,
             nominal_voltage=v_star,
             nominal_pf_angle=phi_star,
             droop_gain=m,
@@ -154,7 +154,7 @@ def _params_lines(scenario: Scenario) -> tuple[str, ...]:
     d = c.droop
     clamp = "off" if d.freq_clamp is None else f"[{d.freq_clamp[0]:g}, {d.freq_clamp[1]:g}]"
     return (
-        f"parameters: n={c.n} f_star={F_STAR:g} v_star={d.nominal_voltage:.9g} "
+        f"parameters: n={c.n} f_star={d.nominal_frequency:g} v_star={d.nominal_voltage:.9g} "
         f"v_grid={c.grid_voltage:.9g} m={d.droop_gain:.9g} phi_star={d.nominal_pf_angle:.9g} "
         f"clamp={clamp} mode={c.mode.value} dt={scenario.dt:.9g} duration={scenario.duration:.9g}",
         f"line: mag={c.line.magnitude:.9g} theta={c.line.angle:.9g}",
@@ -193,7 +193,7 @@ def frequency_error(trace: Trace, row: int, config: SystemConfig) -> float:
     if config.mode is Mode.ISLANDED:
         closed = islanded_equilibrium(config).frequency_hz
     else:
-        closed = config.droop.nominal_omega / math.tau
+        closed = config.droop.nominal_frequency
     return abs(float(trace.frequency_hz[row].mean()) - closed)
 
 

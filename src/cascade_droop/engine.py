@@ -63,7 +63,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 from . import linearization
 from .droop import ZERO_POWER_FRACTION, DroopParams, droop_frequency
-from .errors import DegeneratePointError, NoRootError, SingularImpedanceError, ValidationError
+from .errors import (DegeneratePointError, NoRootError, SimulationError, SingularImpedanceError,
+                     ValidationError)
 from .phasors import Impedance, PowerPair, generalized_load, series_impedance, wrap_angle
 
 if TYPE_CHECKING:
@@ -82,13 +83,13 @@ class Mode(Enum):
 
 @dataclass
 class InverterState:
-    """Dynamic state of one module; ``pf_angle`` is the last valid measurement."""
+    """Dynamic state of one module: its angle and its held measurement ``pf_angle``.
+
+    The amplitude is always V*; the final power and frequency are the trace's last row.
+    """
 
     delta: float
-    voltage: float
-    power: PowerPair
     pf_angle: float
-    omega: float
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,7 @@ def _plant(config: SystemConfig) -> Callable[..., list[float]]:
     """The measure/droop kernel of one configuration, its constants bound once."""
     d = config.droop
     v_star = d.nominal_voltage
-    w_star = d.nominal_omega
+    w_star = TAU * d.nominal_frequency
     m = d.droop_gain
     phi_star = d.nominal_pf_angle
     if d.freq_clamp is None:
@@ -382,6 +383,8 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
     on_event : callable, optional
         Invoked as ``on_event(time, action, deltas_before, deltas_after)``
         with copies of the angle vector around each event application.
+
+    Raises SimulationError, naming the time, if an RK4 update overflows a module angle.
     """
     steps = scenario.steps
     config = scenario.config
@@ -425,23 +428,26 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
                     rates = _plant(config)
                 except (SingularImpedanceError, ValidationError) as exc:
                     raise type(exc)(f"at event time t={start * dt:g} s: {exc}") from exc
-        for k in range(start, stop):
-            if k % decim == 0 or k == steps:
-                sample = ([], [], [], [])
-                k1 = rates(deltas, held, sample)
-                times[row] = k * dt
-                pf_angle[row], active[row], reactive[row], omega[row] = sample
-                row += 1
-            else:
-                k1 = rates(deltas, held)
-            if k < steps:
-                k2 = rates(deltas, held, None, k1, half)
-                k3 = rates(deltas, held, None, k2, half)
-                k4 = rates(deltas, held, None, k3, dt)
-                deltas = [
-                    x + sixth * (a + 2.0 * (b + c) + e)
-                    for x, a, b, c, e in zip(deltas, k1, k2, k3, k4)
-                ]
+        try:
+            for k in range(start, stop):
+                if k % decim == 0 or k == steps:
+                    sample = ([], [], [], [])
+                    k1 = rates(deltas, held, sample)
+                    times[row] = k * dt
+                    pf_angle[row], active[row], reactive[row], omega[row] = sample
+                    row += 1
+                else:
+                    k1 = rates(deltas, held)
+                if k < steps:
+                    k2 = rates(deltas, held, None, k1, half)
+                    k3 = rates(deltas, held, None, k2, half)
+                    k4 = rates(deltas, held, None, k3, dt)
+                    deltas = [
+                        x + sixth * (a + 2.0 * (b + c) + e)
+                        for x, a, b, c, e in zip(deltas, k1, k2, k3, k4)
+                    ]
+        except ValueError:  # cmath.rect refuses the infinite angle of an overflowed update
+            raise SimulationError(f"at t={k * dt:g} s: a module angle overflowed") from None
 
     np.divide(omega, TAU, out=omega)  # rad/s to Hz without a second (rows, n) array
     trace = Trace(
@@ -451,19 +457,13 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         reactive=reactive,
         pf_angle=pf_angle,
     )
-    v_star = config.droop.nominal_voltage
-    final = [
-        InverterState(x, v_star, PowerPair(p, q), phi, w)
-        for x, phi, p, q, w in zip(deltas, *sample)
-    ]
-    return SimulationResult(trace, final)
+    return SimulationResult(trace, [InverterState(x, phi) for x, phi in zip(deltas, held)])
 
 
 # --- equilibria -----------------------------------------------------------
 
 
 class IslandedEquilibrium(NamedTuple):
-    delta_common: float
     frequency_hz: float
     power: PowerPair
 
@@ -484,9 +484,11 @@ class GridEquilibrium(NamedTuple):
 def islanded_equilibrium(config: SystemConfig) -> IslandedEquilibrium:
     """Closed-form synchronized operating point of the islanded string.
 
-    All angles equal (the common angle is a free symmetry; 0 is returned as
-    the representative), every module measures the generalized-load angle,
-    and the shared frequency is the droop law evaluated there.
+    All angles are equal, every module measures the generalized-load angle,
+    and the shared frequency is the droop law evaluated there, in Hz.  The
+    common angle is a free symmetry of the islanded string, so the record
+    holds only what does not depend on it: that frequency and the
+    per-module power.
     """
     if config.mode is not Mode.ISLANDED:
         raise ValidationError("islanded_equilibrium requires an islanded configuration")
@@ -496,7 +498,6 @@ def islanded_equilibrium(config: SystemConfig) -> IslandedEquilibrium:
     v = d.nominal_voltage
     scale = config.n * v * v / z.magnitude
     return IslandedEquilibrium(
-        0.0,
         omega / TAU,
         PowerPair(scale * math.cos(z.angle), scale * math.sin(z.angle)),
     )

@@ -83,17 +83,17 @@ class LinearModel:
 class GridLinearization:
     """Coefficients of the grid-connected angle sensitivity d(phi_i) = a*dd_i + b*sum_j dd_j.
 
-    ``denom`` is D in V^2 (inf past float range), ``slow_rate`` = a + (n-1) b
-    = -lambda_1 / m in closed form; ``a - b == 1`` is an algebraic identity of
-    the two formulas, written without cancellation so that it holds down to
-    the degenerate point.  The construction-time bound is relative to the
-    larger of |a| and |b|, which grow as 1/d near that point: it catches
-    formula bugs, not conditioning.  A NaN or infinite coefficient fails it too.
+    All three fields are dimensionless and read the voltages only as shares
+    of n V* + V_g.  ``slow_rate`` = a + (n-1) b = -lambda_1 / m in closed
+    form; ``a - b == 1`` is an algebraic identity of the two formulas, written
+    without cancellation so that it holds down to the degenerate point.  The
+    construction-time bound is relative to the larger of |a| and |b|, which
+    grow as 1/d near that point: it catches formula bugs, not conditioning.
+    A NaN or infinite coefficient fails it too.
     """
 
     a: float
     b: float
-    denom: float
     slow_rate: float
 
     def __post_init__(self):
@@ -180,7 +180,7 @@ def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLineari
         )
     a = (gap * gap - u * gap / n + (4.0 - 2.0 / n) * u * w * half_sin2) / d
     b = -u * (gap + 2.0 * w * half_sin2) / (n * d)
-    return GridLinearization(a, b, d * span * span, w * (2.0 * u * half_sin2 - gap) / d)
+    return GridLinearization(a, b, w * (2.0 * u * half_sin2 - gap) / d)
 
 
 def _verdict_from_scaled(scaled: float) -> Stability:

@@ -76,7 +76,7 @@ DEFAULT_CLAMP = (49.0, 51.0)
 # The [system] key behind each DroopParams and SystemConfig field, by the field
 # name that opens its error message.  A default clamp is blamed on f_star.
 _SYSTEM_FIELD_KEYS = {
-    "nominal_omega": "f_star",
+    "nominal_frequency": "f_star",
     "nominal_voltage": "v_star",
     "nominal_pf_angle": "phi_star",
     "droop_gain": "m",
@@ -189,9 +189,9 @@ def parse_scenario(text: str) -> Scenario:
 
     n = _as_int(sys_kv["n"], "[system] n")
     f_star = _as_float(sys_kv["f_star"], "[system] f_star")
-    if f_star <= 0.0:
-        raise ScenarioParseError(sys_kv["f_star"][0], "f_star must be > 0 Hz")
-    omega_star = TAU * f_star
+    omega_star = TAU * f_star  # the l and c reactances read it
+    if not 0.0 < omega_star < math.inf:  # checked before a reactance can blame its own line
+        raise ScenarioParseError(sys_kv["f_star"][0], "f_star must be > 0 Hz, 2 pi f_star finite")
 
     clamp: tuple[float, float] | None = DEFAULT_CLAMP
     if "clamp" in sys_kv:
@@ -228,7 +228,7 @@ def parse_scenario(text: str) -> Scenario:
     try:
         config = SystemConfig(
             n=n,
-            droop=DroopParams(omega_star, num["v_star"], num["phi_star"], num["m"], clamp),
+            droop=DroopParams(f_star, num["v_star"], num["phi_star"], num["m"], clamp),
             grid_voltage=num["v_grid"],
             grid_angle=num.get("grid_angle", 0.0),
             line=line,
@@ -242,8 +242,8 @@ def parse_scenario(text: str) -> Scenario:
     init_kv = _parse_kv(sections.get("initial", []), ("delta",), "initial")
     if "delta" in init_kv:
         lineno, value = init_kv["delta"]
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        initial = tuple(_as_float((lineno, p), "[initial] delta") for p in parts)
+        # an empty entry is not a number, as in clamp
+        initial = tuple(_as_float((lineno, p.strip()), "[initial] delta") for p in value.split(","))
         if len(initial) != n:
             raise ScenarioParseError(
                 lineno, f"[initial] delta lists {len(initial)} angles for n={n} modules"
@@ -312,19 +312,13 @@ def _impedance_text(z: Impedance) -> str:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical text form of a scenario.
-
-    Parsing it back yields an equal Scenario except for ``nominal_omega``:
-    the file stores ``f_star = omega / 2pi``, so an omega that is not 2pi
-    times a float may come back 1 ulp away.  Every parsed scenario's omega
-    is 2pi times a float, so the parsed scenario round-trips exactly.
-    """
+    """Canonical text form of a scenario; parsing it back yields an equal Scenario."""
     c = scenario.config
     d = c.droop
     lines = [
         "[system]",
         f"n = {c.n}",
-        f"f_star = {_fmt(d.nominal_omega / TAU)}",
+        f"f_star = {_fmt(d.nominal_frequency)}",
         f"v_star = {_fmt(d.nominal_voltage)}",
         f"v_grid = {_fmt(c.grid_voltage)}",
         f"grid_angle = {_fmt(c.grid_angle)}",

@@ -3,7 +3,8 @@
 Each circuit formula the tests compare against lives here once: the
 per-module power factor angles of the trigonometric power flow that the
 paper's analysis uses, a central difference of them, the per-module
-(phi, P, Q, f) rows a simulation kernel should record, and a rectangular
+(phi, P, Q, f) rows a simulation kernel should record, the squared distance
+between the string and grid phasors in voltage shares, and a rectangular
 complex reference for the trigonometric expansions themselves.
 """
 
@@ -85,6 +86,13 @@ def module_rows(config, deltas):
             phi = d.nominal_pf_angle
         rows.append(Row(phi, pq.active, pq.reactive, droop_frequency(phi, d) / math.tau))
     return rows
+
+
+def share_terms(n, v_star, v_g, angle_diff):
+    """(u, w, d): the shares (n V*, V_g)/(n V* + V_g) and d = |u - w e^{j dd}|^2."""
+    span = n * v_star + v_g
+    u, w = n * v_star / span, v_g / span
+    return u, w, u * u + w * w - 2.0 * u * w * math.cos(angle_diff)
 
 
 def rect_power_flow(voltages, sink, z):

@@ -31,10 +31,9 @@ from cascade_droop import (
     wrap_angle,
 )
 from cascade_droop.cases import run_case
-from oracles import central_difference, phi_vector, rect_power_flow
+from oracles import central_difference, phi_vector, rect_power_flow, share_terms
 
 PI = math.pi
-TAU = math.tau
 
 
 def _check(name: str, measured: float, tol: float, ok: bool | None = None) -> None:
@@ -115,9 +114,10 @@ def test_criterion_03_grid_spectrum():
             lin = grid_ab(n, v_star, v_g, dd)
         except DegeneratePointError:
             continue
-        # non-degenerate draw: the denominator keeps a 0.1% margin of the
-        # squared-voltage scale, else the a/b quotients are ill-conditioned
-        if lin.denom < 1e-3 * (n * n * v_star * v_star + v_g * v_g):
+        # non-degenerate draw: the denominator d keeps a 0.1% margin of the
+        # squared shares u^2 + w^2, else the a/b quotients are ill-conditioned
+        u, w, d = share_terms(n, v_star, v_g, dd)
+        if d < 1e-3 * (u * u + w * w):
             continue
         count += 1
         worst_identity = max(worst_identity, abs(lin.a - lin.b - 1.0))
@@ -165,7 +165,8 @@ def test_criterion_04_linearization_vs_finite_differences():
             lin = grid_ab(n, v_star, v_g, wrap_angle(delta_s - delta_g))
         except DegeneratePointError:
             continue
-        if lin.denom < 0.05 * n * v_star * v_g:
+        u, w, d = share_terms(n, v_star, v_g, wrap_angle(delta_s - delta_g))
+        if d < 0.05 * u * w:
             continue
         grid = Phasor(v_g, delta_g)
         z = Impedance(0.5, theta)
@@ -200,7 +201,7 @@ def _draw_equilibrium_config(rng):
             continue
         probe = SystemConfig(
             n=n,
-            droop=DroopParams(TAU * 50.0, v_star, 0.0, m, None),
+            droop=DroopParams(50.0, v_star, 0.0, m, None),
             grid_voltage=v_g,
             grid_angle=0.0,
             line=Impedance(0.5, theta_l),
@@ -213,7 +214,7 @@ def _draw_equilibrium_config(rng):
         phi_star = math.atan2(s.reactive, s.active)
         config = SystemConfig(
             n=n,
-            droop=DroopParams(TAU * 50.0, v_star, phi_star, m, None),
+            droop=DroopParams(50.0, v_star, phi_star, m, None),
             grid_voltage=v_g,
             grid_angle=0.0,
             line=Impedance(0.5, theta_l),

@@ -31,7 +31,6 @@ from cascade_droop import (
 from cascade_droop.cases import _segments, frequency_error, tracking_error
 
 PI = math.pi
-TAU = math.tau
 V_GRID = 315.0
 
 
@@ -39,7 +38,7 @@ def grid_config(n, sizing, phi_star, line, m=0.5, grid_angle=0.0):
     """A grid-tied string whose sizing n V* / V_g is ``sizing``."""
     return SystemConfig(
         n=n,
-        droop=DroopParams(TAU * 50.0, sizing * V_GRID / n, phi_star, m, (49.0, 51.0)),
+        droop=DroopParams(50.0, sizing * V_GRID / n, phi_star, m, (49.0, 51.0)),
         grid_voltage=V_GRID,
         grid_angle=grid_angle,
         line=line,

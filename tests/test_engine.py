@@ -44,7 +44,7 @@ from cascade_droop import engine
 from cascade_droop.cases import build_case
 from cascade_droop.droop import ZERO_POWER_FRACTION
 from cascade_droop.engine import apply_event
-from oracles import module_rows, phi_vector, power_scales, trig_power_flow
+from oracles import module_rows, phi_vector, power_scales, share_terms, trig_power_flow
 
 PI = math.pi
 TAU = math.tau
@@ -54,7 +54,7 @@ def make_config(n=4, m=0.5, phi_star=0.2, v_star=78.75, v_grid=315.0, clamp=(49.
                 line=None, load=None, mode=Mode.ISLANDED, grid_angle=0.0):
     return SystemConfig(
         n=n,
-        droop=DroopParams(TAU * 50.0, v_star, phi_star, m, clamp),
+        droop=DroopParams(50.0, v_star, phi_star, m, clamp),
         grid_voltage=v_grid,
         grid_angle=grid_angle,
         line=line or Impedance(0.314, PI / 2),
@@ -79,15 +79,17 @@ def test_step_holds_exact_fixed_point():
     load = Impedance.from_rect(12.0, 0.0)
     theta = generalized_load(line, load).angle
     config = make_config(phi_star=theta, line=line, load=load)
-    out = simulate_from(config, [0.3] * 4, 0.01).final_states
-    assert [s.delta for s in out] == [0.3] * 4
-    assert all(s.omega == pytest.approx(TAU * 50.0, abs=1e-12) for s in out)
+    result = simulate_from(config, [0.3] * 4, 0.01)
+    assert [s.delta for s in result.final_states] == [0.3] * 4
+    assert result.trace.frequency_hz[-1].tolist() == pytest.approx([50.0] * 4, abs=1e-12 / TAU)
 
 
 def test_step_contracts_two_module_spread():
     config = make_config(n=2)
-    out = simulate_from(config, [0.1, -0.1], 0.01).final_states
-    assert out[0].omega < out[1].omega  # leading module is slowed, lagging one sped up
+    result = simulate_from(config, [0.1, -0.1], 0.01)
+    f = result.trace.frequency_hz[-1]
+    assert f[0] < f[1]  # leading module is slowed, lagging one sped up
+    out = result.final_states
     assert out[0].delta - out[1].delta < 0.2
 
 
@@ -157,7 +159,7 @@ def test_kernel_sample_matches_power_flow_and_droop_oracles(run):
             assert abs(trace.frequency_hz[0, i] - f) <= 1e-12 * f
     if run is _ZERO_CURRENT:
         assert trace.pf_angle[0].tolist() == [config.droop.nominal_pf_angle] * 4
-        assert trace.frequency_hz[0].tolist() == [config.droop.nominal_omega / TAU] * 4
+        assert trace.frequency_hz[0].tolist() == [config.droop.nominal_frequency] * 4
 
 
 @st.composite
@@ -204,6 +206,7 @@ def test_kernel_stage_call_matches_power_flow_and_droop_oracles(call):
     # a stage call measures at deltas + h k, droops there, and leaves the held angles alone
     config, deltas, slopes, h, held = call
     d = config.droop
+    w_star = TAU * d.nominal_frequency
     before = list(held)
     out = engine._plant(config)(deltas, held, None, slopes, h)
     assert held == before
@@ -218,12 +221,12 @@ def test_kernel_stage_call_matches_power_flow_and_droop_oracles(call):
         else:
             phi = row.phi
         if abs(wrap_angle(phi - d.nominal_pf_angle)) < PI - 1e-9:  # off the seam
-            want = droop_frequency(phi, d) - d.nominal_omega
-            assert abs(out[i] - want) <= 1e-12 * d.nominal_omega
+            want = droop_frequency(phi, d) - w_star
+            assert abs(out[i] - want) <= 1e-12 * w_star
     if call is _CLAMPED:
-        assert out == [TAU * 49.9 - d.nominal_omega, TAU * 50.2 - d.nominal_omega]
+        assert out == [TAU * 49.9 - w_star, TAU * 50.2 - w_star]
     if call is _DEAD:
-        assert out == [droop_frequency(phi, d) - d.nominal_omega for phi in before]
+        assert out == [droop_frequency(phi, d) - w_star for phi in before]
 
 
 @pytest.mark.parametrize("share, holds", [(0.5, True), (2.0, False)])
@@ -566,6 +569,12 @@ def test_scenario_validation_errors():
         Scenario(**good, events=(TimedEvent(5.0, SetPfRef(0.1)),))
     with pytest.raises(ValidationError, match="multiple"):
         Scenario(**good, events=(TimedEvent(0.0005, SetPfRef(0.1)),))
+    # at t = 2 s the tolerance is 1e-9 * 2 s: 5e-8 s off the dt grid is refused, 1e-10 s snaps
+    longer = dict(good, duration=3.0)
+    with pytest.raises(ValidationError, match="event time 2.00000005 is not a multiple of dt"):
+        Scenario(**longer, events=(TimedEvent(2.0 + 5e-8, SetPfRef(0.1)),))
+    snapped = Scenario(**longer, events=(TimedEvent(2.0 + 1e-10, SetPfRef(0.1)),))
+    assert snapped.schedule[0].step == 2000
     with pytest.raises(ValidationError, match="dt"):
         Scenario(config=config, initial_deltas=(0.0,) * 4, duration=1.0, dt=-1e-3)
     with pytest.raises(ValidationError, match="initial_deltas"):
@@ -624,10 +633,12 @@ def test_simulate_binds_one_kernel_per_changed_config(monkeypatch):
 def test_engine_omega_matches_droop_law():
     config = make_config(n=3, m=1.1, phi_star=0.15)
     scenario = Scenario(config=config, initial_deltas=(0.4, 0.0, -0.4), duration=2.0, dt=1e-3)
-    final = simulate(scenario).final_states
-    for st in final:
-        assert st.omega == pytest.approx(droop_frequency(st.pf_angle, config.droop), abs=1e-12)
-        assert st.voltage == config.droop.nominal_voltage
+    result = simulate(scenario)
+    trace = result.trace
+    # the final state holds the last row's measurement; its frequency is that row's droop law
+    assert [s.pf_angle for s in result.final_states] == trace.pf_angle[-1].tolist()
+    for phi, f in zip(trace.pf_angle[-1], trace.frequency_hz[-1]):
+        assert f == pytest.approx(droop_frequency(phi, config.droop) / TAU, abs=1e-12 / TAU)
 
 
 def test_recording_keeps_the_final_step_off_the_decimation_grid():
@@ -672,7 +683,7 @@ def test_rk4_angles_match_an_adaptive_integrator(case_id, bound):
         nonlocal deltas, t
         if t_end > t:
             d = config.droop
-            sol = solve_ivp(lambda _t, x: [droop_frequency(row.phi, d) - d.nominal_omega
+            sol = solve_ivp(lambda _t, x: [droop_frequency(row.phi, d) - TAU * d.nominal_frequency
                                            for row in module_rows(config, x)],
                             (t, t_end), deltas, method="DOP853", rtol=1e-12, atol=1e-12)
             assert sol.success, sol.message
@@ -709,10 +720,10 @@ def test_islanded_convergence_to_closed_form():
     assert worst < 1e-8
     freqs = result.trace.frequency_hz[-1]
     assert abs(float(np.mean(freqs)) - eq.frequency_hz) < 1e-4
-    powers = [s.power for s in final]
-    p_scale = max(abs(p.active) for p in powers)
-    assert max(p.active for p in powers) - min(p.active for p in powers) < 1e-6 * p_scale
-    assert max(p.reactive for p in powers) - min(p.reactive for p in powers) < 1e-6 * p_scale
+    active, reactive = result.trace.active[-1], result.trace.reactive[-1]
+    p_scale = np.abs(active).max()
+    assert np.ptp(active) < 1e-6 * p_scale
+    assert np.ptp(reactive) < 1e-6 * p_scale
     phis = [s.pf_angle for s in final]
     assert max(abs(wrap_angle(a - b)) for a in phis for b in phis) < 1e-8
 
@@ -722,14 +733,15 @@ def test_grid_steady_state_pins_nominal_frequency():
     config = make_config(v_star=23.625, m=1.0, phi_star=-0.8, mode=Mode.GRID_CONNECTED)
     scenario = Scenario(config=config, initial_deltas=(0.1, 0.05, -0.05, -0.1),
                         duration=30.0, dt=1e-3)
-    final = simulate(scenario).final_states
-    for st in final:
-        assert abs(st.omega - TAU * 50.0) < 1e-6
+    result = simulate(scenario)
+    for st in result.final_states:
         assert abs(wrap_angle(st.pf_angle + 0.8)) < 1e-6
-    powers = [s.power for s in final]
-    scale = max(p.apparent for p in powers)
-    assert max(p.active for p in powers) - min(p.active for p in powers) < 1e-6 * scale
-    assert max(p.reactive for p in powers) - min(p.reactive for p in powers) < 1e-6 * scale
+    trace = result.trace
+    assert np.abs(trace.frequency_hz[-1] - 50.0).max() < 1e-6 / TAU
+    active, reactive = trace.active[-1], trace.reactive[-1]
+    scale = np.hypot(active, reactive).max()
+    assert np.ptp(active) < 1e-6 * scale
+    assert np.ptp(reactive) < 1e-6 * scale
 
 
 # --- equilibria -------------------------------------------------------------------
@@ -905,7 +917,7 @@ def test_grid_equilibrium_and_verdicts_match_brute_force(
     except ValidationError:
         assert row == "invalid"
         return
-    assume(lin.denom > 1e-3 * (n * v_point + v_grid) ** 2)
+    assume(share_terms(n, v_point, v_grid, point_angle)[2] > 1e-3)
     model = grid_jacobian(lin, n, m)
     lam_text, verdict_text = row.split()
     lam1 = float(lam_text.removeprefix("lambda1="))

@@ -32,7 +32,7 @@ from cascade_droop import (
     wrap_angle,
 )
 from cascade_droop.linearization import slow_mode
-from oracles import central_difference, phi_vector
+from oracles import central_difference, phi_vector, share_terms
 
 PI = math.pi
 
@@ -109,9 +109,9 @@ def test_islanded_jacobian_validation():
 
 def test_grid_ab_hand_value():
     lin = grid_ab(1, 1.0, 1.0, PI / 3)
-    assert lin.denom == pytest.approx(1.0)
     assert lin.a == pytest.approx(0.5)
     assert lin.b == pytest.approx(-0.5)
+    assert lin.slow_rate == pytest.approx(0.5)  # w (w - u cos dd) / d at u = w = 1/2
 
 
 def test_grid_ab_zero_grid_recovers_islanded_coefficients():
@@ -147,7 +147,7 @@ def test_grid_ab_near_degenerate_point_keeps_its_identity():
     n, v_star, v_g, m = 2, 0.99999 * 315.0 / 2, 315.0, 0.5
     config = SystemConfig(
         n=n,
-        droop=DroopParams(math.tau * 50.0, v_star, 0.2, m),
+        droop=DroopParams(50.0, v_star, 0.2, m),
         grid_voltage=v_g,
         grid_angle=0.0,
         line=Impedance(0.314, PI / 2),
@@ -164,15 +164,18 @@ def test_grid_ab_near_degenerate_point_keeps_its_identity():
     assert abs(Fraction(lam1) - exact) <= Fraction(1, 10**9) * abs(exact)
     # the relative identity bound still rejects a formula bug
     with pytest.raises(ValidationError, match="unit-difference"):
-        GridLinearization(2.0, 0.5, 1.0, 0.0)
+        GridLinearization(2.0, 0.5, 0.0)
+    # and an error of a - b - 1 = 1e-4, which a bound of 1e-3 would let through
+    with pytest.raises(ValidationError, match="unit-difference"):
+        GridLinearization(1.5 + 1e-4, 0.5, 0.0)
 
 
 def test_construction_checks_reject_nan():
     # every comparison with NaN is False, so each check must fail unless its bound holds
     with pytest.raises(ValidationError, match="unit-difference"):
-        GridLinearization(math.nan, math.nan, 1.0, 0.0)
+        GridLinearization(math.nan, math.nan, 0.0)
     with pytest.raises(ValidationError, match="unit-difference"):
-        GridLinearization(math.inf, 0.5, 1.0, 0.0)
+        GridLinearization(math.inf, 0.5, 0.0)
     for analytic, numeric in (((math.nan, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, math.nan))):
         with pytest.raises(ValidationError, match="disagree"):
             LinearModel(np.zeros((2, 2)), analytic, numeric, Stability.MARGINAL)
@@ -194,8 +197,6 @@ def test_grid_ab_is_exact_until_the_voltage_sum_overflows():
     lin = grid_ab(4, 1e160, 315.0, 0.1)
     exact = _exact_lambda_1(4, 1e160, 315.0, 1.0, 0.1)
     assert abs(Fraction(-lin.slow_rate) - exact) <= Fraction(1, 10**12) * abs(exact)
-    assert lin.denom == math.inf
-    assert grid_ab(4, 1e150, 315.0, 0.1).denom > 0.0
     # n V* + V_g itself overflows
     with pytest.raises(ValidationError, match="exceed float range"):
         grid_ab(4, 1e308, 315.0, 0.1)
@@ -204,7 +205,7 @@ def test_grid_ab_is_exact_until_the_voltage_sum_overflows():
 def _grid_config(n, v_star, phi_star=0.0, line_angle=0.0):
     return SystemConfig(
         n=n,
-        droop=DroopParams(math.tau * 50.0, v_star, phi_star, 0.5),
+        droop=DroopParams(50.0, v_star, phi_star, 0.5),
         grid_voltage=315.0,
         grid_angle=0.0,
         line=Impedance(0.314, line_angle),
@@ -244,8 +245,8 @@ def test_grid_analysis_is_free_of_the_voltage_scale(point, k):
         with pytest.raises(DegeneratePointError):
             grid_ab(n, sv, sg, dd)
     else:
-        # D is the one field in volts: it scales by exactly 4^k
-        assert repr(grid_ab(n, sv, sg, dd)) == repr(replace(lin, denom=math.ldexp(lin.denom, 2 * k)))
+        # every field is dimensionless: the whole record is unchanged, bit for bit
+        assert repr(grid_ab(n, sv, sg, dd)) == repr(lin)
     assert _outcome(slow_mode, n, sv, sg, m, dd) == _outcome(slow_mode, n, v_star, v_g, m, dd)
     assert _outcome(grid_equilibrium, scaled) == _outcome(grid_equilibrium, config)
 
@@ -355,12 +356,12 @@ def test_grid_linearization_matches_finite_differences():
         delta_s = float(rng.uniform(-PI, PI))
         delta_g = float(rng.uniform(-PI, PI))
         theta = float(rng.uniform(-PI / 2, PI / 2))
-        lin_denom_scale = n * v_star * v_g
         try:
             lin = grid_ab(n, v_star, v_g, wrap_angle(delta_s - delta_g))
         except DegeneratePointError:
             continue
-        if lin.denom < 0.05 * lin_denom_scale:
+        u, w, d = share_terms(n, v_star, v_g, wrap_angle(delta_s - delta_g))
+        if d < 0.05 * u * w:
             continue
         z = Impedance(0.5, theta)
         grid = Phasor(v_g, delta_g)

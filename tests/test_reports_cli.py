@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cascade_droop import (
@@ -68,7 +68,7 @@ duration = 2
 def small_trace(samples=3, modules=2):
     config = SystemConfig(
         n=modules,
-        droop=DroopParams(TAU * 50.0, 50.0, 0.2, 0.5, (49.0, 51.0)),
+        droop=DroopParams(50.0, 50.0, 0.2, 0.5, (49.0, 51.0)),
         grid_voltage=100.0,
         grid_angle=0.0,
         line=Impedance(0.314, PI / 2),
@@ -170,7 +170,7 @@ def test_csv_refuses_empty_trace(tmp_path):
 def _grid_config(line):
     return SystemConfig(
         n=4,
-        droop=DroopParams(TAU * 50.0, 23.625, 0.2, 0.5, (49.0, 51.0)),
+        droop=DroopParams(50.0, 23.625, 0.2, 0.5, (49.0, 51.0)),
         grid_voltage=315.0,
         grid_angle=0.0,
         line=line,
@@ -194,7 +194,7 @@ def test_stability_report_point_and_sweep_content():
     # matched sizing at zero angle: the exact zero-current point is marked degenerate
     config = SystemConfig(
         n=4,
-        droop=DroopParams(TAU * 50.0, 78.75, 0.2, 0.5, (49.0, 51.0)),
+        droop=DroopParams(50.0, 78.75, 0.2, 0.5, (49.0, 51.0)),
         grid_voltage=315.0,
         grid_angle=0.0,
         line=Impedance(0.314, PI / 2),
@@ -547,6 +547,23 @@ def test_stability_linearizes_a_point_next_to_zero_current(tmp_path, capsys):
         "point angle_diff=0: lambda1=50000000 verdict=unstable\n")
 
 
+@pytest.mark.parametrize("m, code, message", [
+    ("1e306", 0, ""),
+    # 2 pi f* + pi m is finite, but an RK4 update overflows a module angle
+    ("1e307", 2, r"runtime error: at t=[0-9.]+ s: a module angle overflowed"),
+    ("5e307", 2, r"runtime error: at t=[0-9.]+ s: a module angle overflowed"),
+    # pi m itself overflows: refused on the m line
+    ("1e308", 1, r"validation error: line 10: \[system\]: droop_gain must be > 0"),
+], ids=["1e306-runs", "1e307-overflows", "5e307-overflows", "1e308-refused"])
+def test_cli_unclamped_gain_near_float_range_ends_in_one_line(tmp_path, capsys, m, code, message):
+    scenario = tmp_path / "gain.scn"
+    scenario.write_text(EXAMPLE_SCENARIO.read_text().replace("m = 0.5", f"m = {m}")
+                        .replace("clamp = 49, 51", "clamp = off"))
+    assert cli.main(["simulate", str(scenario), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert re.match(message, err) and err.count("\n") == (code != 0)
+
+
 def test_cli_case_and_stability(tmp_path):
     proc = _cli("case", "1", "--out", "cases", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -660,12 +677,15 @@ _NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
 @st.composite
 def _mutated_scenarios(draw):
-    text = _FUZZ_BASE
+    # an unclamped string lets a gain near float range overflow the angles
+    text = _FUZZ_BASE.replace("mode = grid", draw(st.sampled_from(("", "clamp = off\n")))
+                              + "mode = grid")
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("insert", "delete", "replace", "number")))
         if op == "number":
             match = draw(st.sampled_from(list(_NUMBER.finditer(text))))
-            new = draw(st.sampled_from(("nan", "inf", "-inf", "0", "-1", "1e308", "1e-320")))
+            new = draw(st.sampled_from(("nan", "inf", "-inf", "0", "-1", "1e307", "5e307",
+                                        "1e308", "1e-320")))
             text = text[:match.start()] + new + text[match.end():]
             continue
         pos = draw(st.integers(0, len(text) - 1))
@@ -681,6 +701,8 @@ def _mutated_scenarios(draw):
 
 @seed(11)
 @settings(max_examples=150, deadline=None, database=None)
+@example(text=_FUZZ_BASE.replace("m = 0.5", "m = 5e307\nclamp = off"))  # exit 2
+@example(text=_FUZZ_BASE.replace("m = 0.5", "m = 1e308\nclamp = off"))  # exit 1
 @given(text=_mutated_scenarios())
 def test_cli_simulate_exit_codes_on_mutated_scenarios(text):
     # --dt and --duration bound every run to 200 steps, whatever the text says
