@@ -163,70 +163,106 @@ def test_kernel_sample_matches_power_flow_and_droop_oracles(run):
 
 
 @st.composite
-def _stage_calls(draw):
-    """An RK4 stage call: config, angles, slopes, step fraction and held angles.
+def _step_calls(draw):
+    """One RK4 step: config, angles, held angles and step size.
 
-    About half the draws carry no current: equal slopes keep a matched
-    grid-tied string at the grid angle, or an islanded polygon, dead.
+    About half the draws carry no current at any stage: an islanded polygon
+    whose modules share one held angle turns rigidly and stays balanced, and
+    a matched grid-tied string at the grid angle that holds phi* stays put.
     """
     config, deltas = draw(_one_step_runs())
     n = config.n
-    h = draw(st.floats(1e-4, 0.05))
-    if draw(st.booleans()):
-        slopes = draw(st.lists(st.floats(-40.0, 40.0), min_size=n, max_size=n))
-    else:
-        s = draw(st.floats(-40.0, 40.0))
-        slopes = [s] * n
+    dt = draw(st.floats(2e-4, 0.1))
+    held = draw(st.lists(st.floats(-PI, PI), min_size=n, max_size=n))
+    if not draw(st.booleans()):
         theta = draw(st.floats(-PI, PI))
         if n >= 2 and draw(st.booleans()):
             config = replace(config, mode=Mode.ISLANDED)
-            deltas = [theta + TAU * i / n - h * s for i in range(n)]
+            deltas = [theta + TAU * i / n for i in range(n)]
+            held = [held[0]] * n
         else:
             config = replace(config, mode=Mode.GRID_CONNECTED, grid_angle=theta,
                              grid_voltage=n * config.droop.nominal_voltage)
-            deltas = [theta - h * s] * n
-    held = draw(st.lists(st.floats(-PI, PI), min_size=n, max_size=n))
-    return config, deltas, slopes, h, held
+            deltas = [theta] * n
+            held = [config.droop.nominal_pf_angle] * n
+    return config, deltas, held, dt
 
 
-# both modules far enough off phi* that the (49.9, 50.2) Hz clamp cuts their droop
+def _reference_step(config, deltas, held, dt):
+    """A classical RK4 step whose four slopes come from the trig power flow and the droop law.
+
+    Returns the new angles, the held angles after the step, the slopes, and
+    per module whether its result is comparable.  A stage near the hold
+    threshold, where rounding dominates the angle, or with a droop error on
+    the seam spoils that module's slope; before stage 4 it also moves the
+    module's next stage angle, and so every module's.  The held angles are
+    None when the boundary is spoiled.
+    """
+    d = config.droop
+    w_star = TAU * d.nominal_frequency
+    rated, scale = power_scales(config)
+    n = config.n
+    comparable = [True] * n
+    slopes = []
+    for stage, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
+        angles = [x + h * s for x, s in zip(deltas, slopes[-1])] if slopes else deltas
+        rows = module_rows(config, angles)
+        dead = [max(abs(row.active), abs(row.reactive)) < 1e-13 * rated for row in rows]
+        k = []
+        for i, row in enumerate(rows):
+            phi = held[i] if dead[i] else row.phi
+            near_hold = not dead[i] and max(abs(row.active), abs(row.reactive)) <= 1e-3 * scale
+            if near_hold or abs(wrap_angle(phi - d.nominal_pf_angle)) >= PI - 1e-9:
+                if stage < 3:
+                    comparable = [False] * n
+                comparable[i] = False
+            k.append(droop_frequency(phi, d) - w_star)
+        if stage == 0:
+            if all(dead):
+                after = held
+            else:
+                after = [row.phi for row in rows] if all(comparable) else None
+        slopes.append(k)
+    k1, k2, k3, k4 = slopes
+    sixth = dt / 6.0
+    new = [x + sixth * (a + 2.0 * (b + c) + e) for x, a, b, c, e in zip(deltas, k1, k2, k3, k4)]
+    return new, after, slopes, comparable
+
+
+# both modules far enough off phi* that the (49.9, 50.2) Hz clamp cuts their droop at every stage
 _CLAMPED = (make_config(n=2, m=10.0, phi_star=0.0, clamp=(49.9, 50.2)),
-            [1.0, -1.0], [0.0, 0.0], 1e-3, [0.0, 0.0])
-# four phasors pi/2 apart at a common slope: no current, so each droops on its held angle
-_DEAD = (make_config(n=4), [0.0, PI / 2, PI, 3 * PI / 2], [3.0] * 4, 5e-4,
-         [0.5, -0.5, 2.0, -2.0])
+            [1.0, -1.0], [0.0, 0.0], 1e-3)
+# four phasors pi/2 apart, opposite ones sharing a held angle: each pair turns together,
+# so no current flows at any stage and every module droops on its own held angle
+_DEAD = (make_config(n=4), [0.0, PI / 2, PI, 3 * PI / 2], [0.5, -2.0, 0.5, -2.0], 5e-4)
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @seed(17)
 @example(call=_CLAMPED)
 @example(call=_DEAD)
-@given(call=_stage_calls())
-def test_kernel_stage_call_matches_power_flow_and_droop_oracles(call):
-    # a stage call measures at deltas + h k, droops there, and leaves the held angles alone
-    config, deltas, slopes, h, held = call
-    d = config.droop
-    w_star = TAU * d.nominal_frequency
-    before = list(held)
-    out = engine._plant(config)(deltas, held, None, slopes, h)
-    assert held == before
-    rated, scale = power_scales(config)
-    rows = module_rows(config, [x + h * s for x, s in zip(deltas, slopes)])
-    for i, row in enumerate(rows):
-        apparent = max(abs(row.active), abs(row.reactive))
-        if apparent < 1e-13 * rated:
-            phi = before[i]
-        elif apparent <= 1e-3 * scale:
-            continue  # near the hold threshold, or an angle that rounding dominates
-        else:
-            phi = row.phi
-        if abs(wrap_angle(phi - d.nominal_pf_angle)) < PI - 1e-9:  # off the seam
-            want = droop_frequency(phi, d) - w_star
-            assert abs(out[i] - want) <= 1e-12 * w_star
+@given(call=_step_calls())
+def test_kernel_step_matches_a_reference_rk4_step(call):
+    # one kernel call advances a whole RK4 step, and stores the boundary's measurement
+    config, deltas, held, dt = call
+    w_star = TAU * config.droop.nominal_frequency
+    hold = engine._Held(list(held))
+    got = engine._plant(config, dt)(list(deltas), hold)
+    want, want_held, slopes, comparable = _reference_step(config, deltas, held, dt)
+    for i, ok in enumerate(comparable):
+        if ok:
+            # the tolerance of each slope, 1e-12 omega*, on the step's mean slope
+            assert abs(got[i] - want[i]) <= 1e-12 * w_star * dt
+    if want_held is held:  # a dead boundary keeps the held angles exactly
+        assert hold.values() == held
+    elif want_held is not None:
+        assert max(abs(wrap_angle(a - b)) for a, b in zip(hold.values(), want_held)) <= 1e-12 * PI
     if call is _CLAMPED:
-        assert out == [TAU * 49.9 - w_star, TAU * 50.2 - w_star]
+        assert slopes == [[TAU * 49.9 - w_star, TAU * 50.2 - w_star]] * 4
+        assert got == want
     if call is _DEAD:
-        assert out == [droop_frequency(phi, d) - w_star for phi in before]
+        assert slopes == [[droop_frequency(phi, config.droop) - w_star for phi in held]] * 4
+        assert got == want and hold.values() == held
 
 
 @pytest.mark.parametrize("share, holds", [(0.5, True), (2.0, False)])
@@ -238,13 +274,41 @@ def test_kernel_dead_band_is_the_zero_power_fraction(share, holds):
     gap = n * v_star - config.grid_voltage  # exact: the string and the grid phasor are real
     assert gap == pytest.approx(share * ZERO_POWER_FRACTION * n * v_star, rel=1e-3)
     sentinels = [10.0 + i for i in range(n)]
-    held = list(sentinels)
+    held = engine._Held(list(sentinels))
     sample = ([], [], [], [])
-    engine._plant(config)([0.0] * n, held, sample)
+    engine._plant(config, 1e-3)([0.0] * n, held, sample, False)
     # a real positive gap drives I at -arg Z_line, so each module measures arg Z_line
     want = sentinels if holds else [config.line.angle] * n
-    assert held == pytest.approx(want, abs=1e-12)
-    assert sample[0] == held
+    assert held.values() == pytest.approx(want, abs=1e-12)
+    assert sample[0] == held.values()
+
+
+def _exactly_at_the_dead_band():
+    """(V*, V_g) of a matched n = 2 string whose gap n V* - V_g is the kernel's dead band.
+
+    The band 2^-32 V is a multiple of the spacing of floats near n V* ~ 233 V, so
+    V_g = n V* - band is exact; V* is nudged by ulps until the band rounds to it.
+    """
+    n, band = 2, 2.0 ** -32
+    v_star = band / (ZERO_POWER_FRACTION * n)
+    for _ in range(8):
+        if ZERO_POWER_FRACTION * n * v_star == band:  # the kernel's dead_band expression
+            return v_star, n * v_star - band
+        v_star = math.nextafter(v_star, math.inf if ZERO_POWER_FRACTION * n * v_star < band
+                                else 0.0)
+    raise AssertionError("no V* within 8 ulps rounds to the band")
+
+
+def test_kernel_holds_at_exactly_the_dead_band():
+    # |sum V - V_g| == dead band at every stage: each stage holds, on phi*, so no
+    # module moves; a stage that measured instead would turn the string
+    v_star, v_grid = _exactly_at_the_dead_band()
+    config = make_config(n=2, v_star=v_star, v_grid=v_grid, mode=Mode.GRID_CONNECTED)
+    assert 2 * v_star - v_grid == ZERO_POWER_FRACTION * 2 * v_star
+    result = simulate_from(config, [0.0, 0.0], 1e-3)
+    assert [s.delta for s in result.final_states] == [0.0, 0.0]
+    assert result.trace.pf_angle.tolist() == [[0.2, 0.2]] * 2
+    assert result.trace.frequency_hz.tolist() == [[50.0, 50.0]] * 2
 
 
 def test_angle_differences_decay_exactly_exponentially():
@@ -486,7 +550,7 @@ def test_measured_angles_keep_their_digits_at_tiny_voltage(v_star):
     config = make_config(v_star=v_star)
     deltas = [0.1, 0.2, 0.3, 0.4]
     sample = ([], [], [], [])
-    engine._plant(config)(deltas, [0.0] * 4, sample)
+    engine._plant(config, 1e-3)(deltas, engine._Held([0.0] * 4), sample, False)
     want = phi_vector(deltas, 1.0, generalized_load(config.line, config.load))
     assert max(abs(wrap_angle(a - b)) for a, b in zip(sample[0], want)) <= 1e-13
 
@@ -551,12 +615,12 @@ def test_kernel_holds_all_modules_or_none(run):
     # every module carries the one string current, so |S_i| is the same for all
     config, deltas = run
     sentinels = [10.0 + i for i in range(config.n)]  # no measured angle reaches these
-    held = list(sentinels)
+    held = engine._Held(list(sentinels))
     sample = ([], [], [], [])
-    engine._plant(config)(deltas, held, sample)
+    engine._plant(config, 1e-3)(deltas, held, sample, False)
     kept = [phi == mark for phi, mark in zip(sample[0], sentinels)]
     assert all(kept) or not any(kept)
-    assert held == (sentinels if all(kept) else sample[0])
+    assert held.values() == (sentinels if all(kept) else sample[0])
 
 
 def test_scenario_validation_errors():
@@ -585,6 +649,37 @@ def test_scenario_validation_errors():
         Scenario(**good, events=(TimedEvent(0.5, SetInitialDelta(9, 0.0)),))
 
 
+def test_scenario_refuses_m_dt_past_the_rk4_stability_limit():
+    # the limit is the real root of z^3 + 4 z^2 + 12 z + 24, negated, to within an ulp
+    def cubic(x):
+        z = -Fraction(x)
+        return z ** 3 + 4 * z ** 2 + 12 * z + 24
+
+    limit = engine.RK4_STABILITY_LIMIT
+    assert cubic(math.nextafter(limit, 0.0)) > 0 > cubic(math.nextafter(limit, 4.0))
+    good = dict(config=make_config(n=2, m=1.0, clamp=None), initial_deltas=(0.1, -0.1),
+                record_decimation=1)
+    Scenario(**good, duration=limit, dt=limit)
+    past = math.nextafter(limit, 4.0)
+    with pytest.raises(ValidationError, match=r"^droop gain m = 1 /s at dt = 2.78529 s gives "
+                       r"m\*dt = 2.78529, past RK4's stability limit 2.785293563405282 "):
+        Scenario(**good, duration=past, dt=past)
+    # inside the limit each pairwise angle mode advances by RK4's growth factor R(-m dt)
+    dt = 2.7
+    growth = 1.0 - dt + dt ** 2 / 2 - dt ** 3 / 6 + dt ** 4 / 24
+    final = simulate(Scenario(**good, duration=20 * dt, dt=dt)).final_states
+    assert final[0].delta - final[1].delta == pytest.approx(0.2 * growth ** 20, rel=1e-9)
+    # a step sums six slopes of up to pi m: a gain for which that overflows is refused,
+    # and one below it runs to finite angles at the largest stable dt
+    with pytest.raises(ValidationError, match="the RK4 slope sum 6 pi m overflows"):
+        Scenario(config=make_config(n=2, m=5e307, clamp=None), initial_deltas=(0.1, -0.1),
+                 duration=5e-308, dt=5e-308)
+    dt = 2.7e-306
+    final = simulate(Scenario(config=make_config(n=2, m=1e306, clamp=None),
+                              initial_deltas=(0.1, -0.1), duration=50 * dt, dt=dt)).final_states
+    assert all(math.isfinite(s.delta) for s in final)
+
+
 def test_scenario_schedule_groups_events_by_step():
     config = make_config(mode=Mode.GRID_CONNECTED)
     load = Impedance.from_rect(3.0, -1.0)
@@ -610,13 +705,95 @@ def test_scenario_schedule_groups_events_by_step():
     assert again != scenario and replace(scenario) == scenario
 
 
+def _dead_angles(config, offset):
+    """Angles at which a matched string (n V* = V_g) carries no current in ``config``'s mode."""
+    n = config.n
+    if config.mode is Mode.GRID_CONNECTED:
+        return [config.grid_angle] * n
+    return [offset + TAU * i / n for i in range(n)]
+
+
+def _reset_to_dead(scenario, step, offset):
+    """``scenario`` with a group of angle resets at ``step`` into the dead set of the mode then."""
+    t = step * scenario.dt
+    before = [ev for ev in scenario.events if ev.time <= t]
+    config = scenario.config
+    for ev in before:
+        config = apply_event(config, ev.action)
+    resets = [TimedEvent(t, SetInitialDelta(i + 1, x))
+              for i, x in enumerate(_dead_angles(config, offset))]
+    return replace(scenario, events=(*before, *resets, *scenario.events[len(before):]))
+
+
+@st.composite
+def _deferred_runs(draw):
+    """A matched string with all five event kinds, recorded every d >= 3 steps.
+
+    Half the starts carry no current, and a group of angle resets on a step
+    that neither it nor the step before records puts the string into the
+    dead set of the mode in force.  Returns the scenario and that step.
+    """
+    n = draw(st.integers(2, 5))
+    theta = draw(st.floats(-PI, PI))
+    impedances = st.builds(Impedance, st.floats(0.05, 2.0), st.floats(-PI / 2, PI / 2))
+    loads = st.builds(Impedance.from_rect, st.floats(0.5, 20.0), st.floats(-10.0, 10.0))
+    config = make_config(n=n, m=draw(st.floats(0.5, 8.0)), phi_star=draw(st.floats(-PI, PI)),
+                         v_grid=n * 78.75, clamp=draw(st.sampled_from([None, (49.0, 51.0)])),
+                         line=draw(impedances), load=draw(loads),
+                         mode=draw(st.sampled_from(Mode)), grid_angle=theta)
+    if draw(st.booleans()):
+        initial = _dead_angles(config, theta)
+    else:
+        initial = draw(st.lists(st.floats(-PI, PI), min_size=n, max_size=n))
+    decim = draw(st.integers(3, 7))
+    steps = draw(st.integers(4 * decim, 150))
+    actions = [SetMode(draw(st.sampled_from(Mode))), SetLoad(draw(loads)),
+               SetLine(draw(impedances)), SetPfRef(draw(st.floats(-PI, PI))),
+               SetInitialDelta(draw(st.integers(1, n)), draw(st.floats(-PI, PI)))]
+    at = [draw(st.integers(0, steps)) for _ in actions]
+    events = [TimedEvent(k * 1e-3, a) for k, a in sorted(zip(at, actions), key=lambda p: p[0])]
+    scenario = Scenario(config=config, initial_deltas=tuple(initial), events=tuple(events),
+                        duration=steps * 1e-3, dt=1e-3, record_decimation=decim)
+    step = draw(st.sampled_from([k for k in range(2, steps) if k % decim not in (0, 1)]))
+    return _reset_to_dead(scenario, step, draw(st.floats(-PI, PI))), step
+
+
+# the example scenario's string, live until every module is reset onto the grid angle at step 13
+_LIVE_TO_DEAD = (_reset_to_dead(Scenario(
+    config=make_config(mode=Mode.GRID_CONNECTED), initial_deltas=(0.55, 0.45, 0.35, 0.25),
+    events=(TimedEvent(0.004, SetPfRef(0.5)), TimedEvent(0.02, SetMode(Mode.ISLANDED)),
+            TimedEvent(0.025, SetLoad(Impedance.from_rect(12.0, 6.0))),
+            TimedEvent(0.03, SetInitialDelta(3, 1.0)), TimedEvent(0.035, SetLine(Impedance(0.5, 1.0)))),
+    duration=0.04, dt=1e-3, record_decimation=5), 13, 0.0), 13)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@seed(19)
+@example(run=_LIVE_TO_DEAD)
+@given(run=_deferred_runs())
+def test_deferred_held_measurement_is_exact_at_any_decimation(run):
+    # a step stores only its angles and arg I; recording every step forms the held
+    # angles at every boundary, recording every d-th forms them only where read
+    scenario, dead_step = run
+    sparse = simulate(scenario)
+    dense = simulate(replace(scenario, record_decimation=1))
+    rows = list(range(0, scenario.steps + 1, scenario.record_decimation))
+    if rows[-1] != scenario.steps:
+        rows.append(scenario.steps)
+    for name in ("times", "frequency_hz", "active", "reactive", "pf_angle"):
+        assert np.array_equal(getattr(sparse.trace, name), getattr(dense.trace, name)[rows])
+    assert sparse.final_states == dense.final_states
+    # the reset step carries no current, so its row repeats the held angles of the step before
+    assert dense.trace.pf_angle[dead_step].tolist() == dense.trace.pf_angle[dead_step - 1].tolist()
+
+
 def test_simulate_binds_one_kernel_per_changed_config(monkeypatch):
     built = []
     real_plant = engine._plant
 
-    def counting_plant(config):
+    def counting_plant(config, dt):
         built.append(config)
-        return real_plant(config)
+        return real_plant(config, dt)
 
     monkeypatch.setattr(engine, "_plant", counting_plant)
     config = make_config(mode=Mode.GRID_CONNECTED)

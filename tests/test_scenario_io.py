@@ -22,6 +22,7 @@ from cascade_droop import (
     parse_scenario,
     serialize_scenario,
 )
+from cascade_droop.engine import RK4_STABILITY_LIMIT
 
 PI = math.pi
 
@@ -206,15 +207,17 @@ def _scenarios(draw):
     # the file and DroopParams both store the nominal frequency in Hz
     f_star = draw(st.floats(1e-3, 1e6))
     clamp = draw(st.none() | st.tuples(st.floats(0.01, 0.99), st.floats(1.01, 100.0)))
+    dt = draw(st.sampled_from([1e-4, 1e-3, 2e-3]) | st.floats(1e-5, 1.0))
+    # the gain stays inside RK4's stability limit on m dt, with a margin for rounding
+    m = draw(st.floats(1e-3, min(100.0, 0.999 * RK4_STABILITY_LIMIT / dt)))
     droop = DroopParams(
-        f_star, draw(st.floats(1e-3, 1e4)), draw(_angles), draw(st.floats(1e-3, 100.0)),
+        f_star, draw(st.floats(1e-3, 1e4)), draw(_angles), m,
         None if clamp is None else (clamp[0] * f_star, clamp[1] * f_star),
     )
     config = SystemConfig(
         n=n, droop=droop, grid_voltage=draw(st.floats(0.0, 1e4)), grid_angle=draw(_angles),
         line=draw(_impedances), load=draw(_impedances), mode=draw(st.sampled_from(Mode)),
     )
-    dt = draw(st.sampled_from([1e-4, 1e-3, 2e-3]) | st.floats(1e-5, 1.0))
     steps = draw(st.integers(1, 10_000))
     actions = st.one_of(
         st.builds(SetMode, st.sampled_from(Mode)),
