@@ -16,13 +16,15 @@ m dt <= ``RK4_STABILITY_LIMIT``, so a ``Scenario`` past it is refused.
 
 One kernel holds the measurement, the droop law and the integrator:
 ``_plant(config, dt)`` binds the constants once and returns the closure
-``step``, which advances a whole RK4 step in one call.  ``simulate`` is the
-only way to advance the plant: one call per step, which on a recorded step
-first fills the step's sample (phi, P, Q, omega); the last row only
-measures.  The held measurement is formed only where it is read: a live
-step boundary stores its angle list and arg I, and the held
-wrap(delta_i - arg I) is formed for a recorded row, a zero-current stage or
-the final states.
+``step``, which advances a whole RK4 step in one call.  Stages 1-3 share
+one loop, one droop-and-clamp pass over the modules each, and stage 4
+combines the four stages' clamped omegas.  ``simulate`` is the only way to
+advance the plant: one call per step, and on a recorded step the call fills
+the step's sample (phi, P, Q, omega) once, after the step; the last row
+keeps its angles and reads only the sample.  The held measurement is formed
+only where it is read: a live step boundary stores its angle list and
+arg I, and the held wrap(delta_i - arg I) is formed for a recorded row, a
+zero-current stage or the final states.
 The recorded sample count is known before the run, so ``simulate`` writes
 each retained sample straight into preallocated trace arrays.  Those arrays
 are the only numpy this module needs, so ``simulate`` imports numpy only to
@@ -159,7 +161,7 @@ EventAction = Union[SetMode, SetLoad, SetLine, SetPfRef, SetInitialDelta]
 
 
 def apply_event(config: SystemConfig, action: EventAction) -> SystemConfig:
-    """The configuration in force after ``action``; an angle reset leaves it unchanged."""
+    """The configuration in force after ``action``; a finite angle reset leaves it unchanged."""
     if isinstance(action, SetMode):
         return replace(config, mode=action.mode)
     if isinstance(action, SetLoad):
@@ -169,6 +171,8 @@ def apply_event(config: SystemConfig, action: EventAction) -> SystemConfig:
     if isinstance(action, SetPfRef):
         return replace(config, droop=replace(config.droop, nominal_pf_angle=action.pf_angle))
     if isinstance(action, SetInitialDelta):
+        if not math.isfinite(action.delta):
+            raise ValidationError(f"angle-reset angle must be finite, got {action.delta}")
         return config
     raise ValidationError(f"unsupported event action {action!r}")
 
@@ -320,7 +324,11 @@ class _Held:
 
 
 def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
-    """The RK4 step of one configuration and step size, its constants bound once."""
+    """The RK4 step of one configuration and step size, its constants bound once.
+
+    The closure ``step`` holds the droop law and its clamp twice: in the loop
+    body of stages 1-3 and in stage 4, which needs no next string sum.
+    """
     d = config.droop
     v_star = d.nominal_voltage
     w_star = TAU * d.nominal_frequency
@@ -346,125 +354,84 @@ def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
     # Every module carries the one string current, so |S_i| = V* |I| for all
     # i, and |S| <= fraction * n V*^2/|Z| reads |sum V - V_g| <= fraction * n V*.
     dead_band = ZERO_POWER_FRACTION * config.n * v_star
-    half = 0.5 * dt
+    increments = (0.5 * dt, 0.5 * dt, dt)  # from stages 1-3 to the next stage's angles
     sixth = dt / 6.0
     rect = cmath.rect
     phase = cmath.phase
     remainder = math.remainder
 
     def step(deltas: list[float], held: _Held,
-             sample: tuple[list[float], ...] | None = None, advance: bool = True) -> list[float]:
+             sample: tuple[list[float], ...] | None = None) -> list[float]:
         """The angles one classical RK4 step after ``deltas``, as a new list.
 
         Each stage sums the string voltage once; while current flows it
         droops every module on wrap(x - arg I - phi*) at the stage's angles
         x, and at zero current on ``held`` with arg I = 0.  A live step
-        boundary stores ``deltas`` and its arg I in ``held``.  The loops of
-        stages 1-3 form each module's clamped slope, its next stage angle
-        and that angle's term of the next string sum; the stage-4 loop
-        combines the slopes.  With ``sample``, the step first fills four
-        lists with the boundary's phi (the held values), P, Q and clamped
-        omega; only then are the powers V_i conj(I) formed.  With
-        ``advance`` false it returns ``deltas`` after the sample.
+        boundary stores ``deltas`` and its arg I in ``held``.  One loop runs
+        stages 1-3, each pass one loop over the modules that forms the
+        clamped omega, the next stage angle and that angle's term of the
+        next string sum; the stage-4 loop combines the four stages' omegas.
+        With ``sample``, the step then fills four lists with the boundary's
+        phi (the held values), P, Q and stage-1 clamped omega: only a
+        sampled step forms the powers V_i conj(I).
         """
         total = 0j
         for x in deltas:
             total += rect(v_star, x)
+        boundary = total
+        stages = []
+        xs = deltas
+        for h in increments:
+            total -= drive
+            if abs(total) <= dead_band:
+                es = held.values()
+                base = phi_star
+            else:
+                arg_i = phase(total / z)
+                if xs is deltas:  # the step boundary's measurement is the one held
+                    held.angles = deltas
+                    held.arg = arg_i
+                es = xs
+                base = arg_i + phi_star
+            omegas = []
+            xs = []
+            total = 0j
+            for x, e in zip(deltas, es):
+                w = w_star - m * remainder(e - base, TAU)
+                if w < w_lo:
+                    w = w_lo
+                elif w > w_hi:
+                    w = w_hi
+                omegas.append(w)
+                y = x + h * (w - w_star)
+                xs.append(y)
+                total += rect(v_star, y)
+            stages.append(omegas)
         total -= drive
-        current = total / z
         if abs(total) <= dead_band:
-            xs = held.values()
+            es = held.values()
             base = phi_star
         else:
-            arg_i = phase(current)
-            held.angles = deltas
-            held.arg = arg_i
-            xs = deltas
-            base = arg_i + phi_star
-        # The stages are written out, not looped: a loop over them ran about 8 %
-        # slower on case 4 (Python 3.11, 2-vCPU Xeon).  Stage 1 keeps the clamped
-        # omegas, which a recorded row reads as they are; stage 4 forms k1 from them.
-        omegas = []
-        angles = []
-        total = 0j
-        for x, e in zip(deltas, xs):
+            es = xs
+            base = phase(total / z) + phi_star
+        out = []
+        for x, a, b, c, e in zip(deltas, *stages, es):
             w = w_star - m * remainder(e - base, TAU)
             if w < w_lo:
                 w = w_lo
             elif w > w_hi:
                 w = w_hi
-            omegas.append(w)
-            y = x + half * (w - w_star)
-            angles.append(y)
-            total += rect(v_star, y)
+            out.append(x + sixth * ((a - w_star) + 2.0 * ((b - w_star) + (c - w_star))
+                                    + (w - w_star)))
         if sample is not None:
             phis, actives, reactives, row_omegas = sample
             phis.extend(held.values())
-            icon = current.conjugate()
+            icon = ((boundary - drive) / z).conjugate()
             for x in deltas:
                 s = rect(v_star, x) * icon
                 actives.append(s.real)
                 reactives.append(s.imag)
-            row_omegas.extend(omegas)
-            if not advance:
-                return deltas
-        total -= drive
-        if abs(total) <= dead_band:
-            xs = held.values()
-            base = phi_star
-        else:
-            xs = angles
-            base = phase(total / z) + phi_star
-        k2 = []
-        angles = []
-        total = 0j
-        for x, e in zip(deltas, xs):
-            w = w_star - m * remainder(e - base, TAU)
-            if w < w_lo:
-                w = w_lo
-            elif w > w_hi:
-                w = w_hi
-            s = w - w_star
-            k2.append(s)
-            y = x + half * s
-            angles.append(y)
-            total += rect(v_star, y)
-        total -= drive
-        if abs(total) <= dead_band:
-            xs = held.values()
-            base = phi_star
-        else:
-            xs = angles
-            base = phase(total / z) + phi_star
-        k3 = []
-        angles = []
-        total = 0j
-        for x, e in zip(deltas, xs):
-            w = w_star - m * remainder(e - base, TAU)
-            if w < w_lo:
-                w = w_lo
-            elif w > w_hi:
-                w = w_hi
-            s = w - w_star
-            k3.append(s)
-            y = x + dt * s
-            angles.append(y)
-            total += rect(v_star, y)
-        total -= drive
-        if abs(total) <= dead_band:
-            xs = held.values()
-            base = phi_star
-        else:
-            xs = angles
-            base = phase(total / z) + phi_star
-        out = []
-        for x, o, b, c, e in zip(deltas, omegas, k2, k3, xs):
-            w = w_star - m * remainder(e - base, TAU)
-            if w < w_lo:
-                w = w_lo
-            elif w > w_hi:
-                w = w_hi
-            out.append(x + sixth * ((o - w_star) + 2.0 * (b + c) + (w - w_star)))
+            row_omegas.extend(stages[0])
         return out
 
     return step
@@ -478,8 +445,8 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
 
     This is the one way to advance the plant: one kernel call per step
     advances the angles by a whole RK4 step and, on a recorded step, fills
-    the step's sample first; the last row only measures.  Between stretches
-    it applies one ``scenario.schedule`` entry.
+    the step's sample after it; the last row keeps its angles.  Between
+    stretches it applies one ``scenario.schedule`` entry.
 
     Parameters
     ----------
@@ -533,10 +500,12 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         for k in range(start, stop):
             if k % decim == 0 or k == steps:
                 sample = ([], [], [], [])
-                deltas = step(deltas, held, sample, k < steps)
+                moved = step(deltas, held, sample)
                 times[row] = k * dt
                 pf_angle[row], active[row], reactive[row], omega[row] = sample
                 row += 1
+                if k < steps:  # the last row only measures
+                    deltas = moved
             else:
                 deltas = step(deltas, held)
 

@@ -28,7 +28,7 @@ Grammar (``#`` starts a comment, blank lines are ignored)::
     2.0 mode islanded     # sorted by time; events at one time apply together,
     6.0 load r=12 x=6     # in file order, with one new plant per event time
     5.0 phi_star 2.356194490192345
-    5.0 delta 1 0.7853981633974483    # module index (1-based), angle (rad)
+    5.0 delta 1 0.7853981633974483    # module index (1-based), finite angle (rad)
     50.0 line mag=0.314 theta=0
 
     [solver]
@@ -39,7 +39,9 @@ Grammar (``#`` starts a comment, blank lines are ignored)::
 Unknown sections or keys are rejected; every parse or validation error
 carries the offending line number where one exists.  Checks that span
 sections (event times against dt and duration, angle-reset indices against
-n) run when the ``Scenario`` is built and raise ``ValidationError``.
+n) run when the ``Scenario`` is built and raise ``ValidationError``.  An
+event's own values are checked where it is parsed, so a non-finite
+``phi_star`` or ``delta`` angle names the event's line.
 """
 
 from __future__ import annotations

@@ -276,7 +276,7 @@ def test_kernel_dead_band_is_the_zero_power_fraction(share, holds):
     sentinels = [10.0 + i for i in range(n)]
     held = engine._Held(list(sentinels))
     sample = ([], [], [], [])
-    engine._plant(config, 1e-3)([0.0] * n, held, sample, False)
+    engine._plant(config, 1e-3)([0.0] * n, held, sample)
     # a real positive gap drives I at -arg Z_line, so each module measures arg Z_line
     want = sentinels if holds else [config.line.angle] * n
     assert held.values() == pytest.approx(want, abs=1e-12)
@@ -550,7 +550,7 @@ def test_measured_angles_keep_their_digits_at_tiny_voltage(v_star):
     config = make_config(v_star=v_star)
     deltas = [0.1, 0.2, 0.3, 0.4]
     sample = ([], [], [], [])
-    engine._plant(config, 1e-3)(deltas, engine._Held([0.0] * 4), sample, False)
+    engine._plant(config, 1e-3)(deltas, engine._Held([0.0] * 4), sample)
     want = phi_vector(deltas, 1.0, generalized_load(config.line, config.load))
     assert max(abs(wrap_angle(a - b)) for a, b in zip(sample[0], want)) <= 1e-13
 
@@ -617,7 +617,7 @@ def test_kernel_holds_all_modules_or_none(run):
     sentinels = [10.0 + i for i in range(config.n)]  # no measured angle reaches these
     held = engine._Held(list(sentinels))
     sample = ([], [], [], [])
-    engine._plant(config, 1e-3)(deltas, held, sample, False)
+    engine._plant(config, 1e-3)(deltas, held, sample)
     kept = [phi == mark for phi, mark in zip(sample[0], sentinels)]
     assert all(kept) or not any(kept)
     assert held.values() == (sentinels if all(kept) else sample[0])
@@ -647,6 +647,9 @@ def test_scenario_validation_errors():
         Scenario(**good, record_decimation=0)
     with pytest.raises(ValidationError, match="index"):
         Scenario(**good, events=(TimedEvent(0.5, SetInitialDelta(9, 0.0)),))
+    for angle in (math.nan, math.inf, -math.inf):  # nan ran to an all-nan trace
+        with pytest.raises(ValidationError, match="angle-reset angle must be finite"):
+            Scenario(**good, events=(TimedEvent(0.5, SetInitialDelta(2, angle)),))
 
 
 def test_scenario_refuses_m_dt_past_the_rk4_stability_limit():

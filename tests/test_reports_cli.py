@@ -460,6 +460,20 @@ def test_cli_simulate_refuses_an_overflowing_power_scale(tmp_path, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_cli_simulate_refuses_a_non_finite_angle_reset(tmp_path, monkeypatch, capsys, angle):
+    text = SCENARIO_TEXT.replace("[solver]", f"[events]\n1.0 delta 2 {angle}\n\n[solver]")
+    lineno = text.splitlines().index(f"1.0 delta 2 {angle}") + 1
+    (tmp_path / "reset.scn").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "reset.scn", "--out", "out"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"validation error: line {lineno}: delta event: "
+                   f"angle-reset angle must be finite, got {float(angle)}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cold_start_loads_numpy_only_to_simulate(tmp_path):
     # a fresh interpreter: the package, stability reports, validation errors,
     # parsing and the equilibria are plain math; simulate builds numpy arrays
@@ -716,6 +730,8 @@ def _mutated_scenarios(draw):
 @settings(max_examples=150, deadline=None, database=None)
 @example(text=_FUZZ_BASE.replace("m = 0.5", "m = 5e307\nclamp = off"))  # exit 1: m dt
 @example(text=_FUZZ_BASE.replace("m = 0.5", "m = 1e308\nclamp = off"))  # exit 1
+@example(text=_FUZZ_BASE.replace("0.08 delta 1 0.3", "0.08 delta 1 nan"))  # exit 1
+@example(text=_FUZZ_BASE.replace("0.08 delta 1 0.3", "0.08 delta 1 inf"))  # exit 1
 @given(text=_mutated_scenarios())
 def test_cli_simulate_exit_codes_on_mutated_scenarios(text):
     # --dt and --duration bound every run to 200 steps, whatever the text says
@@ -729,3 +745,6 @@ def test_cli_simulate_exit_codes_on_mutated_scenarios(text):
                              "--dt", "0.001", "--duration", "0.2"])
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 0:
+        final = out.getvalue().split("final frequencies (Hz): ", 1)[1]
+        assert all(math.isfinite(float(f)) for f in final.split(","))

@@ -2,9 +2,12 @@
 
     python3 tools/bench_pairs.py --parent HEAD --pr 16 --pairs 10 --scratch /tmp/bench
 
-Run from anywhere inside the repository.  The parent revision is exported
-with ``git archive`` into a temporary directory under ``--scratch`` (removed
-afterwards), and the change is the working tree as it stands.  For each
+Run from anywhere inside the repository.  Both sides run from copies in one
+temporary directory under ``--scratch`` (removed afterwards): the parent
+revision exported with ``git archive``, and the change as the working tree
+stands, its tracked and untracked, non-ignored files that exist.  Neither
+side runs in the checkout, so a slower read of its directory biases
+neither side, and the checkout's ``perfbench/_work`` stays untouched.  For each
 workload that BENCHMARK.json gates, pair i runs ``perfbench/run.py`` once on
 each side with seed i, for the benchmark's ``run_seconds``; odd pairs run
 the parent first and even pairs the change first, so drift in the host's
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,6 +43,16 @@ def export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, non-ignored files into ``dest``."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    for name in filter(None, names):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -90,7 +104,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, type=int, help="number in BENCH_<pr>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--scratch", type=Path, required=True,
-                        help="directory for the parent's exported tree")
+                        help="directory for the two sides' exported trees")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -112,8 +126,11 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for tree in trees.values():
+            tree.mkdir()
         export(parent_sha, trees["parent"])
+        export_worktree(trees["change"])
         hosts = set()
         for workload in workloads:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
