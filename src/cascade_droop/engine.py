@@ -48,16 +48,20 @@ A scenario is a timeline of parameter/topology events at exact step
 boundaries (event times must be multiples of dt); a ``Scenario`` that fails
 a check raises ``ValidationError`` when it is built.  A mode, load, line or
 reference event is a pure update of the configuration, ``apply_event(config,
-action)``; only the angle-reset event writes state, and it leaves the config
-unchanged.  Events at one time apply together, in file order: the
-scenario's ``schedule`` holds one entry per event step with the fold of
-``apply_event`` over all events so far, and ``simulate`` builds one kernel
-per entry whose config changed, never one for a config between two events.
+action)``, which is also the one check of an event's own values; only the
+angle-reset event writes state, and it leaves the config unchanged.  Events
+at one time apply together, in file order: the scenario's ``schedule``
+holds one entry per event step with the fold of ``apply_event`` over all
+events so far, and ``simulate`` builds one kernel per entry whose config
+changed, never one for a config between two events.
 
 At zero current the power factor angle is undefined.  All modules carry one
 current, so the zero-power rule of ``droop.ZERO_POWER_FRACTION`` holds for
 all or none; the engine then holds each module's previous valid measurement,
-initialized to the reference angle, so a dead start is well defined.
+initialized to the phi* in force at the first step, so a dead start is
+well defined.  The run starts after the events at t = 0, with their kernel
+and their phi*: it is, bit for bit, the run with those events folded into
+the config and the initial angles.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ EventAction = Union[SetMode, SetLoad, SetLine, SetPfRef, SetInitialDelta]
 
 
 def apply_event(config: SystemConfig, action: EventAction) -> SystemConfig:
-    """The configuration in force after ``action``; a finite angle reset leaves it unchanged."""
+    """The config in force after ``action`` (a reset keeps it); the one check of its values."""
     if isinstance(action, SetMode):
         return replace(config, mode=action.mode)
     if isinstance(action, SetLoad):
@@ -171,6 +175,8 @@ def apply_event(config: SystemConfig, action: EventAction) -> SystemConfig:
     if isinstance(action, SetPfRef):
         return replace(config, droop=replace(config.droop, nominal_pf_angle=action.pf_angle))
     if isinstance(action, SetInitialDelta):
+        if not (isinstance(action.index, int) and 1 <= action.index <= config.n):
+            raise ValidationError(f"angle-reset index {action.index!r} outside 1..{config.n}")
         if not math.isfinite(action.delta):
             raise ValidationError(f"angle-reset angle must be finite, got {action.delta}")
         return config
@@ -244,10 +250,6 @@ class Scenario:
             if not (0.0 <= ev.time <= self.duration):
                 raise ValidationError(f"event time {ev.time} outside [0, {self.duration}]")
             step = _exact_step(ev.time, self.dt, "event time")
-            if isinstance(ev.action, SetInitialDelta) and not 1 <= ev.action.index <= self.config.n:
-                raise ValidationError(
-                    f"angle-reset index {ev.action.index} outside 1..{self.config.n}"
-                )
             config = apply_event(config, ev.action)
             if schedule and schedule[-1].step == step:
                 actions = (*schedule[-1].actions, ev.action)
@@ -457,7 +459,9 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         with copies of the angle vector around each event application.
     """
     steps = scenario.steps
-    config = scenario.config
+    bounds = [group.step for group in scenario.schedule]
+    # the run starts after the events at t = 0: the first kernel and held phi* are theirs
+    config = scenario.schedule[0].config if bounds[:1] == [0] else scenario.config
     n = config.n
     dt = scenario.dt
     step = _plant(config, dt)
@@ -481,7 +485,6 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         ) from None
     row = 0
 
-    bounds = [group.step for group in scenario.schedule]
     for group, start, stop in zip((None, *scenario.schedule), [0, *bounds], [*bounds, steps + 1]):
         if group is not None:
             # a reset writes into the list the last step returned, which no step has read yet

@@ -37,11 +37,11 @@ Grammar (``#`` starts a comment, blank lines are ignored)::
     decimation = 10       # record every k-th step (default 10)
 
 Unknown sections or keys are rejected; every parse or validation error
-carries the offending line number where one exists.  Checks that span
-sections (event times against dt and duration, angle-reset indices against
-n) run when the ``Scenario`` is built and raise ``ValidationError``.  An
-event's own values are checked where it is parsed, so a non-finite
-``phi_star`` or ``delta`` angle names the event's line.
+carries the offending line number where one exists.  Event times are checked
+against dt and duration when the ``Scenario`` is built.  Each event's own
+values are checked by ``engine.apply_event`` where it is parsed, so a
+non-finite angle or an angle-reset index outside 1..n names the event's line.
+Events at t = 0 apply before the first step, as if folded into the sections.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ _SYSTEM_KEYS = ("n", "f_star", "v_star", "v_grid", "grid_angle", "phi_star", "m"
 _IMPEDANCE_KEYS = ("mag", "theta", "r", "x", "l", "c")
 _SOLVER_KEYS = ("dt", "duration", "decimation")
 
-DEFAULT_DT = 1e-3
-DEFAULT_DECIMATION = 10
 DEFAULT_CLAMP = (49.0, 51.0)
 
 # The [system] key behind each DroopParams and SystemConfig field, by the field
@@ -293,16 +291,12 @@ def parse_scenario(text: str) -> Scenario:
     solver_kv = _parse_kv(sections["solver"], _SOLVER_KEYS, "solver")
     if "duration" not in solver_kv:
         raise ScenarioParseError(0, "[solver] is missing required key 'duration'")
-    return Scenario(
-        config=config,
-        initial_deltas=initial,
-        events=tuple(events),
-        duration=_as_float(solver_kv["duration"], "[solver] duration"),
-        dt=_as_float(solver_kv["dt"], "[solver] dt") if "dt" in solver_kv else DEFAULT_DT,
-        record_decimation=_as_int(solver_kv["decimation"], "[solver] decimation")
-        if "decimation" in solver_kv
-        else DEFAULT_DECIMATION,
-    )
+    solver = {"duration": _as_float(solver_kv["duration"], "[solver] duration")}
+    if "dt" in solver_kv:  # else Scenario's own default
+        solver["dt"] = _as_float(solver_kv["dt"], "[solver] dt")
+    if "decimation" in solver_kv:
+        solver["record_decimation"] = _as_int(solver_kv["decimation"], "[solver] decimation")
+    return Scenario(config=config, initial_deltas=initial, events=tuple(events), **solver)
 
 
 def _fmt(x: float) -> str:

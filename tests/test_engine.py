@@ -265,14 +265,19 @@ def test_kernel_step_matches_a_reference_rk4_step(call):
         assert got == want and hold.values() == held
 
 
-@pytest.mark.parametrize("share, holds", [(0.5, True), (2.0, False)])
-def test_kernel_dead_band_is_the_zero_power_fraction(share, holds):
-    # |sum V - V_g| = share * ZERO_POWER_FRACTION * n V*: held at half the rule, measured at twice
+@pytest.mark.parametrize("fraction, holds", [
+    (0.5 * ZERO_POWER_FRACTION, True),
+    (2.0 * ZERO_POWER_FRACTION, False),
+    (5e-12, False),
+], ids=["0.5-True", "2.0-False", "literal-5e-12-False"])
+def test_kernel_dead_band_is_the_zero_power_fraction(fraction, holds):
+    # |sum V - V_g| = fraction * n V*: held at half the rule, measured at twice, and
+    # measured at a literal 5e-12, which pins the constant's value as well
     n, v_star = 4, 78.75
-    v_grid = n * v_star * (1.0 - share * ZERO_POWER_FRACTION)
+    v_grid = n * v_star * (1.0 - fraction)
     config = make_config(n=n, v_star=v_star, v_grid=v_grid, mode=Mode.GRID_CONNECTED)
     gap = n * v_star - config.grid_voltage  # exact: the string and the grid phasor are real
-    assert gap == pytest.approx(share * ZERO_POWER_FRACTION * n * v_star, rel=1e-3)
+    assert gap == pytest.approx(fraction * n * v_star, rel=1e-3)
     sentinels = [10.0 + i for i in range(n)]
     held = engine._Held(list(sentinels))
     sample = ([], [], [], [])
@@ -518,6 +523,9 @@ def test_apply_event_rejects_non_finite_pf_reference(target):
 def test_apply_event_angle_reset_and_unknown_action():
     config = make_config()
     assert apply_event(config, SetInitialDelta(2, 0.7)) is config
+    for index in (0, 5, 1.5):  # 1.5 reached simulate and failed there with a TypeError
+        with pytest.raises(ValidationError, match=f"angle-reset index {index} outside 1..4"):
+            apply_event(config, SetInitialDelta(index, 0.7))
     with pytest.raises(ValidationError, match="unsupported event action"):
         apply_event(config, "islanded")
 
@@ -706,6 +714,92 @@ def test_scenario_schedule_groups_events_by_step():
     again = replace(scenario, config=clamp_off)
     assert again.schedule[1].config == replace(after, droop=clamp_off.droop)
     assert again != scenario and replace(scenario) == scenario
+
+
+# --- events at t = 0 and at t = duration ------------------------------------------
+
+# three starts of make_config's matched string (n V* = V_g): one live, two at zero current
+_STARTS = {
+    "live": (Mode.GRID_CONNECTED, (0.55, 0.45, 0.35, 0.25)),
+    "islanded-polygon": (Mode.ISLANDED, (0.0, PI / 2, PI, 3 * PI / 2)),
+    "matched-grid": (Mode.GRID_CONNECTED, (0.0,) * 4),
+}
+_ACTIONS = {
+    "mode-islanded": st.just(SetMode(Mode.ISLANDED)),
+    "mode-grid": st.just(SetMode(Mode.GRID_CONNECTED)),
+    "load": st.builds(lambda r, x: SetLoad(Impedance.from_rect(r, x)),
+                      st.floats(1.0, 20.0), st.floats(-10.0, 10.0)),
+    "line": st.builds(lambda mag, theta: SetLine(Impedance(mag, theta)),
+                      st.floats(0.05, 1.0), st.floats(-PI / 2, PI / 2)),
+    "phi_star": st.builds(SetPfRef, st.floats(-PI, PI)),
+    "delta": st.builds(SetInitialDelta, st.integers(1, 4), st.floats(-PI, PI)),
+}
+_CHANNELS = ("times", "frequency_hz", "active", "reactive", "pf_angle")
+
+
+def _folded(scenario):
+    """``scenario`` with its events at t = 0 folded into its config and initial angles."""
+    config, deltas = scenario.config, list(scenario.initial_deltas)
+    for ev in scenario.events:
+        if ev.time == 0.0:
+            config = apply_event(config, ev.action)
+            if isinstance(ev.action, SetInitialDelta):
+                deltas[ev.action.index - 1] = ev.action.delta
+    return replace(scenario, config=config, initial_deltas=tuple(deltas),
+                   events=tuple(ev for ev in scenario.events if ev.time > 0.0))
+
+
+@pytest.mark.parametrize("kind", list(_ACTIONS))
+@pytest.mark.parametrize("start", list(_STARTS))
+@settings(max_examples=8, deadline=None, database=None)
+@seed(23)
+@given(data=st.data())
+def test_events_at_t0_run_as_the_folded_scenario(start, kind, data):
+    # the run starts after its t = 0 events, held measurement included: bit for bit
+    # the run with those events folded in, from a live start or a dead one
+    mode, deltas = _STARTS[start]
+    config = make_config(mode=mode)
+    events = (TimedEvent(0.0, data.draw(_ACTIONS[kind])), TimedEvent(0.05, SetPfRef(-0.3)))
+    scenario = Scenario(config=config, initial_deltas=deltas, events=events, duration=0.1,
+                        record_decimation=data.draw(st.sampled_from((1, 7, 10))))
+    got, want = simulate(scenario), simulate(_folded(scenario))
+    for name in _CHANNELS:
+        assert getattr(got.trace, name).tobytes() == getattr(want.trace, name).tobytes(), name
+    assert got.final_states == want.final_states
+
+
+def test_a_t0_event_replaces_the_config_before_any_kernel_is_built():
+    # the islanded start config cancels its line; a t = 0 load event takes it out first
+    config = make_config(load=Impedance(0.314, -PI / 2))
+    scenario = Scenario(config=config, initial_deltas=_STARTS["live"][1], duration=0.1,
+                        events=(TimedEvent(0.0, SetLoad(Impedance.from_rect(12.0, 0.0))),))
+    got, want = simulate(scenario), simulate(_folded(scenario))
+    assert got.trace.frequency_hz.tobytes() == want.trace.frequency_hz.tobytes()
+
+
+@pytest.mark.parametrize("decimation", [1, 7, 10])
+@pytest.mark.parametrize("action", [
+    SetMode(Mode.GRID_CONNECTED),
+    SetLoad(Impedance.from_rect(6.0, 3.0)),
+    SetLine(Impedance(0.5, 0.3)),
+    SetPfRef(-0.3),
+    SetInitialDelta(2, 1.0),
+], ids=["mode", "load", "line", "phi_star", "delta"])
+def test_an_event_at_duration_changes_only_the_last_row(action, decimation):
+    base = Scenario(config=make_config(), initial_deltas=_STARTS["live"][1], duration=0.05,
+                    record_decimation=decimation)
+    plain = simulate(base)
+    ended = simulate(replace(base, events=(TimedEvent(0.05, action),)))
+    assert ended.trace.times.tobytes() == plain.trace.times.tobytes()
+    for name in _CHANNELS[1:]:
+        got, want = getattr(ended.trace, name), getattr(plain.trace, name)
+        assert got[:-1].tobytes() == want[:-1].tobytes(), name
+    # the last row measures the plant after the event, and no step follows it
+    assert (ended.trace.frequency_hz[-1] != plain.trace.frequency_hz[-1]).all()
+    deltas = [s.delta for s in plain.final_states]
+    if isinstance(action, SetInitialDelta):
+        deltas[action.index - 1] = action.delta
+    assert [s.delta for s in ended.final_states] == deltas
 
 
 def _dead_angles(config, offset):

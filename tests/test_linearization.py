@@ -311,6 +311,15 @@ def test_grid_jacobian_verdicts():
     assert grid_jacobian(lin, 4, 0.5).stable is Stability.MARGINAL
 
 
+def test_marginal_band_is_closed_at_1e_12():
+    # |lambda_1 / m| == 1e-12 exactly is marginal; the next float out is decided by sign
+    for rate, verdict in ((1e-12, Stability.MARGINAL), (-1e-12, Stability.MARGINAL),
+                          (math.nextafter(1e-12, 1.0), Stability.STABLE),
+                          (math.nextafter(-1e-12, -1.0), Stability.UNSTABLE)):
+        lin = GridLinearization((1.0 + rate) / 2.0, (rate - 1.0) / 2.0, rate)  # n = 2
+        assert grid_jacobian(lin, 2, 0.5).stable is verdict
+
+
 def test_stability_condition_examples_and_consistency():
     assert stability_condition(4, 78.75, 315.0, PI / 2) is Stability.STABLE
     assert stability_condition(4, 100.0, 315.0, 0.0) is Stability.UNSTABLE

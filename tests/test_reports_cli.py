@@ -474,6 +474,20 @@ def test_cli_simulate_refuses_a_non_finite_angle_reset(tmp_path, monkeypatch, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_simulate_names_the_line_of_a_bad_reset_index(tmp_path, monkeypatch, capsys):
+    text = EXAMPLE_SCENARIO.read_text().replace("6.0 load r=12 x=6\n",
+                                                "6.0 load r=12 x=6\n7.0 delta 9 0.5\n")
+    lineno = text.splitlines().index("7.0 delta 9 0.5") + 1
+    (tmp_path / "reset.scn").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "reset.scn", "--out", "out"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"validation error: line {lineno}: delta event: "
+                   "angle-reset index 9 outside 1..4\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cold_start_loads_numpy_only_to_simulate(tmp_path):
     # a fresh interpreter: the package, stability reports, validation errors,
     # parsing and the equilibria are plain math; simulate builds numpy arrays
@@ -732,6 +746,8 @@ def _mutated_scenarios(draw):
 @example(text=_FUZZ_BASE.replace("m = 0.5", "m = 1e308\nclamp = off"))  # exit 1
 @example(text=_FUZZ_BASE.replace("0.08 delta 1 0.3", "0.08 delta 1 nan"))  # exit 1
 @example(text=_FUZZ_BASE.replace("0.08 delta 1 0.3", "0.08 delta 1 inf"))  # exit 1
+@example(text=_FUZZ_BASE.replace("0.05 phi_star", "0.0 phi_star"))  # exit 0: at t = 0
+@example(text=_FUZZ_BASE.replace("[events]\n", "[events]\n0.0 delta 1 1.0\n"))  # exit 0
 @given(text=_mutated_scenarios())
 def test_cli_simulate_exit_codes_on_mutated_scenarios(text):
     # --dt and --duration bound every run to 200 steps, whatever the text says

@@ -112,7 +112,8 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
     parent_sha = git("rev-parse", args.parent)
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    # export_worktree copies untracked, non-ignored files too, so they count as changes
+    dirty = bool(git("status", "--porcelain"))
     args.scratch.mkdir(parents=True, exist_ok=True)
 
     report = {
