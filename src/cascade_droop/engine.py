@@ -578,19 +578,29 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
     """Synchronized grid-mode operating points, in closed form.
 
     With every angle at delta and x = delta - delta_g, the per-module power
-    is S(x) = k (c - r e^{jx}) / conj(Z_line), k = V* (n V* + V_g), with (c, r)
-    the `linearization.voltage_shares`: no root depends on the voltage scale.  The
-    condition arg S = phi* asks where the ray at psi = phi* - theta_line
-    meets the circle of centre c and radius r: the roots t > 0 of
+    is S(x) = k (c - r e^{jx}) / conj(Z_line), k = V* (n V* + V_g), with
+    (c, r, gap) the `linearization.voltage_shares`: no root depends on the
+    voltage scale.  The condition arg S = phi* asks where the ray at
+    psi = phi* - theta_line meets the circle of centre c and radius r.
+    Since c + r = 1 and c - r = gap, its points c - r e^{jx} = t e^{j psi}
+    are the roots t > 0 of
 
-        t^2 - 2 c cos(psi) t + c^2 - r^2 = 0,
+        t^2 - 2 c cos(psi) t + gap = 0,
 
-    each mapped back by x = atan2(-t sin psi, c - t cos psi).  Since
-    |S| = k t / |Z|, a root at or next to t = 0 has zero current and an
-    undefined angle: ``linearization.slow_mode`` calls its point degenerate
-    and it is dropped.  There are at most two roots, returned sorted, each
-    with a finite lambda_1 and verdict from ``slow_mode``; ``delta_s`` is
-    the first stable one, else the first marginal one, else the first.
+    taken as q = c cos(psi) + sign(cos psi) sqrt((c cos psi)^2 - gap) and
+    gap / q, which do not cancel, and each mapped back by
+    x = atan2(-t sin psi, c - t cos psi).  Since |S| = k t / |Z|, a root
+    next to t = 0 has almost no current: ``linearization.slow_mode`` calls
+    its point degenerate and it is dropped.
+
+    There are at most two roots, returned sorted by delta, each with a
+    finite lambda_1 and verdict from ``slow_mode``.  ``delta_s`` is the one
+    with the larger t, the far intersection.  Along the circle,
+    d arg S / dx = r (r - c cos x) / t^2 = (t^2 - gap) / (2 t^2), and
+    t^2 - gap has the sign of V_g - n V* cos(x), the stability margin.  Two
+    roots have t_near t_far = gap > 0, so the far root is the stable one
+    and the near root the unstable one; a tangent root (t^2 = gap) is
+    marginal; an undersized string (gap < 0) has one root, and it is stable.
 
     Raises NoRootError when no root is left: the requested power factor
     angle is unreachable at this sizing.  Raises ValidationError when
@@ -600,20 +610,21 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
         raise ValidationError("grid_equilibrium requires a grid-connected configuration")
     d = config.droop
     n = config.n
-    c, r = linearization.voltage_shares(n, d.nominal_voltage, config.grid_voltage)
+    c, _, gap = linearization.voltage_shares(n, d.nominal_voltage, config.grid_voltage)
     psi = d.nominal_pf_angle - config.line.angle
     cos_psi = math.cos(psi)
     sin_psi = math.sin(psi)
-    disc = r * r - (c * sin_psi) ** 2
-    ts: set[float] = set()
+    disc = (c * cos_psi) ** 2 - gap
+    ts: tuple[float, ...] = ()
     if disc >= 0.0:
-        half_chord = math.sqrt(disc)
-        ts = {c * cos_psi - half_chord, c * cos_psi + half_chord}  # one value when tangent
-    infos = []
-    for delta in sorted(
-        wrap_angle(math.atan2(-t * sin_psi, c - t * cos_psi) + config.grid_angle)
-        for t in ts if t > 0.0
-    ):
+        q = c * cos_psi + math.copysign(math.sqrt(disc), cos_psi)
+        if q != 0.0:
+            ts = (q,) if disc == 0.0 else (q, gap / q)
+    roots = []
+    for t in sorted(ts, reverse=True):  # the far root first: it is delta_s
+        if t <= 0.0:
+            continue
+        delta = wrap_angle(math.atan2(-t * sin_psi, c - t * cos_psi) + config.grid_angle)
         try:
             lam, verdict = linearization.slow_mode(
                 n, d.nominal_voltage, config.grid_voltage, d.droop_gain,
@@ -621,15 +632,10 @@ def grid_equilibrium(config: SystemConfig) -> GridEquilibrium:
             )
         except DegeneratePointError:
             continue
-        infos.append(GridRoot(delta, lam, verdict))
-    if not infos:
+        roots.append(GridRoot(delta, lam, verdict))
+    if not roots:
         raise NoRootError(
             "no synchronized grid-mode operating point: the power factor angle reference "
             "is unreachable for this string sizing and line"
         )
-
-    for want in (linearization.Stability.STABLE, linearization.Stability.MARGINAL):
-        for info in infos:
-            if info.verdict is want:
-                return GridEquilibrium(info.delta, tuple(infos))
-    return GridEquilibrium(infos[0].delta, tuple(infos))
+    return GridEquilibrium(roots[0].delta, tuple(sorted(roots, key=lambda root: root.delta)))

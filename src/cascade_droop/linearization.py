@@ -145,12 +145,19 @@ def islanded_jacobian(n: int, m: float) -> LinearModel:
     return grid_jacobian(grid_ab(n, 1.0, 0.0, 0.0), n, m)
 
 
-def voltage_shares(n: int, v_star: float, v_g: float) -> tuple[float, float]:
-    """The voltage shares (n V*, V_g) / (n V* + V_g); ValidationError if the sum overflows."""
-    span = n * v_star + v_g
+def voltage_shares(n: int, v_star: float, v_g: float) -> tuple[float, float, float]:
+    """The voltage shares u, w = (n V*, V_g) / (n V* + V_g) and their gap u - w.
+
+    u + w = 1 up to rounding.  The gap is formed unrounded, as
+    (n V* - V_g) / (n V* + V_g), so it is exactly 0 at matched sizing and
+    keeps its relative accuracy next to it, where u - w would cancel.
+    Raises ValidationError if n V* + V_g overflows.
+    """
+    string = n * v_star
+    span = string + v_g
     if not span < math.inf:
         raise ValidationError(f"voltages n V* + V_g = {span:g} V exceed float range")
-    return n * v_star / span, v_g / span
+    return string / span, v_g / span, (string - v_g) / span
 
 
 def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLinearization:
@@ -167,10 +174,8 @@ def grid_ab(n: int, v_star: float, v_g: float, angle_diff: float) -> GridLineari
         raise ValidationError(f"grid voltage must be >= 0, got {v_g}")
     if not math.isfinite(angle_diff):
         raise ValidationError(f"angle difference must be finite, got {angle_diff}")
-    u, w = voltage_shares(n, v_star, v_g)
-    span = n * v_star + v_g
-    # u - w unrounded and cos(dd) = 1 - 2 sin^2(dd/2): d, a, b and w - u cos(dd) do not cancel
-    gap = (n * v_star - v_g) / span
+    # the unrounded gap and cos(dd) = 1 - 2 sin^2(dd/2): d, a, b and w - u cos(dd) do not cancel
+    u, w, gap = voltage_shares(n, v_star, v_g)
     half_sin2 = math.sin(0.5 * angle_diff) ** 2
     d = gap * gap + 4.0 * u * w * half_sin2
     if d <= (ZERO_POWER_FRACTION * u) ** 2:

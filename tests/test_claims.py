@@ -4,10 +4,11 @@ The dynamics halves measure each claim through the claim functions of
 `cascade_droop.cases`, the same ones the built-in cases' CHECK lines use.
 """
 
+import cmath
 import math
 from dataclasses import replace
 
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from cascade_droop import (
@@ -28,7 +29,13 @@ from cascade_droop import (
     simulate,
     wrap_angle,
 )
-from cascade_droop.cases import _segments, frequency_error, tracking_error
+from cascade_droop.cases import (
+    _segments,
+    angle_spread,
+    frequency_error,
+    relative_spread,
+    tracking_error,
+)
 
 PI = math.pi
 V_GRID = 315.0
@@ -102,6 +109,9 @@ def test_benefit3_stability_report_ignores_the_line(n, sizing, m, angle_diff, fi
     line=lines,
     grid_angle=st.floats(-PI, PI),
 )
+# matched sizing next to zero current, where a cancelling root formula once
+# returned t = 0 as a second stable root
+@example(n=4, sizing=1.0, phi_star=1.7e-05, line=Impedance(0.314, PI / 2), grid_angle=0.0)
 def test_benefit5_never_two_stable_equilibria(n, sizing, phi_star, line, grid_angle):
     config = grid_config(n, sizing, phi_star, line, grid_angle=grid_angle)
     try:
@@ -160,3 +170,43 @@ def test_benefit6_undersized_string_tracks_every_reference(
     for _, row, stretch_config in stretches:
         assert tracking_error(trace, row, stretch_config) < 1e-4
         assert frequency_error(trace, row, stretch_config) < 1e-4
+
+
+# --- the spread claim functions (case 1's power and case 3's checks) --------------
+
+angle_lists = st.lists(st.floats(-PI, PI), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@seed(5)
+@given(angles=angle_lists, rotation=st.floats(-PI, PI))
+@example(angles=[3.0, -3.0, 0.1], rotation=0.5)
+@example(angles=[PI, -PI + 1e-9, 2.0], rotation=-2.5)
+def test_angle_spread_ignores_a_common_rotation(angles, rotation):
+    # rotated angles are wrapped again, so some of them cross the +-pi seam
+    rotated = [wrap_angle(a + rotation) for a in angles]
+    assert abs(angle_spread(rotated) - angle_spread(angles)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@seed(5)
+@given(angles=angle_lists)
+def test_angle_spread_is_the_largest_pairwise_phase(angles):
+    pairs = [abs(cmath.phase(cmath.exp(1j * (a - b)))) for a in angles for b in angles]
+    assert abs(angle_spread(angles) - max(pairs)) <= 1e-12
+    assert angle_spread(angles[:1]) == 0.0
+
+
+nonzero = st.floats(1e-100, 1e100).flatmap(lambda x: st.sampled_from((x, -x)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@seed(5)
+@given(values=st.lists(st.one_of(st.just(0.0), nonzero), min_size=1, max_size=8),
+       power=st.integers(-60, 60))
+def test_relative_spread_is_scale_free(values, power):
+    # a power-of-two scale is exact in every sum, difference and quotient
+    scaled = [math.ldexp(x, power) for x in values]
+    assert relative_spread(scaled) == relative_spread(values)
+    assert relative_spread([values[0]] * len(values)) == 0.0
+    assert relative_spread([0.0] * len(values)) == 0.0

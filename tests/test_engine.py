@@ -1045,16 +1045,27 @@ def test_islanded_equilibrium_rc_faster_than_rl():
     assert f_rc > f_rl
 
 
-def test_grid_equilibrium_matched_sizing_hand_root():
-    # matched string on an inductive line: synchronized angle is exactly 2*phi*
-    config = make_config(mode=Mode.GRID_CONNECTED)
+@pytest.mark.parametrize("phi_star", [0.2, 1.7e-05])
+def test_grid_equilibrium_matched_sizing_hand_root(phi_star):
+    # matched string on an inductive line: synchronized angle is exactly 2*phi*;
+    # at a small phi* the root is next to zero current, and the other root of
+    # the quadratic is t = 0 itself, which is no operating point
+    config = make_config(phi_star=phi_star, mode=Mode.GRID_CONNECTED)
     eq = grid_equilibrium(config)
-    assert eq.delta_s == pytest.approx(0.4, abs=1e-9)
+    assert eq.delta_s == pytest.approx(2.0 * phi_star, abs=1e-9)
     assert len(eq.roots) == 1
     assert eq.roots[0].verdict is Stability.STABLE
     assert eq.roots[0].lambda_slow == pytest.approx(-0.25, abs=1e-9)
     # independent of the root solver's complex path: the trig-form measurement at the root
-    assert abs(wrap_angle(module_rows(config, [eq.delta_s] * 4)[0].phi - 0.2)) < 1e-10
+    assert abs(wrap_angle(module_rows(config, [eq.delta_s] * 4)[0].phi - phi_star)) < 1e-10
+
+
+def test_grid_equilibrium_matched_sizing_has_no_zero_current_root():
+    # a matched string reaches only a phi* within a quarter turn of the line
+    # angle, here 0 < phi* < pi: just below 0 no root exists, and t = 0 is not one
+    config = make_config(phi_star=-1.1e-05, mode=Mode.GRID_CONNECTED)
+    with pytest.raises(NoRootError):
+        grid_equilibrium(config)
 
 
 @pytest.mark.parametrize("excess, lam", [(1e-8, 1.97e6), (1e-11, 1.97e9)])

@@ -488,6 +488,43 @@ def test_cli_simulate_names_the_line_of_a_bad_reset_index(tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+# (text replaced in demos/example_scenario.scn, its replacement, or None and
+# the --sweep argument of a stability run; the one stderr line after "validation error: ")
+_REFUSALS = [
+    ("2.0 mode islanded", "2.0", "line 25: event needs '<time> <kind> ...', got '2.0'"),
+    ("2.0 mode islanded", "2.0 phi_star", "line 25: phi_star event takes one angle in rad"),
+    ("2.0 mode islanded", "2.0 delta 1", "line 25: delta event takes '<module-index> <angle>'"),
+    ("decimation = 10\n", "decimation = 10\n\n[line]\nmag = 1\n",
+     "line 33: duplicate section [line]"),
+    ("r = 12\n", "r = 12\nc = -1e-3\n", "line 19: [load]: capacitance must be > 0 farad"),
+    ("duration = 10", "duration = 0", "duration must be > 0, got 0.0"),
+    ("duration = 10", "duration = 1e-10", "duration must cover at least one step"),
+    (None, "angle=0:1:0", "sweep step must be > 0, got 0.0"),
+    (None, "angle=1:0:0.1", "sweep range [1.0, 0.0] is empty"),
+    (None, "angle=a:1:0.1", "sweep axis has a non-numeric bound: 'a:1:0.1'"),
+    (None, "angle", "sweep axis must look like angle=lo:hi:step, got 'angle'"),
+    (None, "theta=0:1:0.1", "unknown sweep axis 'theta' (use angle or vstar)"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", _REFUSALS)
+def test_cli_refusals_print_one_line(tmp_path, monkeypatch, capsys, old, new, message):
+    text = EXAMPLE_SCENARIO.read_text()
+    if old is None:
+        args = ["stability", "s.scn", "--sweep", new]
+    else:
+        assert old in text
+        text = text.replace(old, new, 1)
+        args = ["simulate", "s.scn", "--out", "out"]
+    (tmp_path / "s.scn").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"validation error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cold_start_loads_numpy_only_to_simulate(tmp_path):
     # a fresh interpreter: the package, stability reports, validation errors,
     # parsing and the equilibria are plain math; simulate builds numpy arrays

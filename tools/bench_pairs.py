@@ -15,6 +15,8 @@ speed falls on both sides alike.  Every end-to-end metric that ``run.py`` report
 run, with the run's output digests, and summarized per side as the median
 and the nearest-rank quartiles.  A pair counts as a win for the change when
 its value is better than the parent's in the direction BENCHMARK.json gives.
+Before the pairs, the change's ``tools/opcount.py`` counts opcodes and C
+calls on each side's ``src`` once; both sides' counts go under ``opcount``.
 """
 
 from __future__ import annotations
@@ -69,6 +71,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     data = json.loads(results.read_text(encoding="utf-8"))
     return {"seed": seed, "host_line": host_line, "metrics": data["end_to_end"],
             "digests": data["raw"]["digests"]}
+
+
+def opcount(tool: Path, tree: Path) -> dict:
+    """The deterministic cost counts of ``tree``'s package, from ``tools/opcount.py``."""
+    proc = subprocess.run([sys.executable, str(tool), "--src", str(tree / "src")], cwd=tree,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise SystemExit(f"opcount.py failed on {tree}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -132,6 +143,8 @@ def main(argv=None) -> int:
             tree.mkdir()
         export(parent_sha, trees["parent"])
         export_worktree(trees["change"])
+        tool = trees["change"] / "tools" / "opcount.py"
+        report["opcount"] = {side: opcount(tool, tree) for side, tree in trees.items()}
         hosts = set()
         for workload in workloads:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
