@@ -16,9 +16,14 @@ m dt <= ``RK4_STABILITY_LIMIT``, so a ``Scenario`` past it is refused.
 
 One kernel holds the measurement, the droop law and the integrator:
 ``_plant(config, dt)`` binds the constants once and returns the closure
-``step``, which advances a whole RK4 step in one call.  Stages 1-3 share
-one loop, one droop-and-clamp pass over the modules each, and stage 4
-combines the four stages' clamped omegas.  ``simulate`` is the only way to
+``step``, which advances a whole RK4 step in one call.  Its code is
+generated for the string's n from one template, ``_KERNEL``: straight-line
+code over per-module locals, with the droop law and its clamp written once,
+in ``_DROOP``, and emitted once per module and stage.  Each n is compiled
+once and the last 32 are kept; generation grows with n (about 0.02 s at
+n = 48), so ``simulate`` refuses a string of more than
+``_MAX_KERNEL_MODULES`` (1,024) modules.  Stage 4 combines the four
+stages' slopes w - omega*, each formed once.  ``simulate`` is the only way to
 advance the plant: one call per step, and on a recorded step the call fills
 the step's sample (phi, P, Q, omega) once, after the step; the last row
 keeps its angles and reads only the sample.  The held measurement is formed
@@ -67,6 +72,7 @@ the config and the initial angles.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -88,6 +94,9 @@ RK4_STABILITY_LIMIT = 2.785293563405282
 
 # Most modules one string may have; every per-module list is sized from n.
 _MAX_MODULES = 1_000_000
+# Most modules ``simulate`` runs: the kernel's source and code grow with n, and
+# generating it at n = 1,024 took 0.5 s and 104 MB of peak RSS (CPython 3.11.7).
+_MAX_KERNEL_MODULES = 1024
 
 
 class Mode(Enum):
@@ -325,17 +334,107 @@ class _Held:
         return self.angles
 
 
+# The RK4 step of a string of n modules as straight-line code over per-module
+# locals: x<i> the step's angles, e<i> the angles a stage droops on, w<i> the
+# stage-1 clamped omegas and s<k>_<i> the slope of stage k.  ``_kernel_source``
+# fills in the {placeholders}; a stage's droop and clamp are the lines of
+# _DROOP, once per module.
+_KERNEL = """\
+def bind(v_star, w_star, m, phi_star, w_lo, w_hi, z, drive, dead_band, half, dt, sixth):
+    def step(deltas, held, sample=None):
+        {x}, = {e}, = deltas
+        total = 0j + {terms} - drive
+        boundary = total
+{stages}
+        if sample is not None:
+            phis, actives, reactives, omegas = sample
+            phis.extend(held.values())
+            icon = (boundary / z).conjugate()
+            {powers}, = {products},
+            actives.extend(({actives},))
+            reactives.extend(({reactives},))
+            omegas.extend(({w},))
+        return [{out}]
+    return step
+"""
+_STAGE = """\
+        if abs(total) <= dead_band:
+            {e}, = held.values()
+            base = phi_star
+        else:
+            arg = phase(total / z)
+{hold}            base = arg + phi_star
+"""
+_HOLD = """\
+            held.angles = deltas
+            held.arg = arg
+"""
+_DROOP = """\
+        {w} = w_star - m * remainder(e{i} - base, TAU)
+        if {w} < w_lo:
+            {w} = w_lo
+        elif {w} > w_hi:
+            {w} = w_hi
+        s{k}_{i} = {w} - w_star
+"""
+_NEXT_ANGLE = "        e{i} = x{i} + {h} * s{k}_{i}\n"
+
+
+def _kernel_source(n: int) -> str:
+    """The source of ``bind``, which binds the constants of ``step`` for a string of n modules."""
+
+    def each(form: str, sep: str = ", ") -> str:
+        return sep.join(form.format(i=i) for i in range(n))
+
+    terms = each("rect(v_star, e{i})", " + ")
+    stages = []
+    for k, h in enumerate(("half", "half", "dt", None), start=1):
+        stages.append(_STAGE.format(e=each("e{i}"), hold=_HOLD if k == 1 else ""))
+        for i in range(n):
+            stages.append(_DROOP.format(w=f"w{i}" if k == 1 else "w", i=i, k=k))
+            if h is not None:
+                stages.append(_NEXT_ANGLE.format(i=i, h=h, k=k))
+        if h is not None:
+            stages.append(f"        total = 0j + {terms} - drive\n")
+    return _KERNEL.format(
+        x=each("x{i}"), e=each("e{i}"), terms=terms, stages="".join(stages).rstrip("\n"),
+        powers=each("p{i}"), products=each("rect(v_star, x{i}) * icon"),
+        actives=each("p{i}.real"), reactives=each("p{i}.imag"), w=each("w{i}"),
+        out=each("x{i} + sixth * (s1_{i} + 2.0 * (s2_{i} + s3_{i}) + s4_{i})"),
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _kernel_factory(n: int) -> Callable[..., Callable[..., list[float]]]:
+    """``bind`` for n modules, compiled once per n; 32 kept, enough for any one sweep of n."""
+    namespace = {"rect": cmath.rect, "phase": cmath.phase, "remainder": math.remainder,
+                 "TAU": TAU}
+    exec(compile(_kernel_source(n), f"<cascade_droop RK4 kernel, n={n}>", "exec"), namespace)
+    return namespace["bind"]
+
+
 def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
     """The RK4 step of one configuration and step size, its constants bound once.
 
-    The closure ``step`` holds the droop law and its clamp twice: in the loop
-    body of stages 1-3 and in stage 4, which needs no next string sum.
+    ``step(deltas, held, sample=None)`` returns the angles one classical RK4
+    step after ``deltas``, as a new list.  Each stage sums the string voltage
+    once; while current flows it droops every module on wrap(x - arg I -
+    phi*) at the stage's angles x, and at zero current on ``held`` with
+    arg I = 0.  A live step boundary stores ``deltas`` and its arg I in
+    ``held``.  With ``sample``, the step then fills four lists with the
+    boundary's phi (the held values), P, Q and stage-1 clamped omega: only a
+    sampled step forms the powers V_i conj(I).
+
+    ``step`` is the straight-line code that ``_kernel_factory(config.n)``
+    generated for n modules, so the droop law and its clamp are written
+    once, in ``_DROOP``.  A string past ``_MAX_KERNEL_MODULES`` is refused
+    before any code is generated.
     """
+    if config.n > _MAX_KERNEL_MODULES:
+        raise ValidationError(f"n={config.n} modules is past the simulation kernel's limit of "
+                              f"{_MAX_KERNEL_MODULES:,} modules")
     d = config.droop
     v_star = d.nominal_voltage
-    w_star = TAU * d.nominal_frequency
-    m = d.droop_gain
-    phi_star = d.nominal_pf_angle
     if d.freq_clamp is None:
         w_lo, w_hi = -math.inf, math.inf
     else:
@@ -356,87 +455,9 @@ def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
     # Every module carries the one string current, so |S_i| = V* |I| for all
     # i, and |S| <= fraction * n V*^2/|Z| reads |sum V - V_g| <= fraction * n V*.
     dead_band = ZERO_POWER_FRACTION * config.n * v_star
-    increments = (0.5 * dt, 0.5 * dt, dt)  # from stages 1-3 to the next stage's angles
-    sixth = dt / 6.0
-    rect = cmath.rect
-    phase = cmath.phase
-    remainder = math.remainder
-
-    def step(deltas: list[float], held: _Held,
-             sample: tuple[list[float], ...] | None = None) -> list[float]:
-        """The angles one classical RK4 step after ``deltas``, as a new list.
-
-        Each stage sums the string voltage once; while current flows it
-        droops every module on wrap(x - arg I - phi*) at the stage's angles
-        x, and at zero current on ``held`` with arg I = 0.  A live step
-        boundary stores ``deltas`` and its arg I in ``held``.  One loop runs
-        stages 1-3, each pass one loop over the modules that forms the
-        clamped omega, the next stage angle and that angle's term of the
-        next string sum; the stage-4 loop combines the four stages' omegas.
-        With ``sample``, the step then fills four lists with the boundary's
-        phi (the held values), P, Q and stage-1 clamped omega: only a
-        sampled step forms the powers V_i conj(I).
-        """
-        total = 0j
-        for x in deltas:
-            total += rect(v_star, x)
-        boundary = total
-        stages = []
-        xs = deltas
-        for h in increments:
-            total -= drive
-            if abs(total) <= dead_band:
-                es = held.values()
-                base = phi_star
-            else:
-                arg_i = phase(total / z)
-                if xs is deltas:  # the step boundary's measurement is the one held
-                    held.angles = deltas
-                    held.arg = arg_i
-                es = xs
-                base = arg_i + phi_star
-            omegas = []
-            xs = []
-            total = 0j
-            for x, e in zip(deltas, es):
-                w = w_star - m * remainder(e - base, TAU)
-                if w < w_lo:
-                    w = w_lo
-                elif w > w_hi:
-                    w = w_hi
-                omegas.append(w)
-                y = x + h * (w - w_star)
-                xs.append(y)
-                total += rect(v_star, y)
-            stages.append(omegas)
-        total -= drive
-        if abs(total) <= dead_band:
-            es = held.values()
-            base = phi_star
-        else:
-            es = xs
-            base = phase(total / z) + phi_star
-        out = []
-        for x, a, b, c, e in zip(deltas, *stages, es):
-            w = w_star - m * remainder(e - base, TAU)
-            if w < w_lo:
-                w = w_lo
-            elif w > w_hi:
-                w = w_hi
-            out.append(x + sixth * ((a - w_star) + 2.0 * ((b - w_star) + (c - w_star))
-                                    + (w - w_star)))
-        if sample is not None:
-            phis, actives, reactives, row_omegas = sample
-            phis.extend(held.values())
-            icon = ((boundary - drive) / z).conjugate()
-            for x in deltas:
-                s = rect(v_star, x) * icon
-                actives.append(s.real)
-                reactives.append(s.imag)
-            row_omegas.extend(stages[0])
-        return out
-
-    return step
+    return _kernel_factory(config.n)(v_star, TAU * d.nominal_frequency, d.droop_gain,
+                                     d.nominal_pf_angle, w_lo, w_hi, z, drive, dead_band,
+                                     0.5 * dt, dt, dt / 6.0)
 
 
 EventCallback = Callable[[float, EventAction, list[float], list[float]], None]

@@ -4,10 +4,15 @@ Each circuit formula the tests compare against lives here once: the
 per-module power factor angles of the trigonometric power flow that the
 paper's analysis uses, a central difference of them, the per-module
 (phi, P, Q, f) rows a simulation kernel should record, the squared distance
-between the string and grid phasors in voltage shares, and a rectangular
-complex reference for the trigonometric expansions themselves.
+between the string and grid phasors in voltage shares, a rectangular
+complex reference for the trigonometric expansions themselves, and the RK4
+step written as loops over the modules, which the generated kernel must
+match bit for bit.
 """
 
+from __future__ import annotations
+
+import cmath
 import math
 from typing import NamedTuple
 
@@ -15,6 +20,7 @@ from cascade_droop import (
     Mode,
     Phasor,
     PowerPair,
+    ValidationError,
     ZeroPowerError,
     droop_frequency,
     generalized_load,
@@ -23,6 +29,10 @@ from cascade_droop import (
     power_factor_angle,
     wrap_angle,
 )
+from cascade_droop.droop import ZERO_POWER_FRACTION
+from cascade_droop.phasors import series_impedance
+
+TAU = math.tau
 
 
 def trig_power_flow(deltas, v_star, z, grid=None):
@@ -100,3 +110,119 @@ def rect_power_flow(voltages, sink, z):
     total = sum(v.rect for v in voltages) - (sink.rect if sink is not None else 0.0)
     current_conj = (total / z.rect).conjugate()
     return [PowerPair(s.real, s.imag) for s in (v.rect * current_conj for v in voltages)]
+
+
+def loop_plant(config, dt):
+    """The engine's RK4 step as loops over the modules: the reference for the generated kernel.
+
+    It takes and returns what ``engine._plant`` does, and its step reads and
+    writes an ``engine._Held`` alike.  The closure ``step`` holds the droop
+    law and its clamp twice: in the loop body of stages 1-3 and in stage 4,
+    which needs no next string sum.
+    """
+    d = config.droop
+    v_star = d.nominal_voltage
+    w_star = TAU * d.nominal_frequency
+    m = d.droop_gain
+    phi_star = d.nominal_pf_angle
+    if d.freq_clamp is None:
+        w_lo, w_hi = -math.inf, math.inf
+    else:
+        w_lo, w_hi = TAU * d.freq_clamp[0], TAU * d.freq_clamp[1]
+    if config.mode is Mode.ISLANDED:
+        z = series_impedance(config.line, config.load)
+        drive = 0j
+    else:
+        z = config.line.rect
+        drive = cmath.rect(config.grid_voltage, config.grid_angle)
+    # The power scale and bounds on |I| and every |S_i|: past float range
+    # the kernel's current or powers would be inf or nan.
+    rated = config.n * v_star * v_star / abs(z)
+    current = (config.n * v_star + abs(drive)) / abs(z)
+    if not max(rated, current, v_star * current) < math.inf:
+        raise ValidationError(f"power scale n V*^2/|Z| = {rated:g} VA, current (n V* + V_g)/|Z| = "
+                              f"{current:g} A or V* times it is not finite")
+    # Every module carries the one string current, so |S_i| = V* |I| for all
+    # i, and |S| <= fraction * n V*^2/|Z| reads |sum V - V_g| <= fraction * n V*.
+    dead_band = ZERO_POWER_FRACTION * config.n * v_star
+    increments = (0.5 * dt, 0.5 * dt, dt)  # from stages 1-3 to the next stage's angles
+    sixth = dt / 6.0
+    rect = cmath.rect
+    phase = cmath.phase
+    remainder = math.remainder
+
+    def step(deltas: list[float], held: _Held,
+             sample: tuple[list[float], ...] | None = None) -> list[float]:
+        """The angles one classical RK4 step after ``deltas``, as a new list.
+
+        Each stage sums the string voltage once; while current flows it
+        droops every module on wrap(x - arg I - phi*) at the stage's angles
+        x, and at zero current on ``held`` with arg I = 0.  A live step
+        boundary stores ``deltas`` and its arg I in ``held``.  One loop runs
+        stages 1-3, each pass one loop over the modules that forms the
+        clamped omega, the next stage angle and that angle's term of the
+        next string sum; the stage-4 loop combines the four stages' omegas.
+        With ``sample``, the step then fills four lists with the boundary's
+        phi (the held values), P, Q and stage-1 clamped omega: only a
+        sampled step forms the powers V_i conj(I).
+        """
+        total = 0j
+        for x in deltas:
+            total += rect(v_star, x)
+        boundary = total
+        stages = []
+        xs = deltas
+        for h in increments:
+            total -= drive
+            if abs(total) <= dead_band:
+                es = held.values()
+                base = phi_star
+            else:
+                arg_i = phase(total / z)
+                if xs is deltas:  # the step boundary's measurement is the one held
+                    held.angles = deltas
+                    held.arg = arg_i
+                es = xs
+                base = arg_i + phi_star
+            omegas = []
+            xs = []
+            total = 0j
+            for x, e in zip(deltas, es):
+                w = w_star - m * remainder(e - base, TAU)
+                if w < w_lo:
+                    w = w_lo
+                elif w > w_hi:
+                    w = w_hi
+                omegas.append(w)
+                y = x + h * (w - w_star)
+                xs.append(y)
+                total += rect(v_star, y)
+            stages.append(omegas)
+        total -= drive
+        if abs(total) <= dead_band:
+            es = held.values()
+            base = phi_star
+        else:
+            es = xs
+            base = phase(total / z) + phi_star
+        out = []
+        for x, a, b, c, e in zip(deltas, *stages, es):
+            w = w_star - m * remainder(e - base, TAU)
+            if w < w_lo:
+                w = w_lo
+            elif w > w_hi:
+                w = w_hi
+            out.append(x + sixth * ((a - w_star) + 2.0 * ((b - w_star) + (c - w_star))
+                                    + (w - w_star)))
+        if sample is not None:
+            phis, actives, reactives, row_omegas = sample
+            phis.extend(held.values())
+            icon = ((boundary - drive) / z).conjugate()
+            for x in deltas:
+                s = rect(v_star, x) * icon
+                actives.append(s.real)
+                reactives.append(s.imag)
+            row_omegas.extend(stages[0])
+        return out
+
+    return step

@@ -44,7 +44,14 @@ from cascade_droop import engine
 from cascade_droop.cases import build_case
 from cascade_droop.droop import ZERO_POWER_FRACTION
 from cascade_droop.engine import apply_event
-from oracles import module_rows, phi_vector, power_scales, share_terms, trig_power_flow
+from oracles import (
+    loop_plant,
+    module_rows,
+    phi_vector,
+    power_scales,
+    share_terms,
+    trig_power_flow,
+)
 
 PI = math.pi
 TAU = math.tau
@@ -118,8 +125,8 @@ def test_rk4_local_error_is_fifth_order():
 
 
 @st.composite
-def _one_step_runs(draw):
-    n = draw(st.integers(1, 8))
+def _one_step_runs(draw, ns=st.integers(1, 8)):
+    n = draw(ns)
     v_grid = draw(st.floats(10.0, 1000.0))
     config = make_config(
         n=n, m=draw(st.floats(0.1, 10.0)), phi_star=draw(st.floats(-PI, PI)),
@@ -163,14 +170,14 @@ def test_kernel_sample_matches_power_flow_and_droop_oracles(run):
 
 
 @st.composite
-def _step_calls(draw):
+def _step_calls(draw, ns=st.integers(1, 8)):
     """One RK4 step: config, angles, held angles and step size.
 
     About half the draws carry no current at any stage: an islanded polygon
     whose modules share one held angle turns rigidly and stays balanced, and
     a matched grid-tied string at the grid angle that holds phi* stays put.
     """
-    config, deltas = draw(_one_step_runs())
+    config, deltas = draw(_one_step_runs(ns))
     n = config.n
     dt = draw(st.floats(2e-4, 0.1))
     held = draw(st.lists(st.floats(-PI, PI), min_size=n, max_size=n))
@@ -263,6 +270,54 @@ def test_kernel_step_matches_a_reference_rk4_step(call):
     if call is _DEAD:
         assert slopes == [[droop_frequency(phi, config.droop) - w_star for phi in held]] * 4
         assert got == want and hold.values() == held
+
+
+# each n is its own generated code object, so the draws span one to 64 modules
+_KERNEL_NS = (1, 2, 3, 4, 5, 7, 8, 13, 16, 24, 31, 48, 64)
+
+
+@st.composite
+def _kernel_runs(draw):
+    """``_step_calls`` over ``_KERNEL_NS``, maybe on the seam, then 1-3 steps each sampled or not.
+
+    A seam draw sets phi* so that module 0's droop error at the start is pi,
+    or within 1e-9 rad of it.
+    """
+    config, deltas, held, dt = draw(_step_calls(st.sampled_from(_KERNEL_NS)))
+    if draw(st.booleans()):
+        if config.mode is Mode.ISLANDED:
+            z, drive = engine.series_impedance(config.line, config.load), 0j
+        else:
+            z, drive = config.line.rect, cmath.rect(config.grid_voltage, config.grid_angle)
+        total = sum((cmath.rect(config.droop.nominal_voltage, x) for x in deltas), 0j) - drive
+        eps = draw(st.sampled_from([0.0, 1e-9, -1e-9]))
+        phi_star = deltas[0] - cmath.phase(total / z) - PI + eps
+        config = replace(config, droop=replace(config.droop, nominal_pf_angle=phi_star))
+    return config, deltas, held, dt, draw(st.lists(st.booleans(), min_size=1, max_size=3))
+
+
+def _bits(values):
+    return [x.hex() for x in values]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(23)
+@given(run=_kernel_runs())
+def test_generated_kernel_matches_the_loop_kernel_bit_for_bit(run):
+    # the same angles, held measurement and sample lists as the loop kernel, step after step
+    config, deltas, held, dt, sampled = run
+    steps = engine._plant(config, dt), loop_plant(config, dt)
+    states = [(list(deltas), engine._Held(list(held))) for _ in steps]
+    for take in sampled:
+        rows = []
+        for i, (step, (xs, hold)) in enumerate(zip(steps, states)):
+            sample = ([], [], [], []) if take else None
+            states[i] = (step(xs, hold, sample), hold)
+            rows.append((_bits(states[i][0]), _bits(hold.angles), hold.arg,
+                         sample and [_bits(values) for values in sample]))
+        assert rows[0] == rows[1]
+    got, want = (hold.values() for _, hold in states)
+    assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("fraction, holds", [

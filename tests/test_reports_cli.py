@@ -392,6 +392,21 @@ def test_cli_rejects_a_module_count_above_the_cap(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_simulate_refuses_a_string_past_the_kernel_limit(tmp_path, monkeypatch, capsys):
+    # the kernel is generated per module count, so simulate refuses n = 1,025 before
+    # generating any code; the stability report builds no kernel and still runs
+    (tmp_path / "wide.scn").write_text(SCENARIO_TEXT.replace("n = 2", "n = 1025")
+                                       .replace("[initial]\ndelta = 0.2, -0.2\n", ""))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(engine, "_kernel_factory", None)  # calling it would raise TypeError
+    assert cli.main(["simulate", "wide.scn", "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n=1025" in err and "1,024 modules" in err
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["stability", "wide.scn"]) == 0
+    assert capsys.readouterr().out.startswith("stability report")
+
+
 def test_cli_exit_code_runtime_error(tmp_path):
     # series LC cancellation scheduled mid-run: the circuit becomes singular
     text = SCENARIO_TEXT + "\n[events]\n1.0 load mag=0.314 theta=-1.5707963267948966\n"

@@ -17,8 +17,15 @@ Method:
   run minus that of a 300-step run of the same scenario, over 300, so the
   costs paid once per run cancel.  numpy is imported and one short run is
   made untraced first, so no import is counted.
+* ``kernel_opcodes_per_step``: the share of ``opcodes_per_step`` executed in
+  frames of the kernel ``step``, the code object of the function that
+  ``engine._plant(config, dt)`` returns; the rest is ``simulate``'s loop and
+  recording.
 * Two scenarios, both grid-tied and without events: case 1's config and
   start (n = 4, decimation 10) and a string of n = 48 at decimation 1.
+* ``report_stability.opcodes_per_row``: opcodes per sweep row of
+  ``report_stability`` over an angle sweep of case 1's config, the count of
+  a 201-row sweep minus that of a 101-row sweep of the same range, over 100.
 * ``import_opcodes``: opcodes of ``import cascade_droop.cli`` in a fresh
   interpreter (``python -c``), after a first fresh import has written the
   bytecode caches it can.
@@ -32,10 +39,12 @@ import platform
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STEPS = (300, 600)
+SWEEP_STEPS = (0.06, 0.03)  # angle steps over [-3, 3]: 101 and 201 rows
 
 # Counts opcodes from here to the end of the import; printed on the last line.
 _IMPORT_SCRIPT = """\
@@ -57,7 +66,8 @@ print(count)
 """
 
 
-def count_opcodes(fn) -> int:
+def count_opcodes(fn, code=None) -> int:
+    """Opcodes that ``fn()`` executes; with ``code``, only those in frames of that code object."""
     count = 0
 
     def local(frame, event, arg):
@@ -67,6 +77,8 @@ def count_opcodes(fn) -> int:
         return local
 
     def start(frame, event, arg):
+        if code is not None and frame.f_code is not code:
+            return None
         frame.f_trace_opcodes = True
         return local
 
@@ -123,6 +135,16 @@ def per_step(counter, simulate, scenario) -> float:
         STEPS[1] - STEPS[0])
 
 
+def per_sweep_row(config) -> float:
+    from cascade_droop import SweepAxis, report_stability
+
+    sweeps = [(SweepAxis(-3.0, 3.0, step), None) for step in SWEEP_STEPS]
+    rows = [len(sweep[0].points()) for sweep in sweeps]
+    report_stability(config, sweep=sweeps[0])  # untraced warm-up
+    counts = [count_opcodes(lambda: report_stability(config, sweep=sweep)) for sweep in sweeps]
+    return (counts[1] - counts[0]) / (rows[1] - rows[0])
+
+
 def import_opcodes(src: Path) -> int:
     script = _IMPORT_SCRIPT.format(src=str(src))
     counts = []
@@ -143,7 +165,7 @@ def main(argv=None) -> int:
 
     import numpy  # noqa: F401  (imported before any count)
 
-    from cascade_droop import simulate
+    from cascade_droop import engine, simulate
 
     built = scenarios()
     out = {
@@ -156,7 +178,11 @@ def main(argv=None) -> int:
         out["simulate"][name] = {
             "opcodes_per_step": per_step(count_opcodes, simulate, scenario),
             "c_calls_per_step": per_step(count_c_calls, simulate, scenario),
+            "kernel_opcodes_per_step": per_step(
+                partial(count_opcodes, code=engine._plant(scenario.config, scenario.dt).__code__),
+                simulate, scenario),
         }
+    out["report_stability"] = {"opcodes_per_row": per_sweep_row(built["n4_decimation10"].config)}
     out["import_opcodes"] = import_opcodes(src)
     print(json.dumps(out, indent=1))
     return 0
