@@ -24,16 +24,15 @@ once and the last 32 are kept; generation grows with n (about 0.02 s at
 n = 48), so ``simulate`` refuses a string of more than
 ``_MAX_KERNEL_MODULES`` (1,024) modules.  Stage 4 combines the four
 stages' slopes w - omega*, each formed once.  ``simulate`` is the only way to
-advance the plant: one call per step, and on a recorded step the call fills
-the step's sample (phi, P, Q, omega) once, after the step; the last row
-keeps its angles and reads only the sample.  The held measurement is formed
+advance the plant: one call per step, and on a recorded step the call
+extends the row [t] with the step's omega, P and Q and the held phi, after
+the step; the last row keeps its angles.  The held measurement is formed
 only where it is read: a live step boundary stores its angle list and
 arg I, and the held wrap(delta_i - arg I) is formed for a recorded row, a
-zero-current stage or the final states.
-The recorded sample count is known before the run, so ``simulate`` writes
-each retained sample straight into preallocated trace arrays.  Those arrays
-are the only numpy this module needs, so ``simulate`` imports numpy only to
-allocate them; scenario checks and the equilibria are plain ``math``.
+zero-current stage or the final states.  ``simulate`` writes each row into
+one preallocated (rows, 1 + 4n) table in the trace CSV's column order, the
+only numpy this module needs; scenario checks and the equilibria are plain
+``math``.
 
 Every module of the series string carries the same current I, so module i
 sees S_i = V* e^{j delta_i} conj(I) and measures the power factor angle
@@ -47,7 +46,12 @@ their digits at any voltage scale the power-scale check admits.  While
 every droop error stays on one side of the +/-pi seam and the clamp is
 idle, pairwise angle differences decay as exactly exp(-m t) in both modes,
 not just to first order; the tests use this as an oracle that is
-independent of the linearization.
+independent of the linearization.  On the seam itself the kernel and
+``droop_frequency`` differ: ``math.remainder`` keeps a droop error of
+exactly -pi, which ``wrap_angle`` maps to +pi, so there the kernel commands
+f* + m/2 Hz (before the clamp) where the law gives f* - m/2.  A grid-tied
+string with a resistive line, phi* = 0, n V* < V_g and every angle 0 starts
+on that tie.
 
 A scenario is a timeline of parameter/topology events at exact step
 boundaries (event times must be multiples of dt); a ``Scenario`` that fails
@@ -281,30 +285,35 @@ def _exact_step(t: float, dt: float, what: str) -> int:
 
 @dataclass(frozen=True)
 class Trace:
-    """Recorded per-sample channels; columns are modules, rows are samples."""
+    """Rows are samples in the CSV's columns (time, f, P, Q, phi); channels are read-only views."""
 
-    times: np.ndarray
-    frequency_hz: np.ndarray
-    active: np.ndarray
-    reactive: np.ndarray
-    pf_angle: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self):
-        rows = len(self.times)
-        for arr in (self.frequency_hz, self.active, self.reactive, self.pf_angle):
-            if arr.shape != self.frequency_hz.shape or arr.shape[0] != rows:
-                raise ValidationError("trace channels must share one (samples, modules) shape")
-        if rows > 1 and not (self.times[1:] > self.times[:-1]).all():
+        shape = self.table.shape
+        if len(shape) != 2 or shape[1] < 5 or (shape[1] - 1) % 4:
+            raise ValidationError(f"a trace table has 1 + 4n columns for n >= 1, got shape {shape}")
+        times = self.times
+        if (times != times).any() or not (times[1:] > times[:-1]).all():
             raise ValidationError("trace times must be strictly increasing")
-        for arr in (self.times, self.frequency_hz, self.active, self.reactive, self.pf_angle):
-            arr.flags.writeable = False
+        self.table.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.times)
+        return self.table.shape[0]
 
     @property
     def module_count(self) -> int:
-        return self.frequency_hz.shape[1]
+        return (self.table.shape[1] - 1) // 4
+
+    def _channel(self, k: int) -> np.ndarray:
+        n = self.module_count
+        return self.table[:, 1 + k * n:1 + (k + 1) * n]
+
+    times = property(lambda self: self.table[:, 0])
+    frequency_hz = property(lambda self: self._channel(0))
+    active = property(lambda self: self._channel(1))
+    reactive = property(lambda self: self._channel(2))
+    pf_angle = property(lambda self: self._channel(3))
 
 
 class SimulationResult(NamedTuple):
@@ -347,13 +356,10 @@ def bind(v_star, w_star, m, phi_star, w_lo, w_hi, z, drive, dead_band, half, dt,
         boundary = total
 {stages}
         if sample is not None:
-            phis, actives, reactives, omegas = sample
-            phis.extend(held.values())
             icon = (boundary / z).conjugate()
             {powers}, = {products},
-            actives.extend(({actives},))
-            reactives.extend(({reactives},))
-            omegas.extend(({w},))
+            sample += ({w}, {actives}, {reactives})
+            sample += held.values()
         return [{out}]
     return step
 """
@@ -421,9 +427,9 @@ def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
     once; while current flows it droops every module on wrap(x - arg I -
     phi*) at the stage's angles x, and at zero current on ``held`` with
     arg I = 0.  A live step boundary stores ``deltas`` and its arg I in
-    ``held``.  With ``sample``, the step then fills four lists with the
-    boundary's phi (the held values), P, Q and stage-1 clamped omega: only a
-    sampled step forms the powers V_i conj(I).
+    ``held``.  With ``sample``, a list, the step then extends it with the
+    boundary's stage-1 clamped omega, P, Q and phi (the held values), each
+    in module order: only a sampled step forms the powers V_i conj(I).
 
     ``step`` is the straight-line code that ``_kernel_factory(config.n)``
     generated for n modules, so the droop law and its clamp are written
@@ -494,11 +500,7 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
 
     rows = steps // decim + 1 + (steps % decim != 0)
     try:
-        times = np.empty(rows)
-        omega = np.empty((rows, n))
-        active = np.empty((rows, n))
-        reactive = np.empty((rows, n))
-        pf_angle = np.empty((rows, n))
+        table = np.empty((rows, 1 + 4 * n))
     except (ValueError, MemoryError):
         raise ValidationError(
             f"duration {scenario.duration} s at dt={dt} s records {float(rows):.3g} samples, "
@@ -523,25 +525,19 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
                     raise type(exc)(f"at event time t={start * dt:g} s: {exc}") from exc
         for k in range(start, stop):
             if k % decim == 0 or k == steps:
-                sample = ([], [], [], [])
+                sample = [k * dt]
                 moved = step(deltas, held, sample)
-                times[row] = k * dt
-                pf_angle[row], active[row], reactive[row], omega[row] = sample
+                table[row] = sample
                 row += 1
                 if k < steps:  # the last row only measures
                     deltas = moved
             else:
                 deltas = step(deltas, held)
 
-    np.divide(omega, TAU, out=omega)  # rad/s to Hz without a second (rows, n) array
-    trace = Trace(
-        times=times,
-        frequency_hz=omega,
-        active=active,
-        reactive=reactive,
-        pf_angle=pf_angle,
-    )
-    return SimulationResult(trace, [InverterState(x, phi) for x, phi in zip(deltas, held.values())])
+    omega = table[:, 1:1 + n]
+    np.divide(omega, TAU, out=omega)  # rad/s to Hz in place
+    final = [InverterState(x, phi) for x, phi in zip(deltas, held.values())]
+    return SimulationResult(Trace(table), final)
 
 
 # --- equilibria -----------------------------------------------------------

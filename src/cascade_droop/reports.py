@@ -3,8 +3,9 @@
 Both outputs are byte-deterministic for identical inputs: numbers are
 printed with 9 significant digits (below solver tolerance, above the noise
 a diff would amplify), rows are newline-terminated, and nothing
-time-of-day-dependent is ever written.  Only ``emit_trace_csv`` imports
-numpy, to read the trace arrays; stability reports are plain ``math``.
+time-of-day-dependent is ever written.  Neither imports numpy: a trace
+table already holds its rows in the CSV's column order, and stability
+reports are plain ``math``.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ def emit_trace_csv(trace: Trace, path) -> Path:
 
     Each row is one ``%.9g`` template; ``'%.9g' % x`` and ``_num(x)`` share
     CPython's float formatter, so every value prints as ``_num`` prints it.
-    Rows are stacked from the channels one chunk at a time, so no second
-    copy of the whole trace is ever built.
+    ``trace.table`` is already in this column order; it is read one chunk of
+    rows at a time, so no second copy of the whole trace is ever built.
     """
-    import numpy as np
-
     if len(trace) == 0:
         raise EmptyTraceError("refusing to write an empty trace")
     n = trace.module_count
@@ -50,12 +49,11 @@ def emit_trace_csv(trace: Trace, path) -> Path:
         + ",".join(f"phi{i}" for i in range(1, n + 1))
     )
     row = ",".join(["%.9g"] * (1 + 4 * n)) + "\n"
-    channels = (trace.times, trace.frequency_hz, trace.active, trace.reactive, trace.pf_angle)
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(header + "\n")
         for a in range(0, len(trace), _CSV_CHUNK_ROWS):
-            chunk = np.column_stack([c[a:a + _CSV_CHUNK_ROWS] for c in channels]).tolist()
+            chunk = trace.table[a:a + _CSV_CHUNK_ROWS].tolist()
             out.write("".join([row % tuple(values) for values in chunk]))
     return path
 

@@ -151,8 +151,7 @@ def loop_plant(config, dt):
     phase = cmath.phase
     remainder = math.remainder
 
-    def step(deltas: list[float], held: _Held,
-             sample: tuple[list[float], ...] | None = None) -> list[float]:
+    def step(deltas: list[float], held: _Held, sample: list[float] | None = None) -> list[float]:
         """The angles one classical RK4 step after ``deltas``, as a new list.
 
         Each stage sums the string voltage once; while current flows it
@@ -162,9 +161,9 @@ def loop_plant(config, dt):
         stages 1-3, each pass one loop over the modules that forms the
         clamped omega, the next stage angle and that angle's term of the
         next string sum; the stage-4 loop combines the four stages' omegas.
-        With ``sample``, the step then fills four lists with the boundary's
-        phi (the held values), P, Q and stage-1 clamped omega: only a
-        sampled step forms the powers V_i conj(I).
+        With ``sample``, a list, the step then extends it with the
+        boundary's stage-1 clamped omega, P, Q and phi (the held values):
+        only a sampled step forms the powers V_i conj(I).
         """
         total = 0j
         for x in deltas:
@@ -215,14 +214,12 @@ def loop_plant(config, dt):
             out.append(x + sixth * ((a - w_star) + 2.0 * ((b - w_star) + (c - w_star))
                                     + (w - w_star)))
         if sample is not None:
-            phis, actives, reactives, row_omegas = sample
-            phis.extend(held.values())
             icon = ((boundary - drive) / z).conjugate()
-            for x in deltas:
-                s = rect(v_star, x) * icon
-                actives.append(s.real)
-                reactives.append(s.imag)
-            row_omegas.extend(stages[0])
+            powers = [rect(v_star, x) * icon for x in deltas]
+            sample.extend(stages[0])
+            sample.extend(s.real for s in powers)
+            sample.extend(s.imag for s in powers)
+            sample.extend(held.values())
         return out
 
     return step

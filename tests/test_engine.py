@@ -28,6 +28,7 @@ from cascade_droop import (
     SweepAxis,
     SystemConfig,
     TimedEvent,
+    Trace,
     ValidationError,
     droop_frequency,
     generalized_load,
@@ -311,10 +312,10 @@ def test_generated_kernel_matches_the_loop_kernel_bit_for_bit(run):
     for take in sampled:
         rows = []
         for i, (step, (xs, hold)) in enumerate(zip(steps, states)):
-            sample = ([], [], [], []) if take else None
+            sample = [] if take else None
             states[i] = (step(xs, hold, sample), hold)
             rows.append((_bits(states[i][0]), _bits(hold.angles), hold.arg,
-                         sample and [_bits(values) for values in sample]))
+                         sample and _bits(sample)))
         assert rows[0] == rows[1]
     got, want = (hold.values() for _, hold in states)
     assert _bits(got) == _bits(want)
@@ -335,12 +336,12 @@ def test_kernel_dead_band_is_the_zero_power_fraction(fraction, holds):
     assert gap == pytest.approx(fraction * n * v_star, rel=1e-3)
     sentinels = [10.0 + i for i in range(n)]
     held = engine._Held(list(sentinels))
-    sample = ([], [], [], [])
+    sample = []
     engine._plant(config, 1e-3)([0.0] * n, held, sample)
     # a real positive gap drives I at -arg Z_line, so each module measures arg Z_line
     want = sentinels if holds else [config.line.angle] * n
     assert held.values() == pytest.approx(want, abs=1e-12)
-    assert sample[0] == held.values()
+    assert sample[3 * n:] == held.values()
 
 
 def _exactly_at_the_dead_band():
@@ -474,6 +475,51 @@ def test_trace_is_immutable():
                               duration=0.5, dt=1e-3)).trace
     with pytest.raises(ValueError):
         trace.frequency_hz[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("table", [
+    np.zeros(9),
+    np.zeros((3, 1)),
+    np.zeros((3, 4)),
+    np.zeros((3, 6)),
+    np.zeros((3, 8)),
+], ids=["1-D", "1-column", "4-columns", "6-columns", "8-columns"])
+def test_trace_refuses_a_table_that_is_not_1_plus_4n_columns(table):
+    with pytest.raises(ValidationError, match=r"1 \+ 4n columns"):
+        Trace(table)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 0.0, 1.0],
+    [0.0, 2.0, 1.0],
+    [0.0, math.nan, 1.0],
+    [math.nan],
+], ids=["repeated", "decreasing", "nan-inside", "nan-alone"])
+def test_trace_refuses_times_that_do_not_strictly_increase(times):
+    table = np.zeros((len(times), 9))
+    table[:, 0] = times
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        Trace(table)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_trace_channels_are_read_only_column_blocks_of_its_table(n):
+    # channel k of a (rows, 1 + 4n) table is columns 1 + k n .. (k + 1) n
+    rows = 5
+    table = np.arange(rows * (1 + 4 * n), dtype=float).reshape(rows, 1 + 4 * n)
+    table[:, 0] = np.arange(rows)
+    want = table.copy()
+    trace = Trace(table)
+    assert (len(trace), trace.module_count) == (rows, n)
+    assert np.array_equal(trace.times, want[:, 0])
+    channels = (trace.frequency_hz, trace.active, trace.reactive, trace.pf_angle)
+    for k, channel in enumerate(channels):
+        assert np.array_equal(channel, want[:, 1 + k * n:1 + (k + 1) * n])
+        assert np.shares_memory(channel, trace.table)
+    for array in (trace.table, trace.times, *channels):
+        with pytest.raises(ValueError):
+            array[0] = -1.0
+    assert np.array_equal(trace.table, want)
 
 
 def test_islanded_translation_symmetry():
@@ -612,10 +658,10 @@ def test_measured_angles_keep_their_digits_at_tiny_voltage(v_star):
     # below V* ~ 1e-154 each module's power V* |I| is subnormal; sum V - V_g is not
     config = make_config(v_star=v_star)
     deltas = [0.1, 0.2, 0.3, 0.4]
-    sample = ([], [], [], [])
+    sample = []
     engine._plant(config, 1e-3)(deltas, engine._Held([0.0] * 4), sample)
     want = phi_vector(deltas, 1.0, generalized_load(config.line, config.load))
-    assert max(abs(wrap_angle(a - b)) for a, b in zip(sample[0], want)) <= 1e-13
+    assert max(abs(wrap_angle(a - b)) for a, b in zip(sample[3 * len(deltas):], want)) <= 1e-13
 
 
 def _case1_scaled(k):
@@ -679,11 +725,12 @@ def test_kernel_holds_all_modules_or_none(run):
     config, deltas = run
     sentinels = [10.0 + i for i in range(config.n)]  # no measured angle reaches these
     held = engine._Held(list(sentinels))
-    sample = ([], [], [], [])
+    sample = []
     engine._plant(config, 1e-3)(deltas, held, sample)
-    kept = [phi == mark for phi, mark in zip(sample[0], sentinels)]
+    phis = sample[3 * config.n:]
+    kept = [phi == mark for phi, mark in zip(phis, sentinels)]
     assert all(kept) or not any(kept)
-    assert held.values() == (sentinels if all(kept) else sample[0])
+    assert held.values() == (sentinels if all(kept) else phis)
 
 
 def test_scenario_validation_errors():

@@ -145,7 +145,7 @@ def _traces(draw):
               | st.floats(-1e6, 1e6))
     dt = draw(st.floats(1e-3, 1e3))
     times = np.concatenate(([t0], 1e6 + dt * np.arange(1, rows)))
-    return Trace(times, *channels)
+    return Trace(np.column_stack([times, *channels]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,13 +156,7 @@ def test_csv_matches_per_value_oracle(tmp_path_factory, trace):
 
 
 def test_csv_refuses_empty_trace(tmp_path):
-    empty = Trace(
-        times=np.empty(0),
-        frequency_hz=np.empty((0, 2)),
-        active=np.empty((0, 2)),
-        reactive=np.empty((0, 2)),
-        pf_angle=np.empty((0, 2)),
-    )
+    empty = Trace(np.empty((0, 1 + 4 * 2)))
     with pytest.raises(EmptyTraceError):
         emit_trace_csv(empty, tmp_path / "empty.csv")
 
@@ -260,7 +254,7 @@ def test_case_segments_match_a_search_of_the_sample_times(case_id):
     steps, decim = scenario.steps, scenario.record_decimation
     times = np.array([k for k in range(steps + 1) if k % decim == 0 or k == steps]) * scenario.dt
     zeros = np.zeros((len(times), scenario.config.n))
-    trace = Trace(times, zeros, zeros.copy(), zeros.copy(), zeros.copy())
+    trace = Trace(np.column_stack([times, zeros, zeros, zeros, zeros]))
     want = []
     start = 0.0
     config = scenario.config

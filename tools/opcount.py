@@ -26,6 +26,10 @@ Method:
 * ``report_stability.opcodes_per_row``: opcodes per sweep row of
   ``report_stability`` over an angle sweep of case 1's config, the count of
   a 201-row sweep minus that of a 101-row sweep of the same range, over 100.
+* ``emit_trace_csv.opcodes_per_row``: opcodes per row that ``emit_trace_csv``
+  writes of the n = 48 scenario's trace, the count of a 512-row trace minus
+  that of a 256-row trace, over 256.  Both traces come from ``simulate``, so
+  the count reads the trace however a revision stores it.
 * ``import_opcodes``: opcodes of ``import cascade_droop.cli`` in a fresh
   interpreter (``python -c``), after a first fresh import has written the
   bytecode caches it can.
@@ -38,6 +42,7 @@ import json
 import platform
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -45,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STEPS = (300, 600)
 SWEEP_STEPS = (0.06, 0.03)  # angle steps over [-3, 3]: 101 and 201 rows
+CSV_ROWS = (256, 512)
 
 # Counts opcodes from here to the end of the import; printed on the last line.
 _IMPORT_SCRIPT = """\
@@ -145,6 +151,18 @@ def per_sweep_row(config) -> float:
     return (counts[1] - counts[0]) / (rows[1] - rows[0])
 
 
+def per_csv_row(scenario) -> float:
+    from cascade_droop import emit_trace_csv, simulate
+
+    traces = [simulate(replace(scenario, duration=(rows - 1) * scenario.dt)).trace
+              for rows in CSV_ROWS]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        emit_trace_csv(traces[0], path)  # untraced warm-up
+        counts = [count_opcodes(lambda: emit_trace_csv(trace, path)) for trace in traces]
+    return (counts[1] - counts[0]) / (CSV_ROWS[1] - CSV_ROWS[0])
+
+
 def import_opcodes(src: Path) -> int:
     script = _IMPORT_SCRIPT.format(src=str(src))
     counts = []
@@ -183,6 +201,7 @@ def main(argv=None) -> int:
                 simulate, scenario),
         }
     out["report_stability"] = {"opcodes_per_row": per_sweep_row(built["n4_decimation10"].config)}
+    out["emit_trace_csv"] = {"opcodes_per_row": per_csv_row(built["n48_decimation1"])}
     out["import_opcodes"] = import_opcodes(src)
     print(json.dumps(out, indent=1))
     return 0
