@@ -32,7 +32,7 @@ class DroopParams:
 
     nominal_frequency : Hz, the frequency f* commanded at zero angle error
     nominal_voltage : volts, the fixed amplitude reference
-    nominal_pf_angle : radians in (-pi, pi], the power-factor-angle setpoint
+    nominal_pf_angle : radians in [-pi, pi], the power-factor-angle setpoint
     droop_gain : 1/s, positive slope of the frequency droop
     freq_clamp : optional (low, high) band in Hz applied to the output
 
@@ -67,7 +67,7 @@ class DroopParams:
 
 
 def power_factor_angle(power: PowerPair, rated: float = 1.0) -> float:
-    """Four-quadrant angle atan2(Q, P) in (-pi, pi].
+    """Four-quadrant angle atan2(Q, P) in [-pi, pi].
 
     Raises ZeroPowerError when |S| is at most ``ZERO_POWER_FRACTION`` of the
     rated power: the ratio is undefined at zero current.  Callers that must
@@ -81,7 +81,7 @@ def power_factor_angle(power: PowerPair, rated: float = 1.0) -> float:
         raise ZeroPowerError(
             f"power factor angle undefined: |S|={power.apparent:.3e} VA is at most {floor:.3e}"
         )
-    return wrap_angle(math.atan2(power.reactive, power.active))
+    return math.atan2(power.reactive, power.active)
 
 
 def droop_frequency(phi: float, params: DroopParams) -> float:

@@ -46,12 +46,9 @@ their digits at any voltage scale the power-scale check admits.  While
 every droop error stays on one side of the +/-pi seam and the clamp is
 idle, pairwise angle differences decay as exactly exp(-m t) in both modes,
 not just to first order; the tests use this as an oracle that is
-independent of the linearization.  On the seam itself the kernel and
-``droop_frequency`` differ: ``math.remainder`` keeps a droop error of
-exactly -pi, which ``wrap_angle`` maps to +pi, so there the kernel commands
-f* + m/2 Hz (before the clamp) where the law gives f* - m/2.  A grid-tied
-string with a resistive line, phi* = 0, n V* < V_g and every angle 0 starts
-on that tie.
+independent of the linearization.  The kernel's remainder(e - base, TAU)
+is ``wrap_angle`` inlined, so the kernel and ``droop_frequency`` are one
+law, the seam included.
 
 A scenario is a timeline of parameter/topology events at exact step
 boundaries (event times must be multiples of dt); a ``Scenario`` that fails

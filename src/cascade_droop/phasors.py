@@ -32,10 +32,11 @@ PI = math.pi
 
 
 def wrap_angle(angle: float) -> float:
-    """Map an angle in radians to the half-open interval (-pi, pi]."""
-    w = math.remainder(angle, TAU)
-    # remainder() may return exactly -pi; the convention here keeps +pi.
-    return w if w > -PI else w + TAU
+    """Map an angle in radians to the closed interval [-pi, pi] with ``math.remainder``.
+
+    The simulation kernel's droop law inlines the same call, so both keep -pi on the seam.
+    """
+    return math.remainder(angle, TAU)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class Phasor:
     magnitude : float
         Non-negative amplitude (volts or amperes).
     angle : float
-        Phase in radians; stored wrapped to (-pi, pi].
+        Phase in radians; stored wrapped to [-pi, pi].
     """
 
     magnitude: float

@@ -170,6 +170,18 @@ def test_kernel_sample_matches_power_flow_and_droop_oracles(run):
         assert trace.frequency_hz[0].tolist() == [config.droop.nominal_frequency] * 4
 
 
+def test_kernel_and_droop_law_agree_on_the_seam():
+    # resistive line, phi* = 0, n V* < V_g, every angle 0: the current is real and
+    # negative, so every droop error starts exactly on the seam, at -pi
+    config = make_config(v_star=50.0, phi_star=0.0, clamp=None, line=Impedance(0.314, 0.0),
+                         mode=Mode.GRID_CONNECTED)
+    trace = simulate(Scenario(config=config, initial_deltas=(0.0,) * 4, duration=20.0)).trace
+    assert trace.pf_angle[0].tolist() == [-PI] * 4
+    for phi, f in zip(trace.pf_angle[0].tolist(), trace.frequency_hz[0].tolist()):
+        assert f == droop_frequency(phi, config.droop) / TAU
+        assert f == pytest.approx(50.25, abs=1e-12)
+
+
 @st.composite
 def _step_calls(draw, ns=st.integers(1, 8)):
     """One RK4 step: config, angles, held angles and step size.
@@ -601,17 +613,17 @@ def test_apply_event_mode_load_and_line_replace_one_field():
 
 @pytest.mark.parametrize("target, expected", [
     (PI + 0.3, -PI + 0.3),
-    (-PI, PI),
+    (-PI, -PI),
     (-PI - 0.3, PI - 0.3),
     (3 * TAU + 0.25, 0.25),
 ])
-def test_apply_event_pf_reference_lands_in_half_open_interval(target, expected):
+def test_apply_event_pf_reference_lands_in_closed_interval(target, expected):
     config = make_config()
     after = apply_event(config, SetPfRef(target))
     assert _changed(config, after) == {"droop"}
     assert _changed(config.droop, after.droop) == {"nominal_pf_angle"}
     phi = after.droop.nominal_pf_angle
-    assert -PI < phi <= PI
+    assert -PI <= phi <= PI
     assert phi == pytest.approx(expected, abs=1e-12)
 
 

@@ -25,14 +25,15 @@ from oracles import rect_power_flow
 PI = math.pi
 
 
-@given(angle=st.floats(allow_nan=False, allow_infinity=False))
-def test_wrap_angle_half_open_interval(angle):
+@given(angle=st.floats(allow_nan=False, allow_infinity=False), inside=st.floats(-PI, PI))
+def test_wrap_angle_closed_interval(angle, inside):
     wrapped = wrap_angle(angle)
-    assert -PI < wrapped <= PI
+    assert -PI <= wrapped <= PI
     assert wrap_angle(wrapped) == wrapped
+    assert wrap_angle(inside).hex() == inside.hex()  # the identity on [-pi, pi], signed zeros too
     assert wrap_angle(PI) == PI
-    assert wrap_angle(-PI) == PI
-    assert wrap_angle(3 * PI) == pytest.approx(PI)
+    assert wrap_angle(-PI) == -PI
+    assert abs(wrap_angle(3 * PI)) == pytest.approx(PI)
     assert wrap_angle(0.25) == 0.25
     assert wrap_angle(2 * PI - 0.2) == pytest.approx(-0.2)
     assert wrap_angle(-2 * PI + 0.3) == pytest.approx(0.3)
@@ -40,7 +41,7 @@ def test_wrap_angle_half_open_interval(angle):
 
 def test_phasor_wraps_angle_and_validates():
     p = Phasor(2.0, 3 * PI)
-    assert p.angle == pytest.approx(PI)
+    assert abs(p.angle) == pytest.approx(PI)
     assert p.rect == pytest.approx(cmath.rect(2.0, PI))
     with pytest.raises(ValidationError):
         Phasor(-1.0, 0.0)
