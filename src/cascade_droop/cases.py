@@ -164,22 +164,16 @@ def _params_lines(scenario: Scenario) -> tuple[str, ...]:
 
 
 def _segments(scenario: Scenario, trace: Trace) -> list[tuple[float, int, SystemConfig]]:
-    """(start time, last sample index, config in force) of each stretch between event steps.
+    """(start time, last sample index, config in force) of each ``scenario.schedule`` entry.
 
-    A stretch ends before each event step of ``scenario.schedule`` after
-    step 0 and at the end of the run.  Row r of the trace holds step
-    r * decimation, so the last row before step s is (s - 1) // decimation.
+    A stretch runs from its entry's step to the next entry's or to the end
+    of the run.  Row r of the trace holds step r * decimation, so the last
+    row before step s is (s - 1) // decimation.
     """
-    out = []
-    start = 0.0
-    config = scenario.config
-    for group in scenario.schedule:
-        if group.step > 0:
-            out.append((start, (group.step - 1) // scenario.record_decimation, config))
-        start = group.time
-        config = group.config
-    out.append((start, len(trace) - 1, config))
-    return out
+    schedule = scenario.schedule
+    ends = [(group.step - 1) // scenario.record_decimation for group in schedule[1:]]
+    return [(group.time, end, group.config)
+            for group, end in zip(schedule, [*ends, len(trace) - 1])]
 
 
 # --- claims -----------------------------------------------------------------

@@ -9,7 +9,8 @@ CPU; its output bytes match a serial run.
 
 Exit codes: 0 success, 1 validation error (bad usage, unparsable or invalid
 scenario) or an output file or directory that cannot be written, 2 runtime
-error (the simulation itself failed).
+error (the simulation itself failed) or a ``case`` whose report fails a
+CHECK line.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cases import run_cases
-from .engine import simulate
+from .engine import Scenario, simulate
 from .errors import SimulationError, ValidationError
 from .reports import SweepAxis, emit_trace_csv, report_stability
-from .scenario_io import parse_scenario
+from .scenario_io import scenario_fields
 
 
 class _UsageError(Exception):
@@ -61,26 +62,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_scenario(path: Path):
+def _scenario_fields(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read scenario file {path}: {exc}") from None
-    return parse_scenario(text)
+    return scenario_fields(text)
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    overrides = {}
+    # the overrides replace the file's fields before the one check of the whole scenario
+    fields = _scenario_fields(args.scenario)
     if args.dt is not None:
-        overrides["dt"] = args.dt
+        fields["dt"] = args.dt
     if args.duration is not None:
-        overrides["duration"] = args.duration
+        fields["duration"] = args.duration
     if args.no_clamp:
-        config = scenario.config
-        overrides["config"] = replace(config, droop=replace(config.droop, freq_clamp=None))
-    scenario = replace(scenario, **overrides)
-    trace = simulate(scenario).trace
+        config = fields["config"]
+        fields["config"] = replace(config, droop=replace(config.droop, freq_clamp=None))
+    trace = simulate(Scenario(**fields)).trace
     args.out.mkdir(parents=True, exist_ok=True)
     out = emit_trace_csv(trace, args.out / f"{args.scenario.stem}_trace.csv")
     final_f = ", ".join(f"{v:.6g}" for v in trace.frequency_hz[-1])
@@ -91,9 +91,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_case(args) -> int:
     ids = [1, 2, 3, 4, 5] if args.which == "all" else [int(args.which)]
+    passed = True
     for report in run_cases(ids, args.out):
         sys.stdout.write(report.render())
-    return 0
+        passed = passed and report.all_passed
+    return 0 if passed else 2
 
 
 def _parse_sweep(tokens: list[str]):
@@ -112,7 +114,7 @@ def _parse_sweep(tokens: list[str]):
 
 
 def _cmd_stability(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = Scenario(**_scenario_fields(args.scenario))
     sweep = _parse_sweep(args.sweep) if args.sweep is not None else None
     sys.stdout.write(report_stability(scenario.config, sweep=sweep, angle_diff=args.angle))
     return 0

@@ -12,7 +12,14 @@ Integration is fixed-step classical Runge-Kutta (RK4).  The closed-loop
 rates are of order the droop gain, so the default 1 ms step is deeply
 conservative; fixed stepping keeps every run bit-reproducible.  Every
 pairwise angle mode decays at -m, and RK4 is stable there only for
-m dt <= ``RK4_STABILITY_LIMIT``, so a ``Scenario`` past it is refused.
+m dt <= ``RK4_STABILITY_LIMIT``, so a ``Scenario`` past it is refused.  A
+grid config's common mode decays at its slow eigenvalue lambda_1, which can
+be many times faster than -m, so a ``Scenario`` also refuses a stable root of
+``grid_equilibrium`` with |lambda_1| dt past that limit, in every config of
+its schedule; a config with no root is skipped.  An islanded config needs no
+such check: its common mode is neutral and its pairwise modes decay at -m.
+The guard bounds the linearization at the root only, so it is necessary but
+not sufficient: nearer zero current the flow is stiffer still.
 
 One kernel holds the measurement, the droop law and the integrator:
 ``_plant(config, dt)`` binds the constants once and returns the closure
@@ -58,16 +65,17 @@ action)``, which is also the one check of an event's own values; only the
 angle-reset event writes state, and it leaves the config unchanged.  Events
 at one time apply together, in file order: the scenario's ``schedule``
 holds one entry per event step with the fold of ``apply_event`` over all
-events so far, and ``simulate`` builds one kernel per entry whose config
-changed, never one for a config between two events.
+events so far.  The schedule's first entry is step 0, so it lists every
+config a run runs, and ``simulate`` builds one kernel for it and one per
+later entry whose config changed, never one for a config between two events.
 
 At zero current the power factor angle is undefined.  All modules carry one
 current, so the zero-power rule of ``droop.ZERO_POWER_FRACTION`` holds for
 all or none; the engine then holds each module's previous valid measurement,
 initialized to the phi* in force at the first step, so a dead start is
-well defined.  The run starts after the events at t = 0, with their kernel
-and their phi*: it is, bit for bit, the run with those events folded into
-the config and the initial angles.
+well defined.  Step 0's kernel and phi* are those of the schedule's first
+entry, so a run with events at t = 0 is, bit for bit, the run with those
+events folded into the config and the initial angles.
 """
 
 from __future__ import annotations
@@ -250,7 +258,7 @@ class Scenario:
         steps = _exact_step(self.duration, self.dt, "duration")
         if steps < 1:
             raise ValidationError("duration must cover at least one step")
-        schedule: list[EventStep] = []
+        schedule = [EventStep(0, 0.0, (), self.config)]
         config = self.config
         last = -math.inf
         for ev in self.events:
@@ -261,13 +269,33 @@ class Scenario:
                 raise ValidationError(f"event time {ev.time} outside [0, {self.duration}]")
             step = _exact_step(ev.time, self.dt, "event time")
             config = apply_event(config, ev.action)
-            if schedule and schedule[-1].step == step:
+            if schedule[-1].step == step:
                 actions = (*schedule[-1].actions, ev.action)
                 schedule[-1] = schedule[-1]._replace(actions=actions, config=config)
             else:
                 schedule.append(EventStep(step, ev.time, (ev.action,), config))
+        for group in schedule:
+            _check_slow_mode(group, self.dt)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "schedule", tuple(schedule))
+
+
+def _check_slow_mode(group: EventStep, dt: float) -> None:
+    """Refuse a stable grid root whose slow mode lambda_1 puts RK4 past its limit at ``dt``."""
+    if group.config.mode is not Mode.GRID_CONNECTED:
+        return  # islanded: the common mode is neutral and the pairwise modes decay at -m
+    try:
+        roots = grid_equilibrium(group.config).roots
+    except (NoRootError, ValidationError):
+        return  # no root, or voltages past float range: no equilibrium to protect
+    for root in roots:
+        lam = root.lambda_slow
+        if root.verdict is linearization.Stability.STABLE and not -lam * dt <= RK4_STABILITY_LIMIT:
+            raise ValidationError(
+                f"grid slow mode lambda1 = {lam:g} /s at dt = {dt:g} s gives |lambda1|*dt = "
+                f"{-lam * dt:g}, past RK4's stability limit {RK4_STABILITY_LIMIT!r}, in the "
+                f"config in force from t = {group.time:g} s"
+            )
 
 
 def _exact_step(t: float, dt: float, what: str) -> int:
@@ -416,26 +444,13 @@ def _kernel_factory(n: int) -> Callable[..., Callable[..., list[float]]]:
     return namespace["bind"]
 
 
-def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
-    """The RK4 step of one configuration and step size, its constants bound once.
+def _bind(config: SystemConfig, dt: float) -> tuple:
+    """The constants of ``step`` for one configuration and step size, in the order of ``bind``.
 
-    ``step(deltas, held, sample=None)`` returns the angles one classical RK4
-    step after ``deltas``, as a new list.  Each stage sums the string voltage
-    once; while current flows it droops every module on wrap(x - arg I -
-    phi*) at the stage's angles x, and at zero current on ``held`` with
-    arg I = 0.  A live step boundary stores ``deltas`` and its arg I in
-    ``held``.  With ``sample``, a list, the step then extends it with the
-    boundary's stage-1 clamped omega, P, Q and phi (the held values), each
-    in module order: only a sampled step forms the powers V_i conj(I).
-
-    ``step`` is the straight-line code that ``_kernel_factory(config.n)``
-    generated for n modules, so the droop law and its clamp are written
-    once, in ``_DROOP``.  A string past ``_MAX_KERNEL_MODULES`` is refused
-    before any code is generated.
+    They are V*, omega*, m and phi*, the clamp band in rad/s, the impedance
+    Z the string drives and the drive, the zero-power dead band and the RK4
+    increments dt/2, dt and dt/6.  A power scale past float range is refused.
     """
-    if config.n > _MAX_KERNEL_MODULES:
-        raise ValidationError(f"n={config.n} modules is past the simulation kernel's limit of "
-                              f"{_MAX_KERNEL_MODULES:,} modules")
     d = config.droop
     v_star = d.nominal_voltage
     if d.freq_clamp is None:
@@ -458,9 +473,31 @@ def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
     # Every module carries the one string current, so |S_i| = V* |I| for all
     # i, and |S| <= fraction * n V*^2/|Z| reads |sum V - V_g| <= fraction * n V*.
     dead_band = ZERO_POWER_FRACTION * config.n * v_star
-    return _kernel_factory(config.n)(v_star, TAU * d.nominal_frequency, d.droop_gain,
-                                     d.nominal_pf_angle, w_lo, w_hi, z, drive, dead_band,
-                                     0.5 * dt, dt, dt / 6.0)
+    return (v_star, TAU * d.nominal_frequency, d.droop_gain, d.nominal_pf_angle, w_lo, w_hi,
+            z, drive, dead_band, 0.5 * dt, dt, dt / 6.0)
+
+
+def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
+    """The RK4 step of one configuration and step size, its constants bound once.
+
+    ``step(deltas, held, sample=None)`` returns the angles one classical RK4
+    step after ``deltas``, as a new list.  Each stage sums the string voltage
+    once; while current flows it droops every module on wrap(x - arg I -
+    phi*) at the stage's angles x, and at zero current on ``held`` with
+    arg I = 0.  A live step boundary stores ``deltas`` and its arg I in
+    ``held``.  With ``sample``, a list, the step then extends it with the
+    boundary's stage-1 clamped omega, P, Q and phi (the held values), each
+    in module order: only a sampled step forms the powers V_i conj(I).
+
+    ``step`` is the straight-line code that ``_kernel_factory(config.n)``
+    generated for n modules, so the droop law and its clamp are written
+    once, in ``_DROOP``; ``_bind`` forms its constants.  A string past
+    ``_MAX_KERNEL_MODULES`` is refused before any code is generated.
+    """
+    if config.n > _MAX_KERNEL_MODULES:
+        raise ValidationError(f"n={config.n} modules is past the simulation kernel's limit of "
+                              f"{_MAX_KERNEL_MODULES:,} modules")
+    return _kernel_factory(config.n)(*_bind(config, dt))
 
 
 EventCallback = Callable[[float, EventAction, list[float], list[float]], None]
@@ -471,8 +508,8 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
 
     This is the one way to advance the plant: one kernel call per step
     advances the angles by a whole RK4 step and, on a recorded step, fills
-    the step's sample after it; the last row keeps its angles.  Between
-    stretches it applies one ``scenario.schedule`` entry.
+    the step's sample after it; the last row keeps its angles.  Each stretch
+    opens with one ``scenario.schedule`` entry, the first at step 0.
 
     Parameters
     ----------
@@ -483,9 +520,8 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         with copies of the angle vector around each event application.
     """
     steps = scenario.steps
-    bounds = [group.step for group in scenario.schedule]
-    # the run starts after the events at t = 0: the first kernel and held phi* are theirs
-    config = scenario.schedule[0].config if bounds[:1] == [0] else scenario.config
+    schedule = scenario.schedule
+    config = schedule[0].config
     n = config.n
     dt = scenario.dt
     step = _plant(config, dt)
@@ -505,21 +541,21 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         ) from None
     row = 0
 
-    for group, start, stop in zip((None, *scenario.schedule), [0, *bounds], [*bounds, steps + 1]):
-        if group is not None:
-            # a reset writes into the list the last step returned, which no step has read yet
-            for action in group.actions:
-                before = deltas.copy() if on_event is not None else None
-                if isinstance(action, SetInitialDelta):
-                    deltas[action.index - 1] = float(action.delta)
-                if on_event is not None:
-                    on_event(start * dt, action, before, deltas.copy())
-            if group.config != config:
-                config = group.config
-                try:
-                    step = _plant(config, dt)
-                except (SingularImpedanceError, ValidationError) as exc:
-                    raise type(exc)(f"at event time t={start * dt:g} s: {exc}") from exc
+    for group, stop in zip(schedule, [*(g.step for g in schedule[1:]), steps + 1]):
+        start = group.step
+        # a reset writes into the list the last step returned, which no step has read yet
+        for action in group.actions:
+            before = deltas.copy() if on_event is not None else None
+            if isinstance(action, SetInitialDelta):
+                deltas[action.index - 1] = float(action.delta)
+            if on_event is not None:
+                on_event(start * dt, action, before, deltas.copy())
+        if group.config != config:
+            config = group.config
+            try:
+                step = _plant(config, dt)
+            except (SingularImpedanceError, ValidationError) as exc:
+                raise type(exc)(f"at event time t={start * dt:g} s: {exc}") from exc
         for k in range(start, stop):
             if k % decim == 0 or k == steps:
                 sample = [k * dt]

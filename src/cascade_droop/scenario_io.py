@@ -41,7 +41,9 @@ carries the offending line number where one exists.  Event times are checked
 against dt and duration when the ``Scenario`` is built.  Each event's own
 values are checked by ``engine.apply_event`` where it is parsed, so a
 non-finite angle or an angle-reset index outside 1..n names the event's line.
-Events at t = 0 apply before the first step, as if folded into the sections.
+The schedule's first entry is step 0, and events at t = 0 merge into it, as
+if folded into the sections.  A grid config whose stable root's slow mode
+has |lambda_1| dt past RK4's stability limit is refused; see ``engine``.
 """
 
 from __future__ import annotations
@@ -177,6 +179,15 @@ def _parse_event_impedance(tokens: list[str], section: str, omega_star: float,
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document. See the module docstring for the grammar."""
+    return Scenario(**scenario_fields(text))
+
+
+def scenario_fields(text: str) -> dict:
+    """The ``Scenario`` keyword arguments a scenario document gives, each checked but not the whole.
+
+    The whole is checked once, when a ``Scenario`` is built from them, so a
+    caller can replace a field before that one check.
+    """
     sections = _scan_sections(text)
     for required in ("system", "line", "load", "solver"):
         if required not in sections:
@@ -296,7 +307,7 @@ def parse_scenario(text: str) -> Scenario:
         solver["dt"] = _as_float(solver_kv["dt"], "[solver] dt")
     if "decimation" in solver_kv:
         solver["record_decimation"] = _as_int(solver_kv["decimation"], "[solver] decimation")
-    return Scenario(config=config, initial_deltas=initial, events=tuple(events), **solver)
+    return dict(config=config, initial_deltas=initial, events=tuple(events), **solver)
 
 
 def _fmt(x: float) -> str:

@@ -20,7 +20,6 @@ from cascade_droop import (
     Mode,
     Phasor,
     PowerPair,
-    ValidationError,
     ZeroPowerError,
     droop_frequency,
     generalized_load,
@@ -29,8 +28,7 @@ from cascade_droop import (
     power_factor_angle,
     wrap_angle,
 )
-from cascade_droop.droop import ZERO_POWER_FRACTION
-from cascade_droop.phasors import series_impedance
+from cascade_droop.engine import _bind
 
 TAU = math.tau
 
@@ -115,38 +113,14 @@ def rect_power_flow(voltages, sink, z):
 def loop_plant(config, dt):
     """The engine's RK4 step as loops over the modules: the reference for the generated kernel.
 
-    It takes and returns what ``engine._plant`` does, and its step reads and
-    writes an ``engine._Held`` alike.  The closure ``step`` holds the droop
-    law and its clamp twice: in the loop body of stages 1-3 and in stage 4,
-    which needs no next string sum.
+    It takes and returns what ``engine._plant`` does, from the constants of
+    ``engine._bind``, and its step reads and writes an ``engine._Held``
+    alike.  The closure ``step`` holds the droop law and its clamp twice: in
+    the loop body of stages 1-3 and in stage 4, which needs no next string sum.
     """
-    d = config.droop
-    v_star = d.nominal_voltage
-    w_star = TAU * d.nominal_frequency
-    m = d.droop_gain
-    phi_star = d.nominal_pf_angle
-    if d.freq_clamp is None:
-        w_lo, w_hi = -math.inf, math.inf
-    else:
-        w_lo, w_hi = TAU * d.freq_clamp[0], TAU * d.freq_clamp[1]
-    if config.mode is Mode.ISLANDED:
-        z = series_impedance(config.line, config.load)
-        drive = 0j
-    else:
-        z = config.line.rect
-        drive = cmath.rect(config.grid_voltage, config.grid_angle)
-    # The power scale and bounds on |I| and every |S_i|: past float range
-    # the kernel's current or powers would be inf or nan.
-    rated = config.n * v_star * v_star / abs(z)
-    current = (config.n * v_star + abs(drive)) / abs(z)
-    if not max(rated, current, v_star * current) < math.inf:
-        raise ValidationError(f"power scale n V*^2/|Z| = {rated:g} VA, current (n V* + V_g)/|Z| = "
-                              f"{current:g} A or V* times it is not finite")
-    # Every module carries the one string current, so |S_i| = V* |I| for all
-    # i, and |S| <= fraction * n V*^2/|Z| reads |sum V - V_g| <= fraction * n V*.
-    dead_band = ZERO_POWER_FRACTION * config.n * v_star
-    increments = (0.5 * dt, 0.5 * dt, dt)  # from stages 1-3 to the next stage's angles
-    sixth = dt / 6.0
+    v_star, w_star, m, phi_star, w_lo, w_hi, z, drive, dead_band, half, dt, sixth = _bind(
+        config, dt)
+    increments = (half, half, dt)  # from stages 1-3 to the next stage's angles
     rect = cmath.rect
     phase = cmath.phase
     remainder = math.remainder

@@ -298,10 +298,7 @@ def _kernel_runs(draw):
     """
     config, deltas, held, dt = draw(_step_calls(st.sampled_from(_KERNEL_NS)))
     if draw(st.booleans()):
-        if config.mode is Mode.ISLANDED:
-            z, drive = engine.series_impedance(config.line, config.load), 0j
-        else:
-            z, drive = config.line.rect, cmath.rect(config.grid_voltage, config.grid_angle)
+        z, drive = engine._bind(config, dt)[6:8]  # the impedance the string drives, the drive
         total = sum((cmath.rect(config.droop.nominal_voltage, x) for x in deltas), 0j) - drive
         eps = draw(st.sampled_from([0.0, 1e-9, -1e-9]))
         phi_star = deltas[0] - cmath.phase(total / z) - PI + eps
@@ -760,7 +757,7 @@ def test_scenario_validation_errors():
     with pytest.raises(ValidationError, match="event time 2.00000005 is not a multiple of dt"):
         Scenario(**longer, events=(TimedEvent(2.0 + 5e-8, SetPfRef(0.1)),))
     snapped = Scenario(**longer, events=(TimedEvent(2.0 + 1e-10, SetPfRef(0.1)),))
-    assert snapped.schedule[0].step == 2000
+    assert snapped.schedule[1].step == 2000
     with pytest.raises(ValidationError, match="dt"):
         Scenario(config=config, initial_deltas=(0.0,) * 4, duration=1.0, dt=-1e-3)
     with pytest.raises(ValidationError, match="initial_deltas"):
@@ -803,6 +800,57 @@ def test_scenario_refuses_m_dt_past_the_rk4_stability_limit():
     final = simulate(Scenario(config=make_config(n=2, m=1e306, clamp=None),
                               initial_deltas=(0.1, -0.1), duration=50 * dt, dt=dt)).final_states
     assert all(math.isfinite(s.delta) for s in final)
+
+
+# A grid string next to zero current: m dt = 0.1 at dt = 0.2, but its one root's slow
+# mode decays at lambda1 = -19.03 /s, so |lambda1| dt = 3.81
+_FAST_ROOT = make_config(n=40, v_star=7.805406242661235, phi_star=-2.5323637894048843,
+                         mode=Mode.GRID_CONNECTED)
+
+
+def _largest_slow_mode_dt(config):
+    """The stable root and the largest dt with |lambda1| dt within RK4's stability limit."""
+    (root,) = grid_equilibrium(config).roots
+    dt = engine.RK4_STABILITY_LIMIT / -root.lambda_slow
+    while -root.lambda_slow * dt > engine.RK4_STABILITY_LIMIT:
+        dt = math.nextafter(dt, 0.0)
+    return root, dt
+
+
+def test_scenario_refuses_a_grid_slow_mode_past_the_rk4_stability_limit():
+    root, inside = _largest_slow_mode_dt(_FAST_ROOT)
+    assert root.verdict is Stability.STABLE and root.lambda_slow == pytest.approx(-19.03, abs=5e-3)
+    start = dict(config=_FAST_ROOT, initial_deltas=(0.0,) * 40)
+    Scenario(**start, duration=inside, dt=inside)
+    past = math.nextafter(inside, 1.0)
+    with pytest.raises(ValidationError, match=(
+            r"^grid slow mode lambda1 = -19.0282 /s at dt = 0.146377 s gives \|lambda1\|\*dt = "
+            r"2.78529, past RK4's stability limit 2.785293563405282, in the config in force "
+            r"from t = 0 s$")):
+        Scenario(**start, duration=past, dt=past)
+    # a phi* event into the fast root is refused with the event's time; a slow start is not
+    slow = replace(_FAST_ROOT, droop=replace(_FAST_ROOT.droop, nominal_pf_angle=0.0))
+    assert grid_equilibrium(slow).roots[0].lambda_slow == pytest.approx(-0.5)
+    good = dict(config=slow, initial_deltas=(0.0,) * 40, duration=2.0, dt=0.2)
+    Scenario(**good)
+    with pytest.raises(ValidationError,
+                       match=r"lambda1 = -19.0282 /s at dt = 0.2 s .* from t = 0.4 s$"):
+        Scenario(**good, events=(TimedEvent(0.4, SetPfRef(_FAST_ROOT.droop.nominal_pf_angle)),))
+    # an islanded config and a grid config with no root have no slow mode to guard
+    Scenario(**dict(start, config=replace(_FAST_ROOT, mode=Mode.ISLANDED)), duration=1.0, dt=1.0)
+    rootless = make_config(v_star=118.125, mode=Mode.GRID_CONNECTED)
+    with pytest.raises(NoRootError):
+        grid_equilibrium(rootless)
+    Scenario(config=rootless, initial_deltas=(0.0,) * 4, duration=5.0, dt=5.0)
+
+
+def test_run_at_the_largest_slow_mode_dt_settles_to_its_root():
+    # started 1e-3 rad past delta_s, 273 steps (about 40 s) settle on the root
+    root, dt = _largest_slow_mode_dt(_FAST_ROOT)
+    result = simulate(Scenario(config=_FAST_ROOT, initial_deltas=(root.delta + 1e-3,) * 40,
+                               duration=273 * dt, dt=dt, record_decimation=273))
+    assert all(abs(s.delta - root.delta) < 5e-5 for s in result.final_states)
+    assert result.trace.frequency_hz[-1].tolist() == pytest.approx([50.0] * 40, abs=1e-3)
 
 
 def test_scenario_schedule_groups_events_by_step():
@@ -1015,7 +1063,7 @@ def test_simulate_binds_one_kernel_per_changed_config(monkeypatch):
               TimedEvent(0.6, SetLoad(load)))
     scenario = Scenario(config=config, initial_deltas=(0.0,) * 4, events=events, duration=1.0)
     simulate(scenario)
-    assert built == [config, scenario.schedule[0].config]
+    assert built == [config, scenario.schedule[1].config]
 
 
 def test_engine_omega_matches_droop_law():

@@ -33,7 +33,7 @@ from cascade_droop import (
     report_stability,
     simulate,
 )
-from cascade_droop import cli, engine, reports
+from cascade_droop import cases, cli, engine, reports
 from cascade_droop.cases import _segments, build_case, run_case
 from cascade_droop.engine import apply_event
 
@@ -315,6 +315,64 @@ def test_cli_simulate_overrides(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_overrides_replace_the_file_values_before_the_one_check(tmp_path, capsys):
+    # the file's own m dt = 5 is refused; with --dt the scenario that runs is valid
+    text = (SCENARIO_TEXT.replace("m = 0.5", "m = 5")
+            .replace("duration = 2", "duration = 2\ndt = 1"))
+    (tmp_path / "m5.scn").write_text(text)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", str(tmp_path / "m5.scn"), "--out", out]) == 1
+    assert "m*dt = 5, past RK4's stability limit" in capsys.readouterr().err
+    assert cli.main(["simulate", str(tmp_path / "m5.scn"), "--out", out,
+                     "--dt", "0.001", "--duration", "1"]) == 0
+    assert "samples: 101" in capsys.readouterr().out
+
+
+# A grid string next to zero current whose root's slow mode decays at lambda1 = -19.03 /s:
+# at dt = 0.2 s, m dt is 0.1 but |lambda1| dt is 3.81, where an unguarded run ends off the root
+# at 50.018 Hz
+FAST_ROOT_TEXT = """
+[system]
+n = 40
+f_star = 50
+v_star = 7.805406242661235
+v_grid = 315
+phi_star = -2.5323637894048843
+m = 0.5
+mode = grid
+
+[line]
+mag = 0.314
+theta = 1.5707963267948966
+
+[load]
+r = 12
+
+[solver]
+dt = 0.2
+duration = 40
+decimation = 1
+"""
+
+
+def test_cli_refuses_a_grid_slow_mode_past_the_rk4_stability_limit(tmp_path, capsys):
+    path = tmp_path / "fast.scn"
+    path.write_text(FAST_ROOT_TEXT)
+    out = tmp_path / "out"
+    for command in (["simulate", str(path), "--out", str(out)], ["stability", str(path)]):
+        assert cli.main(command) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("validation error: grid slow mode lambda1 = -19.0282 /s at "
+                              "dt = 0.2 s gives |lambda1|*dt = 3.80564, past RK4's stability")
+    assert not out.exists()
+    # the same file at 1 ms runs and locks to 50 Hz (2 s of its 40 keep the test short)
+    assert cli.main(["simulate", str(path), "--out", str(out), "--dt", "0.001",
+                     "--duration", "2"]) == 0
+    final = capsys.readouterr().out.split("final frequencies (Hz): ", 1)[1]
+    assert [float(f) for f in final.split(",")] == [50.0] * 40
+
+
 SAME_TIME_TEXT = """
 [system]
 n = 2
@@ -574,6 +632,16 @@ def test_cli_case_all(tmp_path):
         assert (tmp_path / "cases" / f"case{k}.csv").exists()
         assert (tmp_path / "cases" / f"case{k}_report.txt").exists()
     assert "fail" not in proc.stdout
+
+
+def test_cli_case_exits_2_when_a_claim_fails(tmp_path, monkeypatch, capsys):
+    # one case runs in this process, so its patched checker is the one that runs
+    failed = cases.CheckResult("forced", False, 1.0, 0.5)
+    monkeypatch.setitem(cases._CHECKERS, 2, lambda segments, trace, continuity: [failed])
+    assert cli.main(["case", "2", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("case 2:") and failed.line() in out and err == ""
+    assert (tmp_path / "case2_report.txt").read_text() == out
 
 
 EXAMPLE_SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "example_scenario.scn"

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cascade_droop import (
@@ -19,6 +19,7 @@ from cascade_droop import (
     SetPfRef,
     SystemConfig,
     TimedEvent,
+    ValidationError,
     parse_scenario,
     serialize_scenario,
 )
@@ -227,14 +228,19 @@ def _scenarios(draw):
         st.builds(SetInitialDelta, st.integers(1, n), _angles),
     )
     at = sorted(draw(st.lists(st.integers(0, steps), max_size=5)))
-    return Scenario(
-        config=config,
-        initial_deltas=tuple(draw(st.lists(_angles, min_size=n, max_size=n))),
-        events=tuple(TimedEvent(k * dt, draw(actions)) for k in at),
-        duration=steps * dt,
-        dt=dt,
-        record_decimation=draw(st.integers(1, 100)),
-    )
+    try:
+        return Scenario(
+            config=config,
+            initial_deltas=tuple(draw(st.lists(_angles, min_size=n, max_size=n))),
+            events=tuple(TimedEvent(k * dt, draw(actions)) for k in at),
+            duration=steps * dt,
+            dt=dt,
+            record_decimation=draw(st.integers(1, 100)),
+        )
+    except ValidationError as exc:
+        # m dt is drawn inside the limit, a grid root's |lambda1| dt is not: drop that draw
+        assume("grid slow mode lambda1" not in str(exc))
+        raise
 
 
 @given(sc=_scenarios())

@@ -30,6 +30,10 @@ Method:
   writes of the n = 48 scenario's trace, the count of a 512-row trace minus
   that of a 256-row trace, over 256.  Both traces come from ``simulate``, so
   the count reads the trace however a revision stores it.
+* ``scenario.opcodes_per_build``: opcodes of building the n = 48 scenario
+  with two events, a ``phi_star`` step at 0.25 s and a switch to islanded at
+  0.5 s: the checks a ``Scenario`` makes when it is built, its schedule
+  and, where a revision has one, its guard on each grid config's slow mode.
 * ``import_opcodes``: opcodes of ``import cascade_droop.cli`` in a fresh
   interpreter (``python -c``), after a first fresh import has written the
   bytecode caches it can.
@@ -163,6 +167,15 @@ def per_csv_row(scenario) -> float:
     return (counts[1] - counts[0]) / (CSV_ROWS[1] - CSV_ROWS[0])
 
 
+def per_build(scenario) -> int:
+    from cascade_droop import Mode, SetMode, SetPfRef, TimedEvent
+
+    events = (TimedEvent(0.25, SetPfRef(-0.3)), TimedEvent(0.5, SetMode(Mode.ISLANDED)))
+    build = partial(replace, scenario, events=events)
+    build()  # untraced warm-up
+    return count_opcodes(build)
+
+
 def import_opcodes(src: Path) -> int:
     script = _IMPORT_SCRIPT.format(src=str(src))
     counts = []
@@ -202,6 +215,7 @@ def main(argv=None) -> int:
         }
     out["report_stability"] = {"opcodes_per_row": per_sweep_row(built["n4_decimation10"].config)}
     out["emit_trace_csv"] = {"opcodes_per_row": per_csv_row(built["n48_decimation1"])}
+    out["scenario"] = {"opcodes_per_build": per_build(built["n48_decimation1"])}
     out["import_opcodes"] = import_opcodes(src)
     print(json.dumps(out, indent=1))
     return 0
