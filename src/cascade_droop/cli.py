@@ -5,26 +5,35 @@
     cascade-droop stability <scenario-file> [--angle RAD] [--sweep angle=lo:hi:step vstar=lo:hi:step]
 
 ``case all`` runs the five cases in up to five worker processes, one per
-CPU; its output bytes match a serial run.
+CPU; its output bytes match a serial run.  ``stability`` makes every check
+before its first byte and then streams the report to stdout a fixed number
+of lines at a time, so its memory does not grow with the sweep.
 
 Exit codes: 0 success, 1 validation error (bad usage, unparsable or invalid
-scenario) or an output file or directory that cannot be written, 2 runtime
-error (the simulation itself failed) or a ``case`` whose report fails a
-CHECK line.
+scenario) or an output that cannot be written (a file or directory, or a
+stdout whose reader has closed it), 2 runtime error (the simulation itself
+failed) or a ``case`` whose report fails a CHECK line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from .cases import run_cases
 from .engine import Scenario, simulate
 from .errors import SimulationError, ValidationError
-from .reports import SweepAxis, emit_trace_csv, report_stability
+from .reports import SweepAxis, emit_trace_csv, stability_lines
 from .scenario_io import scenario_fields
+
+
+# Report lines per stdout write: a sweep of any length is written through text of this
+# many lines (about 0.3 MB), not through one string of the whole report.
+_STDOUT_CHUNK_LINES = 4096
 
 
 class _UsageError(Exception):
@@ -116,8 +125,23 @@ def _parse_sweep(tokens: list[str]):
 def _cmd_stability(args) -> int:
     scenario = Scenario(**_scenario_fields(args.scenario))
     sweep = _parse_sweep(args.sweep) if args.sweep is not None else None
-    sys.stdout.write(report_stability(scenario.config, sweep=sweep, angle_diff=args.angle))
+    # the generator makes every check before its first line, so a refusal writes nothing
+    lines = stability_lines(scenario.config, sweep=sweep, angle_diff=args.angle)
+    while chunk := list(islice(lines, _STDOUT_CHUNK_LINES)):
+        sys.stdout.write("\n".join(chunk) + "\n")
+    sys.stdout.flush()  # a closed stdout fails here, inside main, not in the flush at exit
     return 0
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file descriptor (a test's capture): nothing flushes it at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -138,6 +162,11 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has closed it (``| head``): output that cannot be written
+        _discard_stdout()
+        print("error: cannot write stdout: its reader has closed it", file=sys.stderr)
+        return 1
     except OSError as exc:
         # An unreadable scenario file is a ValidationError, so an OSError that
         # names a file comes from making the output directory or writing into it.

@@ -5,12 +5,16 @@ printed with 9 significant digits (below solver tolerance, above the noise
 a diff would amplify), rows are newline-terminated, and nothing
 time-of-day-dependent is ever written.  Neither imports numpy: a trace
 table already holds its rows in the CSV's column order, and stability
-reports are plain ``math``.
+reports are plain ``math``.  Neither holds memory that grows with its
+output: the CSV is formatted and written a fixed budget of values at a
+time, and ``stability_lines`` yields a report one line at a time, after
+every check, for the CLI to stream; ``report_stability`` joins those lines.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,8 +27,9 @@ def _num(x: float) -> str:
     return format(x, ".9g")
 
 
-# Rows formatted and written per chunk, so the file is never one string.
-_CSV_CHUNK_ROWS = 256
+# Values formatted per CSV write: a chunk holds max(1, _CSV_CHUNK_VALUES // (1 + 4n))
+# rows, so its text stays about the same size at any n.  4,352 = 256 rows at n = 4.
+_CSV_CHUNK_VALUES = 4352
 
 # Most rows one stability report may tabulate (about 75 MB of text).
 _MAX_SWEEP_ROWS = 1_000_000
@@ -36,7 +41,8 @@ def emit_trace_csv(trace: Trace, path) -> Path:
     Each row is one ``%.9g`` template; ``'%.9g' % x`` and ``_num(x)`` share
     CPython's float formatter, so every value prints as ``_num`` prints it.
     ``trace.table`` is already in this column order; it is read one chunk of
-    rows at a time, so no second copy of the whole trace is ever built.
+    about ``_CSV_CHUNK_VALUES`` values at a time, so the text held at once
+    does not grow with the row count or with n.
     """
     if len(trace) == 0:
         raise EmptyTraceError("refusing to write an empty trace")
@@ -52,8 +58,9 @@ def emit_trace_csv(trace: Trace, path) -> Path:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(header + "\n")
-        for a in range(0, len(trace), _CSV_CHUNK_ROWS):
-            chunk = trace.table[a:a + _CSV_CHUNK_ROWS].tolist()
+        rows = max(1, _CSV_CHUNK_VALUES // (1 + 4 * n))
+        for a in range(0, len(trace), rows):
+            chunk = trace.table[a:a + rows].tolist()
             out.write("".join([row % tuple(values) for values in chunk]))
     return path
 
@@ -83,8 +90,14 @@ class SweepAxis:
         _check_rows(count)
         object.__setattr__(self, "count", count)
 
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[float]:
+        return (self.lo + k * self.step for k in range(self.count))
+
     def points(self) -> list[float]:
-        return [self.lo + k * self.step for k in range(self.count)]
+        return list(self)
 
     @classmethod
     def parse(cls, text: str) -> "SweepAxis":
@@ -130,31 +143,40 @@ def report_stability(
     With ``sweep`` given as (angle_axis, vstar_axis) the report tabulates
     the verdict over the grid of both axes (either may be None to keep the
     single configured value).  Degenerate points are marked, not fatal.
+    The text is the lines of ``stability_lines``, each newline-terminated.
+    """
+    return "\n".join(stability_lines(config, sweep, angle_diff)) + "\n"
+
+
+def stability_lines(
+    config: SystemConfig,
+    sweep: tuple[SweepAxis | None, SweepAxis | None] | None = None,
+    angle_diff: float = 0.0,
+) -> Iterator[str]:
+    """The lines of ``report_stability``, without newlines, one row at a time.
+
+    Every check runs before the first line is yielded, so a refused sweep
+    raises before any of its report is written.  The sweep axes are read
+    point by point, so the memory held does not grow with the row count.
     """
     d = config.droop
     n = config.n
     m = d.droop_gain
-    lines = [
-        "stability report (grid-connected linearization)",
-        f"n={n} v_star={_num(d.nominal_voltage)} v_grid={_num(config.grid_voltage)} m={_num(m)}",
-        f"fast modes: lambda_2..n = {_num(-m)} (multiplicity {n - 1})",
-    ]
-    if sweep is None:
-        lines.append(
-            f"point angle_diff={_num(angle_diff)}: "
-            + _verdict_row(n, d.nominal_voltage, config.grid_voltage, m, angle_diff)
-        )
-    else:
+    if sweep is not None:
         angle_axis, vstar_axis = sweep
-        angles = angle_axis.points() if angle_axis is not None else [angle_diff]
-        vstars = vstar_axis.points() if vstar_axis is not None else [d.nominal_voltage]
+        angles = angle_axis if angle_axis is not None else (angle_diff,)
+        vstars = vstar_axis if vstar_axis is not None else (d.nominal_voltage,)
         rows = len(angles) * len(vstars)
         _check_rows(rows)
-        lines.append(f"sweep rows: {rows}")
-        for v_star in vstars:
-            for angle in angles:
-                lines.append(
-                    f"angle_diff={_num(angle)} v_star={_num(v_star)}: "
-                    + _verdict_row(n, v_star, config.grid_voltage, m, angle)
-                )
-    return "\n".join(lines) + "\n"
+    yield "stability report (grid-connected linearization)"
+    yield f"n={n} v_star={_num(d.nominal_voltage)} v_grid={_num(config.grid_voltage)} m={_num(m)}"
+    yield f"fast modes: lambda_2..n = {_num(-m)} (multiplicity {n - 1})"
+    if sweep is None:
+        yield (f"point angle_diff={_num(angle_diff)}: "
+               + _verdict_row(n, d.nominal_voltage, config.grid_voltage, m, angle_diff))
+        return
+    yield f"sweep rows: {rows}"
+    for v_star in vstars:
+        for angle in angles:
+            yield (f"angle_diff={_num(angle)} v_star={_num(v_star)}: "
+                   + _verdict_row(n, v_star, config.grid_voltage, m, angle))

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from cascade_droop import (
     report_stability,
     simulate,
 )
-from cascade_droop import cases, cli, engine, reports
+from cascade_droop import cases, cli, engine, reports, scenario_io
 from cascade_droop.cases import _segments, build_case, run_case
 from cascade_droop.engine import apply_event
 
@@ -133,9 +134,10 @@ _SPECIAL_VALUES = (
 
 @st.composite
 def _traces(draw):
-    chunk = reports._CSV_CHUNK_ROWS
+    # n = 272, 363 and 544 are the narrowest strings whose chunks hold 3, 2 and 1 rows
+    n = draw(st.integers(1, 3) | st.sampled_from([272, 363, 544]))
+    chunk = max(1, reports._CSV_CHUNK_VALUES // (1 + 4 * n))
     rows = draw(st.sampled_from([1, 2, 3, chunk, chunk + 1]) | st.integers(1, 40))
-    n = draw(st.integers(1, 3))
     pool = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True)
                          | st.sampled_from(_SPECIAL_VALUES), min_size=1, max_size=12))
     pool += list(_SPECIAL_VALUES)
@@ -153,6 +155,31 @@ def _traces(draw):
 def test_csv_matches_per_value_oracle(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     assert emit_trace_csv(trace, path).read_bytes() == _oracle_csv(trace)
+
+
+def test_csv_chunk_rows_follow_the_value_budget():
+    chunk = [max(1, reports._CSV_CHUNK_VALUES // (1 + 4 * n)) for n in (4, 271, 272, 363, 544)]
+    assert chunk == [256, 4, 3, 2, 1]
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees ``fn()`` allocate, after an untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_memory_does_not_grow_with_n(tmp_path):
+    # 300 rows of n = 1,024: a 9.8 MB table, 11 MB of text; 256-row chunks peaked at 56 MB
+    table = np.random.default_rng(1).standard_normal((300, 1 + 4 * 1024))
+    table[:, 0] = np.arange(300) * 1e-3
+    trace = Trace(table)
+    assert _traced_peak(lambda: emit_trace_csv(trace, tmp_path / "wide.csv")) < 2e6
+    assert (tmp_path / "wide.csv").read_bytes().count(b"\n") == 1 + 300
 
 
 def test_csv_refuses_empty_trace(tmp_path):
@@ -371,6 +398,25 @@ def test_cli_refuses_a_grid_slow_mode_past_the_rk4_stability_limit(tmp_path, cap
                      "--duration", "2"]) == 0
     final = capsys.readouterr().out.split("final frequencies (Hz): ", 1)[1]
     assert [float(f) for f in final.split(",")] == [50.0] * 40
+
+
+def test_cli_runs_the_reproducer_at_the_largest_step_the_slow_mode_guard_accepts(tmp_path, capsys):
+    # started 1e-3 rad below delta_s, where RK4's own limit let the run rest at 50.0102 Hz
+    config = scenario_io.scenario_fields(FAST_ROOT_TEXT)["config"]
+    (root,) = engine.grid_equilibrium(config).roots
+    dt = engine.SLOW_MODE_LIMIT / -root.lambda_slow
+    while -root.lambda_slow * dt > engine.SLOW_MODE_LIMIT:
+        dt = math.nextafter(dt, 0.0)
+    path = tmp_path / "fast.scn"
+    start = ", ".join([repr(root.delta - 1e-3)] * 40)
+    path.write_text(FAST_ROOT_TEXT.replace("[solver]", f"[initial]\ndelta = {start}\n\n[solver]"))
+    run = ["simulate", str(path), "--out", str(tmp_path / "out"), "--duration", repr(273 * dt)]
+    assert cli.main(run + ["--dt", repr(dt)]) == 0
+    final = capsys.readouterr().out.split("final frequencies (Hz): ", 1)[1]
+    assert [float(f) for f in final.split(",")] == [50.0] * 40
+    assert cli.main(run + ["--dt", repr(math.nextafter(dt, 1.0))]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1 and "grid slow mode lambda1" in err
 
 
 SAME_TIME_TEXT = """
@@ -685,6 +731,53 @@ def test_cli_reproduction_bytes_are_pinned(tmp_path, capsys):
                      "--out", str(tmp_path / "sim")]) == 0
     got["decimation1_trace.csv"] = sha((tmp_path / "sim" / "decimation1_trace.csv").read_bytes())
     assert got == _PINNED_DIGESTS
+
+
+def test_cli_stability_streams_the_library_report(capsys):
+    # 15,005 lines: four writes of at most 4,096 lines each
+    sweep = "angle=-3:3:0.0004"
+    assert cli.main(["stability", str(EXAMPLE_SCENARIO), "--sweep", sweep]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") > 3 * cli._STDOUT_CHUNK_LINES
+    config = parse_scenario(EXAMPLE_SCENARIO.read_text()).config
+    assert out == report_stability(config, sweep=(SweepAxis.parse("-3:3:0.0004"), None))
+
+
+class _DiscardingStdout(io.TextIOBase):
+    """A text stream that counts the lines written to it and keeps none of them."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_cli_stability_memory_does_not_grow_with_the_sweep(monkeypatch):
+    # 50,001 rows, 3.7 MB of text; one report string peaked at 12.3 MB
+    sink = _DiscardingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["stability", str(EXAMPLE_SCENARIO), "--sweep", "angle=-3:3:0.00012"]
+    assert _traced_peak(lambda: cli.main(argv)) < 2e6
+    assert sink.lines == 2 * (4 + 50_001)  # the warm-up call and the traced one
+
+
+def test_cli_stability_into_a_closed_pipe_exits_1_without_a_traceback():
+    # 60,001 rows: far more than a pipe holds, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cascade_droop", "stability", str(EXAMPLE_SCENARIO),
+         "--sweep", "angle=-3:3:0.0001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "stability report (grid-connected linearization)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and err.count("\n") <= 1, err
 
 
 def test_stability_linearizes_a_point_next_to_zero_current(tmp_path, capsys):

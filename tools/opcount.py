@@ -1,4 +1,4 @@
-"""Deterministic cost counts of the package: interpreted opcodes and C calls, as JSON.
+"""Deterministic cost counts of the package: opcodes, C calls and traced memory, as JSON.
 
     python3 tools/opcount.py [--src PATH]
 
@@ -30,6 +30,16 @@ Method:
   writes of the n = 48 scenario's trace, the count of a 512-row trace minus
   that of a 256-row trace, over 256.  Both traces come from ``simulate``, so
   the count reads the trace however a revision stores it.
+* ``emit_trace_csv.peak_kib``: the peak of the memory that ``tracemalloc``
+  traces while ``emit_trace_csv`` writes 300 rows of a fixed table at
+  n = 48 and at n = 1,024, in KiB: the writer's temporary memory, since
+  the trace exists before the call.
+* ``stability.peak_kib``: the same peak for ``cli.main(["stability", ...])``
+  on case 1's scenario with an angle sweep of 10,001 and of 100,001 rows,
+  into a stdout that discards what it gets; equal peaks show memory that
+  does not grow with the row count.  Each peak follows one untraced call.
+  The CSV peaks repeat exactly; the stability peaks varied by up to
+  0.5 KiB over five runs of one interpreter (cause not found).
 * ``scenario.opcodes_per_build``: opcodes of building the n = 48 scenario
   with two events, a ``phi_star`` step at 0.25 s and a switch to islanded at
   0.5 s: the checks a ``Scenario`` makes when it is built, its schedule
@@ -42,11 +52,13 @@ Method:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -55,6 +67,8 @@ ROOT = Path(__file__).resolve().parent.parent
 STEPS = (300, 600)
 SWEEP_STEPS = (0.06, 0.03)  # angle steps over [-3, 3]: 101 and 201 rows
 CSV_ROWS = (256, 512)
+PEAK_CSV = (300, (48, 1024))  # rows, and the module counts of the traced writes
+PEAK_SWEEPS = {"rows_10001": "-5:5:0.001", "rows_100001": "-5:5:0.0001"}  # angle sweeps
 
 # Counts opcodes from here to the end of the import; printed on the last line.
 _IMPORT_SCRIPT = """\
@@ -167,6 +181,55 @@ def per_csv_row(scenario) -> float:
     return (counts[1] - counts[0]) / (CSV_ROWS[1] - CSV_ROWS[0])
 
 
+def peak_kib(fn) -> float:
+    """Peak KiB that ``tracemalloc`` traces while ``fn()`` runs, after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def csv_peaks() -> dict:
+    import numpy as np
+
+    from cascade_droop import Trace, emit_trace_csv
+
+    rows, counts = PEAK_CSV
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in counts:
+            table = np.sin(np.arange(rows * (1 + 4 * n), dtype=float)).reshape(rows, 1 + 4 * n)
+            table[:, 0] = np.arange(rows) * 1e-3
+            trace = Trace(table)
+            out[f"n{n}"] = peak_kib(lambda: emit_trace_csv(trace, Path(tmp) / "trace.csv"))
+    return out
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def stability_peaks(scenario) -> dict:
+    from cascade_droop import cli, serialize_scenario
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case1.scn"
+        path.write_text(serialize_scenario(scenario), encoding="utf-8")
+        stdout, sys.stdout = sys.stdout, _Discard()
+        try:
+            for name, sweep in PEAK_SWEEPS.items():
+                argv = ["stability", str(path), "--sweep", f"angle={sweep}"]
+                out[name] = peak_kib(lambda: cli.main(argv))
+        finally:
+            sys.stdout = stdout
+    return out
+
+
 def per_build(scenario) -> int:
     from cascade_droop import Mode, SetMode, SetPfRef, TimedEvent
 
@@ -214,7 +277,9 @@ def main(argv=None) -> int:
                 simulate, scenario),
         }
     out["report_stability"] = {"opcodes_per_row": per_sweep_row(built["n4_decimation10"].config)}
-    out["emit_trace_csv"] = {"opcodes_per_row": per_csv_row(built["n48_decimation1"])}
+    out["emit_trace_csv"] = {"opcodes_per_row": per_csv_row(built["n48_decimation1"]),
+                             "peak_kib": csv_peaks()}
+    out["stability"] = {"peak_kib": stability_peaks(built["n4_decimation10"])}
     out["scenario"] = {"opcodes_per_build": per_build(built["n48_decimation1"])}
     out["import_opcodes"] = import_opcodes(src)
     print(json.dumps(out, indent=1))
