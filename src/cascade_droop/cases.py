@@ -4,7 +4,8 @@ Each case is a deterministic scenario plus a list of checks with pinned
 tolerances; running one writes a trace CSV and a plain-text report with one
 ``CHECK <name> <pass|fail> measured=<v> tol=<t>`` line per check.  The cases
 are independent, so ``run_cases`` runs several in up to one worker process
-per CPU; each writes only its own files, and the bytes match a serial run.
+per CPU the process may use; each writes only its own files, and the bytes
+match a serial run.
 
 Every checker reads the trace at rows of the stretches between events
 (``_segments``) and measures its claims through four claim functions, which
@@ -416,26 +417,39 @@ def run_case(case_id: int, out_dir) -> CaseReport:
 def run_cases(ids, out_dir) -> list[CaseReport]:
     """Run built-in cases in parallel worker processes; the reports come back in ``ids`` order.
 
-    The output directory is made here, before any worker starts.  With more
-    than one case and more than one CPU the cases run in a process pool of
-    ``min(len(ids), os.cpu_count())`` workers, otherwise in a plain loop.
-    They are submitted longest first (steps times modules), since the
-    longest case bounds the pool's finishing time.  A case's exception
-    re-raises here unchanged.
+    The output directory is made here, before any worker starts.  When the
+    cases' module-steps reach ``_native.MODULE_STEPS`` together, the C
+    kernel is built here first, so every case runs on it: forked workers
+    inherit it, and a spawned worker builds its own for a case that reaches
+    the rule alone.  With more than one case and more than one usable CPU the
+    cases run in a process pool of ``min(len(ids), CPUs)`` workers,
+    otherwise in a plain loop.  They are submitted longest first (steps
+    times modules), since the longest case bounds the pool's finishing time.
+    A case's exception re-raises here unchanged.
     """
+    from . import _native
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = min(len(ids), os.cpu_count() or 1)
+    costs = {}
+    for case_id in ids:
+        scenario = build_case(case_id)[0]
+        costs[case_id] = scenario.steps * scenario.config.n
+    _native.kernel(sum(costs.values()))
+    workers = min(len(ids), _usable_cpus())
     if workers == 1:
         return [run_case(case_id, out_dir) for case_id in ids]
 
     from concurrent.futures import ProcessPoolExecutor
 
-    def cost(case_id):
-        scenario = build_case(case_id)[0]
-        return scenario.steps * scenario.config.n
-
     with ProcessPoolExecutor(workers) as pool:
         futures = {case_id: pool.submit(run_case, case_id, out_dir)
-                   for case_id in sorted(ids, key=cost, reverse=True)}
+                   for case_id in sorted(ids, key=costs.get, reverse=True)}
         return [futures[case_id].result() for case_id in ids]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -23,25 +23,33 @@ modes decay at -m.
 The guard bounds the linearization at the root only, so it is necessary but
 not sufficient: nearer zero current the flow is stiffer still.
 
-One kernel holds the measurement, the droop law and the integrator:
-``_plant(config, dt)`` binds the constants once and returns the closure
-``step``, which advances a whole RK4 step in one call.  Its code is
-generated for the string's n from one template, ``_KERNEL``: straight-line
-code over per-module locals, with the droop law and its clamp written once,
-in ``_DROOP``, and emitted once per module and stage.  Each n is compiled
-once and the last 32 are kept; generation grows with n (about 0.02 s at
-n = 48), so ``simulate`` refuses a string of more than
-``_MAX_KERNEL_MODULES`` (1,024) modules.  Stage 4 combines the four
-stages' slopes w - omega*, each formed once.  ``simulate`` is the only way to
-advance the plant: one call per step, and on a recorded step the call
-extends the row [t] with the step's omega, P and Q and the held phi, after
-the step; the last row keeps its angles.  The held measurement is formed
-only where it is read: a live step boundary stores its angle list and
-arg I, and the held wrap(delta_i - arg I) is formed for a recorded row, a
-zero-current stage or the final states.  ``simulate`` writes each row into
-one preallocated (rows, 1 + 4n) table in the trace CSV's column order, the
-only numpy this module needs; scenario checks and the equilibria are plain
-``math``.
+Two kernels hold the measurement, the droop law and the integrator, and
+they give the same bits.  ``_plant(config, dt)`` binds the constants once
+and returns the closure ``step``, which advances a whole RK4 step in one
+call.  Its code is generated for the string's n from one template,
+``_KERNEL``: straight-line code over per-module locals, with the droop law
+and its clamp written once, in ``_DROOP``, and emitted once per module and
+stage.  Each n is compiled once and the last 32 are kept; generation grows
+with n (about 0.02 s at n = 48), so ``simulate`` refuses a string of more
+than ``_MAX_KERNEL_MODULES`` (1,024) modules, on either kernel.  Stage 4
+combines the four stages' slopes w - omega*, each formed once.  The C
+kernel, ``_rk4.c`` loaded by ``_native``, runs a whole stretch between two
+schedule entries in one call, from the same ``_bind`` constants, with each
+operation of the generated code ported from CPython's own arithmetic.  It
+is built once per process: ``simulate`` takes it where it is loaded, or
+where the run has at least ``_native.MODULE_STEPS`` module-steps (n x
+steps), which builds it; otherwise, and wherever it cannot be built or
+fails its check, the generated kernel runs.  The generated kernel is the C
+kernel's oracle in the tests, as ``tests/oracles.py``'s loop kernel is the
+generated kernel's.  ``simulate`` is the only way to advance the plant: on a
+recorded step the kernel extends the row [t] with the step's omega, P and Q
+and the held phi, after the step; the last row keeps its angles.  The held
+measurement is formed only where it is read: a live step boundary stores
+its angle list and arg I, and the held wrap(delta_i - arg I) is formed for
+a recorded row, a zero-current stage or the final states.  ``simulate``
+writes each row into one preallocated (rows, 1 + 4n) table in the trace
+CSV's column order, the only numpy this module needs; scenario checks and
+the equilibria are plain ``math``.
 
 Every module of the series string carries the same current I, so module i
 sees S_i = V* e^{j delta_i} conj(I) and measures the power factor angle
@@ -504,12 +512,8 @@ def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
 
     ``step`` is the straight-line code that ``_kernel_factory(config.n)``
     generated for n modules, so the droop law and its clamp are written
-    once, in ``_DROOP``; ``_bind`` forms its constants.  A string past
-    ``_MAX_KERNEL_MODULES`` is refused before any code is generated.
+    once, in ``_DROOP``; ``_bind`` forms its constants.
     """
-    if config.n > _MAX_KERNEL_MODULES:
-        raise ValidationError(f"n={config.n} modules is past the simulation kernel's limit of "
-                              f"{_MAX_KERNEL_MODULES:,} modules")
     return _kernel_factory(config.n)(*_bind(config, dt))
 
 
@@ -519,10 +523,13 @@ EventCallback = Callable[[float, EventAction, list[float], list[float]], None]
 def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> SimulationResult:
     """Run a scenario to completion; deterministic for identical inputs.
 
-    This is the one way to advance the plant: one kernel call per step
-    advances the angles by a whole RK4 step and, on a recorded step, fills
-    the step's sample after it; the last row keeps its angles.  Each stretch
-    opens with one ``scenario.schedule`` entry, the first at step 0.
+    This is the one way to advance the plant.  Each stretch opens with one
+    ``scenario.schedule`` entry, the first at step 0, and runs on one of two
+    kernels that give the same bits: one C call per stretch where the C
+    kernel is loaded in this process or the run has at least
+    ``_native.MODULE_STEPS`` module-steps (n x steps), else one call of the
+    generated Python kernel per RK4 step.  On a recorded step the kernel
+    fills the step's row after it; the last row keeps its angles.
 
     Parameters
     ----------
@@ -532,12 +539,24 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         Invoked as ``on_event(time, action, deltas_before, deltas_after)``
         with copies of the angle vector around each event application.
     """
+    from . import _native  # at the first run, so that importing the package costs no more
+
+    return _run(scenario, on_event, _native.kernel)
+
+
+def _run(scenario: Scenario, on_event: EventCallback | None,
+         native: Callable[[int], Callable | None]) -> SimulationResult:
+    """``simulate`` on the C kernel that ``native(n * steps)`` returns, or on Python's for None."""
+    from . import _native
+
     steps = scenario.steps
     schedule = scenario.schedule
     config = schedule[0].config
     n = config.n
     dt = scenario.dt
-    step = _plant(config, dt)
+    if n > _MAX_KERNEL_MODULES:
+        raise ValidationError(f"n={n} modules is past the simulation kernel's limit of "
+                              f"{_MAX_KERNEL_MODULES:,} modules")
     deltas = list(scenario.initial_deltas)
     held = _Held([config.droop.nominal_pf_angle] * n)
     decim = scenario.record_decimation
@@ -553,6 +572,9 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
             "more than can be allocated"
         ) from None
     row = 0
+    stretch = native(n * steps)
+    bind = _plant if stretch is None else _bind  # a kernel, or the C kernel's constants
+    step = bind(config, dt)
 
     for group, stop in zip(schedule, [*(g.step for g in schedule[1:]), steps + 1]):
         start = group.step
@@ -566,9 +588,18 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
         if group.config != config:
             config = group.config
             try:
-                step = _plant(config, dt)
+                step = bind(config, dt)
             except (SingularImpedanceError, ValidationError) as exc:
                 raise type(exc)(f"at event time t={start * dt:g} s: {exc}") from exc
+        if stretch is not None:
+            ran = _native.run(stretch, step, deltas, held, table, row, start, stop, steps, decim)
+            if ran is not None:
+                deltas, row = ran
+                continue
+            # the C kernel declines where CPython raises or a value is not finite: the
+            # Python kernel runs the rest of the run from the stretch's start
+            stretch, bind = None, _plant
+            step = bind(config, dt)
         for k in range(start, stop):
             if k % decim == 0 or k == steps:
                 sample = [k * dt]

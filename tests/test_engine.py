@@ -41,7 +41,7 @@ from cascade_droop import (
     synchronized_grid_power,
     wrap_angle,
 )
-from cascade_droop import engine
+from cascade_droop import _native, engine
 from cascade_droop.cases import build_case
 from cascade_droop.droop import ZERO_POWER_FRACTION
 from cascade_droop.engine import apply_event
@@ -1097,15 +1097,8 @@ def test_deferred_held_measurement_is_exact_at_any_decimation(run):
     assert dense.trace.pf_angle[dead_step].tolist() == dense.trace.pf_angle[dead_step - 1].tolist()
 
 
-def test_simulate_binds_one_kernel_per_changed_config(monkeypatch):
-    built = []
-    real_plant = engine._plant
-
-    def counting_plant(config, dt):
-        built.append(config)
-        return real_plant(config, dt)
-
-    monkeypatch.setattr(engine, "_plant", counting_plant)
+def test_simulate_binds_one_kernel_per_changed_config(monkeypatch, kernels):
+    # the Python path builds one kernel per changed config, the C path binds its constants
     config = make_config(mode=Mode.GRID_CONNECTED)
     load = Impedance.from_rect(3.0, -1.0)
     events = (TimedEvent(0.2, SetMode(Mode.ISLANDED)),
@@ -1113,8 +1106,19 @@ def test_simulate_binds_one_kernel_per_changed_config(monkeypatch):
               TimedEvent(0.4, SetInitialDelta(1, 0.3)),
               TimedEvent(0.6, SetLoad(load)))
     scenario = Scenario(config=config, initial_deltas=(0.0,) * 4, events=events, duration=1.0)
-    simulate(scenario)
-    assert built == [config, scenario.schedule[1].config]
+    for path, chooser in kernels.items():
+        built = []
+        counted = engine._plant if path == "python" else engine._bind
+
+        def counting(config, dt, counted=counted):
+            built.append(config)
+            return counted(config, dt)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, counted.__name__, counting)
+            patch.setattr(_native, "kernel", chooser)
+            simulate(scenario)
+        assert built == [config, scenario.schedule[1].config], path
 
 
 def test_engine_omega_matches_droop_law():

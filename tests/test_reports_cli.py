@@ -34,7 +34,7 @@ from cascade_droop import (
     report_stability,
     simulate,
 )
-from cascade_droop import cases, cli, engine, reports, scenario_io
+from cascade_droop import _native, cases, cli, engine, reports, scenario_io
 from cascade_droop.cases import _segments, build_case, run_case
 from cascade_droop.engine import apply_event
 
@@ -708,29 +708,33 @@ _PINNED_DIGESTS = {
 
 @pytest.mark.skipif((sys.platform, platform.machine()) != ("linux", "x86_64"),
                     reason="digests are pinned on Linux x86-64")
-def test_cli_reproduction_bytes_are_pinned(tmp_path, capsys):
+def test_cli_reproduction_bytes_are_pinned(tmp_path, monkeypatch, capsys, kernels):
     def sha(data):
         return hashlib.sha256(data).hexdigest()
 
-    got = {}
-    assert cli.main(["case", "all", "--out", str(tmp_path / "cases")]) == 0
-    got["case all"] = sha(capsys.readouterr().out.encode())
-    for k in range(1, 6):
-        got[f"case{k}.csv"] = sha((tmp_path / "cases" / f"case{k}.csv").read_bytes())
-    assert cli.main(["stability", str(EXAMPLE_SCENARIO),
-                     "--sweep", "angle=-3.14:3.14:0.01", "vstar=20:100:1"]) == 0
-    got["stability sweep"] = sha(capsys.readouterr().out.encode())
-    assert cli.main(["simulate", str(EXAMPLE_SCENARIO), "--out", str(tmp_path / "sim")]) == 0
-    got["example_scenario_trace.csv"] = sha(
-        (tmp_path / "sim" / "example_scenario_trace.csv").read_bytes())
-    # every step recorded, through an angle reset and a reference step
-    (tmp_path / "decimation1.scn").write_text(
-        EXAMPLE_SCENARIO.read_text().replace("decimation = 10", "decimation = 1").replace(
-            "2.0 mode islanded\n", "1.0 delta 2 0.9\n2.0 mode islanded\n4.0 phi_star -0.3\n"))
-    assert cli.main(["simulate", str(tmp_path / "decimation1.scn"),
-                     "--out", str(tmp_path / "sim")]) == 0
-    got["decimation1_trace.csv"] = sha((tmp_path / "sim" / "decimation1_trace.csv").read_bytes())
-    assert got == _PINNED_DIGESTS
+    for path, chooser in kernels.items():
+        monkeypatch.setattr(_native, "kernel", chooser)
+        out = tmp_path / path
+        got = {}
+        capsys.readouterr()  # the last kernel's simulate lines
+        assert cli.main(["case", "all", "--out", str(out / "cases")]) == 0
+        got["case all"] = sha(capsys.readouterr().out.encode())
+        for k in range(1, 6):
+            got[f"case{k}.csv"] = sha((out / "cases" / f"case{k}.csv").read_bytes())
+        assert cli.main(["stability", str(EXAMPLE_SCENARIO),
+                         "--sweep", "angle=-3.14:3.14:0.01", "vstar=20:100:1"]) == 0
+        got["stability sweep"] = sha(capsys.readouterr().out.encode())
+        assert cli.main(["simulate", str(EXAMPLE_SCENARIO), "--out", str(out / "sim")]) == 0
+        got["example_scenario_trace.csv"] = sha(
+            (out / "sim" / "example_scenario_trace.csv").read_bytes())
+        # every step recorded, through an angle reset and a reference step
+        (out / "decimation1.scn").write_text(
+            EXAMPLE_SCENARIO.read_text().replace("decimation = 10", "decimation = 1").replace(
+                "2.0 mode islanded\n", "1.0 delta 2 0.9\n2.0 mode islanded\n4.0 phi_star -0.3\n"))
+        assert cli.main(["simulate", str(out / "decimation1.scn"),
+                         "--out", str(out / "sim")]) == 0
+        got["decimation1_trace.csv"] = sha((out / "sim" / "decimation1_trace.csv").read_bytes())
+        assert got == _PINNED_DIGESTS, path
 
 
 def test_cli_stability_streams_the_library_report(capsys):
@@ -850,14 +854,15 @@ def test_case_all_pool_loop_and_spawn_write_the_same_bytes(tmp_path, monkeypatch
     runs = {}
     # 3 workers even on a 1-CPU host; then a count of 1, which takes the plain loop
     for label, cpus in (("pool", 3), ("loop", 1)):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
         assert cli.main(["case", "all", "--out", str(tmp_path / label)]) == 0
         runs[label] = (capsys.readouterr().out, _case_all_outputs(tmp_path / label))
     # spawned workers start from a fresh import (the default on macOS and Python >= 3.14)
     driver = (
         "import multiprocessing, os, sys\n"
         "from cascade_droop.cli import main\n"
-        "os.cpu_count = lambda: 3\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
         "multiprocessing.set_start_method('spawn')\n"
         "sys.exit(main(['case', 'all', '--out', 'spawn']))\n"
     )
@@ -867,6 +872,19 @@ def test_case_all_pool_loop_and_spawn_write_the_same_bytes(tmp_path, monkeypatch
     runs["spawn"] = (proc.stdout, _case_all_outputs(tmp_path / "spawn"))
     assert runs["pool"] == runs["loop"]
     assert runs["spawn"] == runs["loop"]
+
+
+def test_case_runs_take_the_loop_on_one_usable_cpu(tmp_path, monkeypatch):
+    # os.cpu_count() counts the host's CPUs; an affinity of one CPU gets no pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a worker pool started on one usable CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    reports = cases.run_cases([2, 1], tmp_path)
+    assert [report.case_id for report in reports] == [2, 1]
 
 
 @pytest.mark.parametrize("args", [

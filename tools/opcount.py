@@ -21,6 +21,12 @@ Method:
   frames of the kernel ``step``, the code object of the function that
   ``engine._plant(config, dt)`` returns; the rest is ``simulate``'s loop and
   recording.
+* These three count the generated Python kernel: where a revision has the C
+  kernel (``cascade_droop._native``), its loader ``_native.kernel`` is
+  replaced by one that picks the Python kernel while they are counted.
+  ``c_kernel_opcodes_per_step`` counts the same runs on the C kernel, one
+  call per schedule stretch: the opcodes ``simulate`` still interprets per
+  step (None where the C kernel does not build, or the revision has none).
 * Two scenarios, both grid-tied and without events: case 1's config and
   start (n = 4, decimation 10) and a string of n = 48 at decimation 1.
 * ``report_stability.opcodes_per_row``: opcodes per sweep row of
@@ -52,6 +58,7 @@ Method:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import platform
@@ -249,6 +256,34 @@ def import_opcodes(src: Path) -> int:
     return counts[-1]
 
 
+@contextlib.contextmanager
+def python_kernel():
+    """Every ``simulate`` on the generated Python kernel, where a revision has a C kernel."""
+    try:
+        from cascade_droop import _native
+    except ImportError:  # a revision with the Python kernel only
+        yield
+        return
+    loader = _native.kernel
+    _native.kernel = lambda module_steps: None
+    try:
+        yield
+    finally:
+        _native.kernel = loader
+
+
+def c_kernel_per_step(simulate, scenario) -> float | None:
+    """``opcodes_per_step`` on the C kernel, or None where there is none."""
+    try:
+        from cascade_droop import _native
+    except ImportError:
+        return None
+    if _native.kernel(_native.MODULE_STEPS) is None:
+        return None
+    simulate(replace(scenario, duration=10 * scenario.dt))  # untraced warm-up
+    return per_step(count_opcodes, simulate, scenario)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -268,14 +303,16 @@ def main(argv=None) -> int:
         "simulate": {},
     }
     for name, scenario in built.items():
-        simulate(replace(scenario, duration=10 * scenario.dt))  # untraced warm-up
-        out["simulate"][name] = {
-            "opcodes_per_step": per_step(count_opcodes, simulate, scenario),
-            "c_calls_per_step": per_step(count_c_calls, simulate, scenario),
-            "kernel_opcodes_per_step": per_step(
-                partial(count_opcodes, code=engine._plant(scenario.config, scenario.dt).__code__),
-                simulate, scenario),
-        }
+        with python_kernel():
+            simulate(replace(scenario, duration=10 * scenario.dt))  # untraced warm-up
+            kernel_code = engine._plant(scenario.config, scenario.dt).__code__
+            out["simulate"][name] = {
+                "opcodes_per_step": per_step(count_opcodes, simulate, scenario),
+                "c_calls_per_step": per_step(count_c_calls, simulate, scenario),
+                "kernel_opcodes_per_step": per_step(partial(count_opcodes, code=kernel_code),
+                                                    simulate, scenario),
+            }
+        out["simulate"][name]["c_kernel_opcodes_per_step"] = c_kernel_per_step(simulate, scenario)
     out["report_stability"] = {"opcodes_per_row": per_sweep_row(built["n4_decimation10"].config)}
     out["emit_trace_csv"] = {"opcodes_per_row": per_csv_row(built["n48_decimation1"]),
                              "peak_kib": csv_peaks()}
