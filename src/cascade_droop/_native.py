@@ -1,18 +1,30 @@
-"""The engine's RK4 kernel in C: one call runs a schedule stretch, bit for bit the Python kernel.
+"""The engine's RK4 kernel and the trace CSV's row formatter in C, each bit for bit Python's.
 
 ``kernel(module_steps)`` returns the C kernel when this process has built
 it, and builds it first when the run has at least ``MODULE_STEPS``
 module-steps (n x steps) and no build has been tried.  The build compiles
-``_rk4.c`` with the C compiler that ``sysconfig`` names for this Python
-(else ``cc``) into a private temporary directory, loads it with ``ctypes``
-and removes the directory.  The loaded kernel then runs a fixed short
-scenario (a dead start, the +/-pi seam, the clamp, every step recorded)
-beside the Python kernel, and it is used only if the two tables and final
-states agree to the bit.  A missing compiler, a build or load error and a
-self-check mismatch are each logged once as a WARNING to the
-``cascade_droop`` logger, and the Python kernel runs for the rest of the
-process; nothing is retried.  A forked worker inherits its parent's kernel,
-or its failure.  Nothing is built or loaded at import.
+``_rk4.c`` and ``_csv.c`` in one command, with the C compiler that
+``sysconfig`` names for this Python (else ``cc``), into one library in a
+private temporary directory, loads it with ``ctypes`` and removes the
+directory.  The library is then checked twice.  Its kernel runs a fixed
+short scenario (a dead start, the +/-pi seam, the clamp, every step
+recorded) beside the Python kernel, and the two tables and final states
+must agree to the bit.  Its row formatter prints that table and the values
+of ``_csv_edges`` (ties, carries, powers of ten and the ends of its exact
+range), and the bytes must equal the ``%.9g`` template's.  A missing
+compiler, a build or load error and a self-check mismatch are each logged
+once as a WARNING to the ``cascade_droop`` logger, and the Python kernel and
+the template run for the rest of the process; nothing is retried.  A forked
+worker inherits its parent's library, or its failure.  Nothing is built or
+loaded at import.
+
+``csv_rows()`` is the row formatter wherever ``kernel(0)`` (which never
+builds) returns a kernel, so a loader that picks the Python kernel picks the
+template writer too.  The formatter prints each value of the exact range,
++-0 and 2^-79 <= |x| < 2^120, from its exact 9-digit rounding in 128-bit
+integers (see ``_csv.c``); it declines any other value, and everything where
+the compiler has no 128-bit integer, and ``reports`` prints a row that
+holds a declined value with the template.
 """
 
 from __future__ import annotations
@@ -24,12 +36,16 @@ import os
 # the build took 0.20-0.24 s, about what the Python kernel takes for this much work.
 MODULE_STEPS = 200_000
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
-_SOURCE = os.path.join(os.path.dirname(__file__), "_rk4.c")
+_SOURCES = tuple(os.path.join(os.path.dirname(__file__), name) for name in ("_rk4.c", "_csv.c"))
+# Most bytes the row formatter writes per value: "-1.23456789e+36" and its separator.
+VALUE_BYTES = 16
 _BUILD_TIMEOUT_S = 120.0
 
 # ctypes, logging, subprocess and the rest are imported by the first build, not with this
 # module: together they take about 20 ms, which a process that builds nothing never pays.
-_kernel = None  # None: no build tried; False: the Python kernel runs in this process
+# None: no build tried; False: the Python kernel runs in this process; else the library's
+# (stretch, rows) functions
+_kernel = None
 
 
 class _Unavailable(Exception):
@@ -56,11 +72,16 @@ def kernel(module_steps: float):
 
         _kernel = False
         try:
-            _kernel = _checked(_build())
+            _kernel = _checked(*_build())
         except _Unavailable as exc:
             logging.getLogger("cascade_droop").warning(
                 "cascade_droop: the C kernel is not used (%s); the Python kernel runs", exc)
-    return _kernel or None
+    return _kernel[0] if _kernel else None
+
+
+def csv_rows():
+    """The C row formatter where ``kernel(0)`` returns a kernel, else None; it never builds."""
+    return _kernel[1] if _kernel and kernel(0) is not None else None
 
 
 def _build():
@@ -80,7 +101,7 @@ def _build():
     try:
         library = os.path.join(tmp, "_rk4.so")
         try:
-            proc = subprocess.run([*cc, *FLAGS, "-o", library, _SOURCE, "-lm"],
+            proc = subprocess.run([*cc, *FLAGS, "-o", library, *_SOURCES, "-lm"],
                                   capture_output=True, text=True, timeout=_BUILD_TIMEOUT_S)
         except (OSError, subprocess.SubprocessError) as exc:
             raise _Unavailable(f"build error: {exc}") from None
@@ -88,7 +109,8 @@ def _build():
             detail = (proc.stderr.strip().splitlines() or ["no message"])[-1]
             raise _Unavailable(f"build error: {cc[0]} exited {proc.returncode}: {detail}")
         try:
-            stretch = ctypes.CDLL(library).cd_rk4_stretch
+            loaded = ctypes.CDLL(library)
+            stretch, rows = loaded.cd_rk4_stretch, loaded.cd_csv_rows
         except (OSError, AttributeError) as exc:
             raise _Unavailable(f"load error: {exc}") from None
     finally:
@@ -97,9 +119,11 @@ def _build():
     stretch.argtypes = [doubles, i64, doubles, doubles, doubles, ctypes.POINTER(ctypes.c_int32),
                         i64, i64, i64, i64, doubles, i64, i64]
     stretch.restype = i64
+    rows.argtypes = [ctypes.c_void_p, i64, ctypes.POINTER(i64), i64, ctypes.c_void_p]
+    rows.restype = i64
     logging.getLogger("cascade_droop").debug("cascade_droop: built the C kernel with %s in %.3f s",
                                              shlex.join(cc), time.perf_counter() - started)
-    return stretch
+    return stretch, rows
 
 
 def run(stretch, constants: tuple, deltas: list[float], held, table, row: int, start: int,
@@ -139,6 +163,63 @@ def run(stretch, constants: tuple, deltas: list[float], held, table, row: int, s
     return list(xs), end
 
 
+def write_rows(rows, table, chunk: int, out, template: str) -> bool:
+    """Writes the rows of ``table`` to the binary file ``out`` through the C formatter ``rows``.
+
+    Each call formats up to ``chunk`` rows from the table's base pointer and
+    a row offset into one reused buffer, which is written as it is.  A row
+    that holds a value the formatter declines is written as
+    ``template % row`` instead.  Returns False, having written nothing, where
+    ``table`` is not a C-contiguous float64 matrix.
+    """
+    import ctypes
+
+    if not (table.dtype == "float64" and table.flags.c_contiguous and table.ndim == 2):
+        return False
+    total, width = table.shape
+    text = ctypes.create_string_buffer(VALUE_BYTES * width * chunk)
+    view = memoryview(text)
+    base = table.ctypes.data
+    row = ctypes.c_int64(0)
+    at = ctypes.byref(row)
+    while row.value < total:
+        stop = min(row.value + chunk, total)
+        out.write(view[:rows(base, width, at, stop, text)])
+        if row.value < stop:  # stopped before a row with a declined value
+            out.write((template % tuple(table[row.value].tolist())).encode())
+            row.value += 1
+    return True
+
+
+def _csv_edges() -> list[float]:
+    """Values at the edges of the row formatter's rounding and of its exact range, each signed.
+
+    The 10-digit ties (a 5 in the tenth digit, exact in binary), values next
+    to the carry at 999,999,999.5 x 10^j, each power of ten from 1e-24 to
+    1e36 and 3 ulps on each side, 1 to 9 digits in each style of ``%g``, 0,
+    the smallest and largest magnitudes it prints, and the declined values
+    next to them.
+    """
+    edges = [0.0, 2.0 ** -79, math.nextafter(2.0 ** 120, 0.0),
+             math.nextafter(2.0 ** -79, 0.0), 2.0 ** 120, 2.2250738585072014e-308, 5e-324,
+             math.inf, math.nan]
+    for count in range(1, 10):
+        edges += [float(f"{'123456789'[:count]}e{j}") for j in (-30, -9, -3, 0, 8, 30)]
+    for digits in (100_000_000, 123_456_788, 123_456_789, 999_999_999):
+        edges += [(10 * digits + 5) * 10.0 ** j for j in range(6)]
+    for j in range(-24, 27):
+        carry = 999_999_999.5 * 10.0 ** j
+        edges += [math.nextafter(carry, 0.0), carry, math.nextafter(carry, math.inf)]
+    for j in range(-24, 37):
+        power = float(f"1e{j}")
+        for _ in range(3):
+            power = math.nextafter(power, 0.0)
+        for _ in range(7):
+            edges.append(power)
+            power = math.nextafter(power, math.inf)
+    return edges + [-x for x in edges]
+
+
 def _probe():
     """A short run through a dead start, the +/-pi seam, the clamp and each event kind.
 
@@ -166,9 +247,19 @@ def _probe():
                     events=events, duration=0.009, dt=1e-3, record_decimation=1)
 
 
-def _checked(stretch):
-    """``stretch``, once the probe runs on it bit for bit as on the Python kernel."""
+def _checked(stretch, rows):
+    """The library's ``(stretch, rows)``, once both print the probe as Python does.
+
+    The probe runs on ``stretch`` bit for bit as on the Python kernel, and its
+    table and the column of ``_csv_edges`` print through ``rows`` in the
+    template's bytes.
+    """
+    import io
+
+    import numpy as np
+
     from .engine import _run
+    from .reports import _write_rows
 
     declined = []
 
@@ -177,11 +268,21 @@ def _checked(stretch):
         declined.append(end < 0)
         return end
 
+    def bits(result):
+        return ([(s.delta.hex(), s.pf_angle.hex()) for s in result.final_states]
+                + [result.trace.table.tobytes()])
+
+    def text(table, formatter):
+        out = io.BytesIO()
+        _write_rows(table, out, formatter)
+        return out.getvalue()
+
     scenario = _probe()
-    python, native = ([(s.delta.hex(), s.pf_angle.hex()) for s in result.final_states]
-                      + [result.trace.table.tobytes()]
-                      for result in (_run(scenario, None, lambda module_steps, k=k: k)
-                                     for k in (None, strict)))
-    if any(declined) or native != python:
+    python, native = (_run(scenario, None, lambda module_steps, k=k: k) for k in (None, strict))
+    if any(declined) or bits(native) != bits(python):
         raise _Unavailable("self-check mismatch: the probe run differs from the Python kernel's")
-    return stretch
+    for table in (native.trace.table, np.array(_csv_edges()).reshape(-1, 1)):
+        if text(table, rows) != text(table, None):
+            raise _Unavailable("self-check mismatch: the C rows of the probe or of the edge values "
+                               "differ from the %.9g template's")
+    return stretch, rows

@@ -419,11 +419,12 @@ def run_cases(ids, out_dir) -> list[CaseReport]:
 
     The output directory is made here, before any worker starts.  When the
     cases' module-steps reach ``_native.MODULE_STEPS`` together, the C
-    kernel is built here first, so every case runs on it: forked workers
-    inherit it, and a spawned worker builds its own for a case that reaches
-    the rule alone.  With more than one case and more than one usable CPU the
-    cases run in a process pool of ``min(len(ids), CPUs)`` workers,
-    otherwise in a plain loop.  They are submitted longest first (steps
+    library is built here first, so every case runs and writes its CSV on
+    it.  Each pool worker asks ``_native.kernel`` for it with that total as
+    it starts: a forked worker inherits the parent's library, and one started
+    by ``spawn`` or ``forkserver`` builds its own.  With more than one case
+    and more than one usable CPU the cases run in a process pool of
+    ``min(len(ids), CPUs)`` workers, otherwise in a plain loop.  They are submitted longest first (steps
     times modules), since the longest case bounds the pool's finishing time.
     A case's exception re-raises here unchanged.
     """
@@ -435,14 +436,16 @@ def run_cases(ids, out_dir) -> list[CaseReport]:
     for case_id in ids:
         scenario = build_case(case_id)[0]
         costs[case_id] = scenario.steps * scenario.config.n
-    _native.kernel(sum(costs.values()))
+    total = sum(costs.values())
+    _native.kernel(total)
     workers = min(len(ids), _usable_cpus())
     if workers == 1:
         return [run_case(case_id, out_dir) for case_id in ids]
 
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers) as pool:
+    # the loader is a module-level function, so a spawned worker can unpickle it
+    with ProcessPoolExecutor(workers, initializer=_native.kernel, initargs=(total,)) as pool:
         futures = {case_id: pool.submit(run_case, case_id, out_dir)
                    for case_id in sorted(ids, key=costs.get, reverse=True)}
         return [futures[case_id].result() for case_id in ids]

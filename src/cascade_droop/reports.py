@@ -5,7 +5,12 @@ printed with 9 significant digits (below solver tolerance, above the noise
 a diff would amplify), rows are newline-terminated, and nothing
 time-of-day-dependent is ever written.  Neither imports numpy: a trace
 table already holds its rows in the CSV's column order, and stability
-reports are plain ``math``.  Neither holds memory that grows with its
+reports are plain ``math``.  The CSV has two writers with the same bytes:
+where the C library is loaded, its row formatter prints every value of its
+exact range, +-0 and 2^-79 <= |x| < 2^120, from the exact 9-digit rounding,
+and CPython's ``%.9g`` template prints each row that holds another value,
+and every row elsewhere; the library's self-check holds the two equal
+before it is used.  Neither output holds memory that grows with its
 output: the CSV is formatted and written a fixed budget of values at a
 time, and ``stability_lines`` yields a report one line at a time, after
 every check, for the CLI to stream; ``report_stability`` joins those lines.
@@ -38,14 +43,22 @@ _MAX_SWEEP_ROWS = 1_000_000
 def emit_trace_csv(trace: Trace, path) -> Path:
     """Write a trace as CSV: ``time,f1..fn,P1..Pn,Q1..Qn,phi1..phin``.
 
-    Each row is one ``%.9g`` template; ``'%.9g' % x`` and ``_num(x)`` share
-    CPython's float formatter, so every value prints as ``_num`` prints it.
-    ``trace.table`` is already in this column order; it is read one chunk of
-    about ``_CSV_CHUNK_VALUES`` values at a time, so the text held at once
-    does not grow with the row count or with n.
+    Every value prints as ``_num`` prints it, by one of two writers that give
+    the same bytes.  Where the C library is loaded (``_native.csv_rows()``),
+    its row formatter prints each value of its exact range, +-0 and
+    2^-79 <= |x| < 2^120, from the exact 9-digit rounding; a row that holds
+    any other value, and every row where the library is not loaded, is one
+    ``%.9g`` template, which shares CPython's float formatter with ``_num``.
+    The library is used only after its self-check has printed a probe table
+    and a list of edge values in the template's bytes.  ``trace.table`` is
+    already in the CSV's column order; it is read one chunk of about
+    ``_CSV_CHUNK_VALUES`` values at a time, so the text held at once does not
+    grow with the row count or with n.
     """
     if len(trace) == 0:
         raise EmptyTraceError("refusing to write an empty trace")
+    from . import _native  # loaded by the first run, so that importing the package costs no more
+
     n = trace.module_count
     header = (
         "time,"
@@ -54,15 +67,29 @@ def emit_trace_csv(trace: Trace, path) -> Path:
         + ",".join(f"Q{i}" for i in range(1, n + 1)) + ","
         + ",".join(f"phi{i}" for i in range(1, n + 1))
     )
-    row = ",".join(["%.9g"] * (1 + 4 * n)) + "\n"
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as out:
-        out.write(header + "\n")
-        rows = max(1, _CSV_CHUNK_VALUES // (1 + 4 * n))
-        for a in range(0, len(trace), rows):
-            chunk = trace.table[a:a + rows].tolist()
-            out.write("".join([row % tuple(values) for values in chunk]))
+    with path.open("wb") as out:
+        out.write(header.encode() + b"\n")
+        _write_rows(trace.table, out, _native.csv_rows())
     return path
+
+
+def _write_rows(table, out, rows) -> None:
+    """Write the rows of ``table`` to the binary ``out``, about ``_CSV_CHUNK_VALUES`` values a write.
+
+    ``rows`` is the C row formatter, which ``_native.write_rows`` takes for a
+    C-contiguous float64 table, or None for the ``%.9g`` template alone.
+    """
+    from . import _native
+
+    width = table.shape[1]
+    template = ",".join(["%.9g"] * width) + "\n"
+    chunk = max(1, _CSV_CHUNK_VALUES // width)
+    if rows is not None and _native.write_rows(rows, table, chunk, out, template):
+        return
+    for a in range(0, len(table), chunk):
+        out.write("".join([template % tuple(values)
+                           for values in table[a:a + chunk].tolist()]).encode())
 
 
 @dataclass(frozen=True)

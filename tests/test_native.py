@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import logging
 import math
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -184,7 +185,8 @@ def test_each_failure_falls_back_once_with_one_warning(monkeypatch, tmp_path, ca
     if reason == "self-check mismatch":
         if "c" not in kernels:
             pytest.skip("no C kernel in this process")
-        monkeypatch.setattr(_native, "_build", lambda: _write_then_mismatch(kernels["c"](0)))
+        library = _write_then_mismatch(kernels["c"](0)), _native.csv_rows()
+        monkeypatch.setattr(_native, "_build", lambda: library)
     else:
         # a stand-in compiler that exits 1, or writes a file that is not a library
         compilers = {"no compiler": None,
@@ -249,8 +251,9 @@ def test_case_all_without_the_c_kernel_writes_the_pinned_bytes(tmp_path, reason,
 def test_the_c_kernel_is_built_at_2e5_module_steps_and_then_kept(monkeypatch, c_kernel):
     builds, stretches = [], []
     run = _native.run
+    library = c_kernel, _native.csv_rows()
     monkeypatch.setattr(_native, "_kernel", None)
-    monkeypatch.setattr(_native, "_build", lambda: builds.append(1) or c_kernel)
+    monkeypatch.setattr(_native, "_build", lambda: builds.append(1) or library)
     # each stretch's module count: the build's self-check runs n = 4, this string n = 64
     monkeypatch.setattr(_native, "run", lambda *args: stretches.append(len(args[2])) or run(*args))
     below = Scenario(config=make_config(n=64), initial_deltas=(0.1,) * 64, duration=3.124,
@@ -265,14 +268,47 @@ def test_the_c_kernel_is_built_at_2e5_module_steps_and_then_kept(monkeypatch, c_
     assert (builds, stretches.count(64)) == ([1], 2)
 
 
+_ASKED = []
+
+
+def _asking(module_steps):
+    """A stand-in loader that records what it is asked; module-level, so a pool can pickle it."""
+    _ASKED.append(module_steps)
+
+
 def test_run_cases_asks_for_the_kernel_with_all_its_module_steps(monkeypatch, tmp_path):
-    asked = []
-    monkeypatch.setattr(_native, "kernel", lambda module_steps: asked.append(module_steps))
+    _ASKED.clear()
+    monkeypatch.setattr(_native, "kernel", _asking)
     cases.run_cases([1, 2], tmp_path)
     scenarios = [cases.build_case(k)[0] for k in (1, 2)]
-    assert asked[0] == sum(s.steps * s.config.n for s in scenarios)
+    assert _ASKED[0] == sum(s.steps * s.config.n for s in scenarios)
     # the five built-in cases reach the rule together, and only case 4 on its own
     built = [cases.build_case(k)[0] for k in range(1, 6)]
     sizes = [s.steps * s.config.n for s in built]
     assert sum(sizes) >= _native.MODULE_STEPS
     assert [k for k, size in enumerate(sizes, 1) if size >= _native.MODULE_STEPS] == [4]
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_workers_started_afresh_each_load_the_c_library(tmp_path, method):
+    # such a worker inherits nothing, so the pool's initializer builds its own library
+    if _native.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    # a worker runs this file as its main module, so it logs as the parent does
+    (tmp_path / "driver.py").write_text(
+        "import logging, multiprocessing, os, sys\n"
+        "logging.basicConfig(level=logging.DEBUG, format='%(process)d %(message)s')\n"
+        "if __name__ == '__main__':\n"
+        "    from cascade_droop.cli import main\n"
+        "    os.sched_getaffinity = lambda pid: {0, 1}\n"
+        f"    multiprocessing.set_start_method({method!r})\n"
+        "    sys.exit(main(['case', 'all', '--out', 'cases']))\n")
+    proc = subprocess.run([sys.executable, "driver.py"], capture_output=True, text=True,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    builds = [line.split()[0] for line in proc.stderr.splitlines()
+              if "built the C kernel" in line]
+    assert len(set(builds)) == len(builds) == 3, proc.stderr  # the parent and two workers
+    assert "not used" not in proc.stderr

@@ -37,6 +37,7 @@ from cascade_droop import (
 from cascade_droop import _native, cases, cli, engine, reports, scenario_io
 from cascade_droop.cases import _segments, build_case, run_case
 from cascade_droop.engine import apply_event
+from conftest import c_kernel, python_kernel
 
 PI = math.pi
 TAU = math.tau
@@ -150,11 +151,22 @@ def _traces(draw):
     return Trace(np.column_stack([times, *channels]))
 
 
+def _writers():
+    """Loaders that pick each CSV writer: the template, and the C library's rows where it builds."""
+    writers = {"template": python_kernel}
+    if c_kernel(0) is not None:
+        writers["c"] = c_kernel
+    return writers
+
+
 @settings(max_examples=60, deadline=None)
 @given(trace=_traces())
 def test_csv_matches_per_value_oracle(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    assert emit_trace_csv(trace, path).read_bytes() == _oracle_csv(trace)
+    for writer, loader in _writers().items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_native, "kernel", loader)
+            assert emit_trace_csv(trace, path).read_bytes() == _oracle_csv(trace), writer
 
 
 def test_csv_chunk_rows_follow_the_value_budget():
@@ -178,8 +190,11 @@ def test_csv_writer_memory_does_not_grow_with_n(tmp_path):
     table = np.random.default_rng(1).standard_normal((300, 1 + 4 * 1024))
     table[:, 0] = np.arange(300) * 1e-3
     trace = Trace(table)
-    assert _traced_peak(lambda: emit_trace_csv(trace, tmp_path / "wide.csv")) < 2e6
-    assert (tmp_path / "wide.csv").read_bytes().count(b"\n") == 1 + 300
+    for writer, loader in _writers().items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_native, "kernel", loader)
+            assert _traced_peak(lambda: emit_trace_csv(trace, tmp_path / "wide.csv")) < 2e6, writer
+        assert (tmp_path / "wide.csv").read_bytes().count(b"\n") == 1 + 300
 
 
 def test_csv_refuses_empty_trace(tmp_path):

@@ -40,6 +40,11 @@ Method:
   traces while ``emit_trace_csv`` writes 300 rows of a fixed table at
   n = 48 and at n = 1,024, in KiB: the writer's temporary memory, since
   the trace exists before the call.
+* These two count the ``%.9g`` template writer, the standing cost wherever
+  the C library is not loaded: the loader is replaced as for
+  ``opcodes_per_step``, which turns the C row formatter off too.
+  ``c_opcodes_per_row`` and ``c_peak_kib`` count the same writes through the
+  C row formatter (None where it does not load, or the revision has none).
 * ``stability.peak_kib``: the same peak for ``cli.main(["stability", ...])``
   on case 1's scenario with an angle sweep of 10,001 and of 100,001 rows,
   into a stdout that discards what it gets; equal peaks show memory that
@@ -272,6 +277,15 @@ def python_kernel():
         _native.kernel = loader
 
 
+def c_rows() -> bool:
+    """Whether the revision has the C row formatter and this process has loaded it."""
+    try:
+        from cascade_droop import _native
+    except ImportError:
+        return False
+    return hasattr(_native, "csv_rows") and _native.csv_rows() is not None
+
+
 def c_kernel_per_step(simulate, scenario) -> float | None:
     """``opcodes_per_step`` on the C kernel, or None where there is none."""
     try:
@@ -314,8 +328,12 @@ def main(argv=None) -> int:
             }
         out["simulate"][name]["c_kernel_opcodes_per_step"] = c_kernel_per_step(simulate, scenario)
     out["report_stability"] = {"opcodes_per_row": per_sweep_row(built["n4_decimation10"].config)}
-    out["emit_trace_csv"] = {"opcodes_per_row": per_csv_row(built["n48_decimation1"]),
-                             "peak_kib": csv_peaks()}
+    with python_kernel():
+        csv = {"opcodes_per_row": per_csv_row(built["n48_decimation1"]), "peak_kib": csv_peaks()}
+    loaded = c_rows()
+    csv["c_opcodes_per_row"] = per_csv_row(built["n48_decimation1"]) if loaded else None
+    csv["c_peak_kib"] = csv_peaks() if loaded else None
+    out["emit_trace_csv"] = csv
     out["stability"] = {"peak_kib": stability_peaks(built["n4_decimation10"])}
     out["scenario"] = {"opcodes_per_build": per_build(built["n48_decimation1"])}
     out["import_opcodes"] = import_opcodes(src)
