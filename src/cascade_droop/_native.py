@@ -22,8 +22,8 @@ loaded at import.
 builds) returns a kernel, so a loader that picks the Python kernel picks the
 template writer too.  The formatter prints each value of the exact range,
 +-0 and 2^-79 <= |x| < 2^120, from its exact 9-digit rounding in 128-bit
-integers (see ``_csv.c``); it declines any other value, and everything where
-the compiler has no 128-bit integer, and ``reports`` prints a row that
+integers (see ``_csv.c``).  It declines any other value, and every value
+where the compiler has no 128-bit integer; ``reports`` prints a row that
 holds a declined value with the template.
 """
 
