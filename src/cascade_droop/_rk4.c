@@ -2,7 +2,8 @@
  *
  * cd_rk4_stretch runs steps start .. stop - 1 of one configuration: the
  * stages, the zero-power hold, the clamp and the recorded rows of the
- * generated Python kernel (engine._KERNEL) as engine.simulate drives it.
+ * Python kernel (the step that engine._plant returns) as engine.simulate
+ * drives it, for any n.
  * Every operation is the one CPython performs for that kernel, in the same
  * order and through the same libm, so the results agree to the bit:
  *

@@ -6,8 +6,8 @@ paper's analysis uses, a central difference of them, the per-module
 (phi, P, Q, f) rows a simulation kernel should record, the squared distance
 between the string and grid phasors in voltage shares, a rectangular
 complex reference for the trigonometric expansions themselves, and the RK4
-step written as loops over the modules, which the generated kernel must
-match bit for bit.
+step written as loops over the modules with the droop law written twice,
+which the engine's Python kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def rect_power_flow(voltages, sink, z):
 
 
 def loop_plant(config, dt):
-    """The engine's RK4 step as loops over the modules: the reference for the generated kernel.
+    """The engine's RK4 step as loops over the modules: the reference for the Python kernel.
 
     It takes and returns what ``engine._plant`` does, from the constants of
     ``engine._bind``, and its step reads and writes an ``engine._Held``

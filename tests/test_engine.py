@@ -285,7 +285,7 @@ def test_kernel_step_matches_a_reference_rk4_step(call):
         assert got == want and hold.values() == held
 
 
-# each n is its own generated code object, so the draws span one to 64 modules
+# the module counts that the kernel properties draw from, one to 64
 _KERNEL_NS = (1, 2, 3, 4, 5, 7, 8, 13, 16, 24, 31, 48, 64)
 
 
@@ -313,7 +313,7 @@ def _bits(values):
 @settings(max_examples=300, deadline=None, database=None)
 @seed(23)
 @given(run=_kernel_runs())
-def test_generated_kernel_matches_the_loop_kernel_bit_for_bit(run):
+def test_python_kernel_matches_the_loop_kernel_bit_for_bit(run):
     # the same angles, held measurement and sample lists as the loop kernel, step after step
     config, deltas, held, dt, sampled = run
     steps = engine._plant(config, dt), loop_plant(config, dt)

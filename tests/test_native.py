@@ -1,4 +1,4 @@
-"""The C kernel: bit for bit the generated Python kernel, built once, and never a silent fallback."""
+"""The C kernel: bit for bit the Python kernel at any n, built once, and never a silent fallback."""
 
 import cmath
 import hashlib
@@ -138,6 +138,18 @@ _AT_THE_DEAD_BAND = Scenario(
 @given(scenario=_runs())
 def test_c_kernel_matches_the_python_kernel_bit_for_bit(c_kernel, scenario):
     # every row, final angle and held measurement, compared as float.hex
+    assert _outcome(scenario, c_kernel) == _outcome(scenario, None)
+
+
+@pytest.mark.parametrize("n, mode", [(1025, Mode.ISLANDED), (2000, Mode.GRID_CONNECTED)],
+                         ids=["1025-islanded", "2000-grid"])
+def test_c_kernel_matches_the_python_kernel_past_1024_modules(c_kernel, n, mode):
+    # 50 steps, every one recorded, from angles all round the circle and into the narrow clamp
+    config = make_config(n=n, v_star=1.2 * 315.0 / n, clamp=(49.9, 50.2), mode=mode,
+                         grid_angle=0.3)
+    scenario = Scenario(config=config, initial_deltas=tuple(PI * math.sin(1.7 * i)
+                                                            for i in range(n)),
+                        duration=0.05, dt=1e-3, record_decimation=1)
     assert _outcome(scenario, c_kernel) == _outcome(scenario, None)
 
 

@@ -505,19 +505,44 @@ def test_cli_rejects_a_module_count_above_the_cap(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_simulate_refuses_a_string_past_the_kernel_limit(tmp_path, monkeypatch, capsys):
-    # the kernel is generated per module count, so simulate refuses n = 1,025 before
-    # generating any code; the stability report builds no kernel and still runs
+def test_cli_simulate_runs_a_string_past_1024_modules_on_both_kernels(tmp_path, monkeypatch,
+                                                                      capsys, kernels):
+    # no kernel caps n below the 1,000,000 of every string: at n = 1,025 both kernels write
+    # the same trace bytes, and the stability report still runs
     (tmp_path / "wide.scn").write_text(SCENARIO_TEXT.replace("n = 2", "n = 1025")
                                        .replace("[initial]\ndelta = 0.2, -0.2\n", ""))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(engine, "_kernel_factory", None)  # calling it would raise TypeError
-    assert cli.main(["simulate", "wide.scn", "--out", "out"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "n=1025" in err and "1,024 modules" in err
-    assert not (tmp_path / "out").exists()
+    written = set()
+    for name, chooser in kernels.items():
+        monkeypatch.setattr(_native, "kernel", chooser)
+        assert cli.main(["simulate", "wide.scn", "--duration", "0.05", "--out", name]) == 0
+        written.add((tmp_path / name / "wide_trace.csv").read_bytes())
+    assert len(written) == 1
+    header, *rows = written.pop().decode().splitlines()
+    assert len(rows) == 6 and all(row.count(",") == 4 * 1025 for row in [header, *rows])
+    capsys.readouterr()
     assert cli.main(["stability", "wide.scn"]) == 0
     assert capsys.readouterr().out.startswith("stability report")
+
+
+def test_cli_simulate_refuses_a_table_past_physical_memory(tmp_path, monkeypatch, capsys):
+    # one row more than physical memory holds: exit 1 before any kernel, step or output directory
+    n = 1025
+    width = 8 * (1 + 4 * n)
+    rows = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // width + 1
+    (tmp_path / "huge.scn").write_text(
+        SCENARIO_TEXT.replace("\nn = 2\n", f"\nn = {n}\n")
+        .replace("[initial]\ndelta = 0.2, -0.2\n", "")
+        .replace("duration = 2", f"duration = {rows - 1}\ndt = 1\ndecimation = 1"))
+    monkeypatch.chdir(tmp_path)
+    asked = []
+    monkeypatch.setattr(_native, "kernel", lambda module_steps: asked.append(module_steps))
+    monkeypatch.setattr(engine, "_bind", lambda *args: asked.append(args))
+    assert cli.main(["simulate", "huge.scn", "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "more than can be allocated" in err
+    assert f"{float(rows):.3g} samples of {1 + 4 * n} values" in err
+    assert not asked and not (tmp_path / "out").exists()
 
 
 def test_cli_exit_code_runtime_error(tmp_path):

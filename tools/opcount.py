@@ -19,9 +19,10 @@ Method:
   made untraced first, so no import is counted.
 * ``kernel_opcodes_per_step``: the share of ``opcodes_per_step`` executed in
   frames of the kernel ``step``, the code object of the function that
-  ``engine._plant(config, dt)`` returns; the rest is ``simulate``'s loop and
-  recording.
-* These three count the generated Python kernel: where a revision has the C
+  ``engine._plant(config, dt)`` returns, and of the code objects nested in
+  it (its comprehensions, which run in frames of their own before Python
+  3.12); the rest is ``simulate``'s loop and recording.
+* These three count the Python kernel: where a revision has the C
   kernel (``cascade_droop._native``), its loader ``_native.kernel`` is
   replaced by one that picks the Python kernel while they are counted.
   ``c_kernel_opcodes_per_step`` counts the same runs on the C kernel, one
@@ -71,6 +72,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -103,7 +105,7 @@ print(count)
 
 
 def count_opcodes(fn, code=None) -> int:
-    """Opcodes that ``fn()`` executes; with ``code``, only those in frames of that code object."""
+    """Opcodes that ``fn()`` executes; with ``code``, only those in frames of it or code in it."""
     count = 0
 
     def local(frame, event, arg):
@@ -112,8 +114,15 @@ def count_opcodes(fn, code=None) -> int:
             count += 1
         return local
 
+    codes = set()
+    stack = [] if code is None else [code]
+    while stack:
+        current = stack.pop()
+        codes.add(current)
+        stack += [c for c in current.co_consts if isinstance(c, types.CodeType)]
+
     def start(frame, event, arg):
-        if code is not None and frame.f_code is not code:
+        if code is not None and frame.f_code not in codes:
             return None
         frame.f_trace_opcodes = True
         return local
@@ -263,7 +272,7 @@ def import_opcodes(src: Path) -> int:
 
 @contextlib.contextmanager
 def python_kernel():
-    """Every ``simulate`` on the generated Python kernel, where a revision has a C kernel."""
+    """Every ``simulate`` on the Python kernel, where a revision has a C kernel."""
     try:
         from cascade_droop import _native
     except ImportError:  # a revision with the Python kernel only
