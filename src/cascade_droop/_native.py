@@ -116,8 +116,7 @@ def _build():
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     doubles, i64 = ctypes.POINTER(ctypes.c_double), ctypes.c_int64
-    stretch.argtypes = [doubles, i64, doubles, doubles, doubles, ctypes.POINTER(ctypes.c_int32),
-                        i64, i64, i64, i64, doubles, i64, i64]
+    stretch.argtypes = [doubles, i64, doubles, doubles, i64, i64, i64, i64, doubles, i64, i64]
     stretch.restype = i64
     rows.argtypes = [ctypes.c_void_p, i64, ctypes.POINTER(i64), i64, ctypes.c_void_p]
     rows.restype = i64
@@ -126,21 +125,22 @@ def _build():
     return stretch, rows
 
 
-def run(stretch, constants: tuple, deltas: list[float], held, table, row: int, start: int,
-        stop: int, steps: int, decim: int) -> tuple[list[float], int] | None:
-    """Steps ``start`` .. ``stop`` - 1 of one config on the C kernel, recorded from ``row``.
+def run(stretch, constants: tuple, deltas: list[float], held: list[float], table, row: int,
+        start: int, stop: int, steps: int,
+        decim: int) -> tuple[list[float], list[float], int] | None:
+    """``engine._stretch`` on the C kernel ``stretch``: the same arguments and results.
 
-    ``constants`` are ``engine._bind``'s and ``held`` an ``engine._Held``,
-    which the stretch updates.  Returns the angles after the stretch and the
-    next row, or None where CPython would raise or a value is not finite;
-    the angles and ``held`` are then as they were, and the caller runs the
-    stretch in Python.
+    Runs steps ``start`` .. ``stop`` - 1 of one config from ``engine._bind``'s
+    ``constants``, recorded from ``row``, and returns the angles, the held
+    values and the next row; None where CPython would raise or a value is
+    not finite, and the caller then runs the stretch in Python.  Neither
+    ``deltas`` nor ``held`` is written.
     """
     import ctypes
 
     n = len(deltas)
-    if len(held.angles) != n:
-        raise ValueError(f"{len(held.angles)} held angles for {n} modules")
+    if len(held) != n:
+        raise ValueError(f"{len(held)} held values for {n} modules")
     if not (table.dtype == "float64" and table.flags.c_contiguous and table.flags.writeable
             and table.shape[1:] == (1 + 4 * n,)):
         raise ValueError(f"a trace table is a writeable C-contiguous float64 (rows, {1 + 4 * n}) "
@@ -149,18 +149,13 @@ def run(stretch, constants: tuple, deltas: list[float], held, table, row: int, s
     values = (ctypes.c_double * 14)(v_star, w_star, m, phi_star, w_lo, w_hi, z.real, z.imag,
                                     drive.real, drive.imag, dead_band, half, dt, sixth)
     xs = (ctypes.c_double * n)(*deltas)
-    hv = (ctypes.c_double * n)(*held.angles)
-    arg = ctypes.c_double(0.0 if held.arg is None else held.arg)
-    live = ctypes.c_int32(held.arg is not None)
+    hv = (ctypes.c_double * n)(*held)
     # a decimation past the run records only its ends, and fits in the C int64 as given
-    end = stretch(values, n, xs, hv, ctypes.byref(arg), ctypes.byref(live), start, stop, steps,
-                  min(decim, steps + 1), table.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-                  table.shape[0], row)
+    end = stretch(values, n, xs, hv, start, stop, steps, min(decim, steps + 1),
+                  table.ctypes.data_as(ctypes.POINTER(ctypes.c_double)), table.shape[0], row)
     if end < 0:
         return None
-    held.angles = list(hv)
-    held.arg = arg.value if live.value else None
-    return list(xs), end
+    return list(xs), list(hv), end
 
 
 def write_rows(rows, table, chunk: int, out, template: str) -> bool:

@@ -2,8 +2,8 @@
  *
  * cd_rk4_stretch runs steps start .. stop - 1 of one configuration: the
  * stages, the zero-power hold, the clamp and the recorded rows of the
- * Python kernel (the step that engine._plant returns) as engine.simulate
- * drives it, for any n.
+ * Python kernel engine._stretch, which takes and returns the same values,
+ * for any n.
  * Every operation is the one CPython performs for that kernel, in the same
  * order and through the same libm, so the results agree to the bit:
  *
@@ -140,8 +140,8 @@ wrap(double x, int *bad)
     return copysign(1.0, x) * r;
 }
 
-/* engine._Held.values(): the held values remainder(x_i - arg I, TAU), formed in place from a
-   live step boundary's angles on the first read after it */
+/* The held values remainder(x_i - arg I, TAU), formed in place from a live step boundary's
+   angles on the first read after it: a zero-current stage, a recorded row or the stretch's end */
 static void
 form_held(double *hv, int64_t n, double arg, int *live, int *bad)
 {
@@ -158,26 +158,26 @@ form_held(double *hv, int64_t n, double arg, int *live, int *bad)
 enum { V_STAR, W_STAR, M, PHI_STAR, W_LO, W_HI, Z_RE, Z_IM, DRIVE_RE, DRIVE_IM, DEAD_BAND,
        HALF, DT, SIXTH };
 
-/* Runs steps start .. stop - 1 of an n-module string from deltas and the held measurement.
+/* Runs steps start .. stop - 1 of an n-module string from deltas and the held values held.
  *
- * held[i] are the held values while *held_live is 0; otherwise they are the angles of the
- * last live step boundary and *held_arg its arg I, and the held values are
- * remainder(held[i] - *held_arg, TAU), formed where they are read.  Step k is recorded when
+ * A live step boundary keeps its angles in the held buffer and its arg I in arg; the held
+ * values remainder(x_i - arg, TAU) are formed where they are read.  Step k is recorded when
  * k % decim == 0 or k == steps, as row (k dt, the stage-1 clamped omegas, P, Q, the held
  * values) of the row-major (rows, 1 + 4 n) table, from row on; the step k == steps only
- * measures.  Returns the row after the last one written, or -1 (nothing written back).
+ * measures.  Writes back the angles and the held values after the stretch, and returns the
+ * row after the last one written, or -1 (nothing written back).
  */
 int64_t
-cd_rk4_stretch(const double *c, int64_t n, double *deltas, double *held, double *held_arg,
-               int32_t *held_live, int64_t start, int64_t stop, int64_t steps, int64_t decim,
-               double *table, int64_t rows, int64_t row)
+cd_rk4_stretch(const double *c, int64_t n, double *deltas, double *held, int64_t start,
+               int64_t stop, int64_t steps, int64_t decim, double *table, int64_t rows,
+               int64_t row)
 {
     const cpx z = {c[Z_RE], c[Z_IM]};
     const double h[3] = {c[HALF], c[HALF], c[DT]};
     const int64_t width = 1 + 4 * n;
     double *buf, *x, *e, *hv, *w1, *s, *term_re, *term_im;
-    double arg = *held_arg;
-    int live = *held_live, bad = 0;
+    double arg = 0.0;
+    int live = 0, bad = 0;
     int64_t k, i, j, result = -1;
 
     if (n < 1 || decim < 1 || start < 0 || stop > steps + 1)
@@ -287,12 +287,13 @@ cd_rk4_stretch(const double *c, int64_t n, double *deltas, double *held, double 
                 x[i] = x[i] + c[SIXTH] * (s[i] + 2.0 * (s[n + i] + s[2 * n + i]) + s[3 * n + i]);
         }
     }
+    form_held(hv, n, arg, &live, &bad);
+    if (bad)
+        goto done;
     for (i = 0; i < n; i++) {
         deltas[i] = x[i];
         held[i] = hv[i];
     }
-    *held_arg = arg;
-    *held_live = live;
     result = row;
 done:
     free(buf);

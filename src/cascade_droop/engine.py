@@ -24,27 +24,27 @@ The guard bounds the linearization at the root only, so it is necessary but
 not sufficient: nearer zero current the flow is stiffer still.
 
 Two kernels hold the measurement, the droop law and the integrator, and
-they give the same bits for any n.  ``_plant(config, dt)`` binds the
-constants once and returns the closure ``step``, which advances a whole RK4
-step in one call: one loop over the four stages, whose inner loop droops
-and clamps each module in one place; stage 4 combines the four stages'
-slopes w - omega*.  The C kernel, ``_rk4.c`` loaded by ``_native``, runs a
-whole stretch between two schedule entries in one call, from the same
-``_bind`` constants, with each operation of ``step`` ported from CPython's
-own arithmetic.  ``simulate`` takes it where it is loaded, or where the run
-has at least ``_native.MODULE_STEPS`` module-steps (n x steps), which
-builds it once per process; otherwise, and wherever it cannot be built or
-fails its check, ``step`` runs.  In the tests ``step`` is the C kernel's
-oracle, and ``tests/oracles.py``'s loop kernel is ``step``'s.  On a
-recorded step the kernel extends the row [t] with the step's omega, P and
-Q and the held phi, after the step; the last row keeps its angles.  The
-held measurement wrap(delta_i - arg I) is formed only where it is read (a
-recorded row, a zero-current stage, the final states): a live step
-boundary stores just its angle list and arg I.  ``simulate``, the only way
-to advance the plant, writes each row into one preallocated (rows, 1 + 4n)
-table in the trace CSV's column order, after refusing one larger than the
-machine's physical memory.  That table is the only numpy this module needs;
-scenario checks and the equilibria are plain ``math``.
+they give the same bits for any n.  Both run a whole stretch between two
+schedule entries in one call, from the same ``_bind`` constants, and take
+and return the same values: the angles, the held values and the next table
+row.  The Python kernel ``_stretch`` runs one loop over the four stages per
+step, whose inner loop droops and clamps each module in one place; stage 4
+combines the four stages' slopes w - omega*.  The C kernel, ``_rk4.c``
+loaded by ``_native``, ports each of its operations from CPython's own
+arithmetic.  ``simulate`` takes it where it is loaded, or where the run has
+at least ``_native.MODULE_STEPS`` module-steps (n x steps), which builds it
+once per process; otherwise, and wherever it cannot be built or fails its
+check, ``_stretch`` runs.  In the tests ``_stretch`` is the C kernel's
+oracle, and ``tests/oracles.py``'s loop kernel is ``_stretch``'s.  On a
+recorded step the kernel writes the row [t, omega, P, Q, phi] after the
+step; the last row keeps its angles.  The held measurement
+wrap(delta_i - arg I) is formed only where it is read (a zero-current
+stage, a recorded row, the stretch's end): inside a stretch a live step
+boundary keeps just its angle list and arg I.  ``simulate``, the only way
+to advance the plant, has the kernels write each row into one preallocated
+(rows, 1 + 4n) table in the trace CSV's column order, after refusing one
+larger than the machine's physical memory.  That table is the only numpy
+this module needs; scenario checks and the equilibria are plain ``math``.
 
 Every module of the series string carries the same current I, so module i
 sees S_i = V* e^{j delta_i} conj(I) and measures the power factor angle
@@ -71,14 +71,15 @@ angle-reset event writes state, and it leaves the config unchanged.  Events
 at one time apply together, in file order: the scenario's ``schedule``
 holds one entry per event step with the fold of ``apply_event`` over all
 events so far.  The schedule's first entry is step 0, so it lists every
-config a run runs, and ``simulate`` builds one kernel for it and one per
-later entry whose config changed, never one for a config between two events.
+config a run runs, and ``simulate`` binds the kernels' constants for it and
+for each later entry whose config changed, never for a config between two
+events.
 
 At zero current the power factor angle is undefined.  All modules carry one
 current, so the zero-power rule of ``droop.ZERO_POWER_FRACTION`` holds for
 all or none; the engine then holds each module's previous valid measurement,
 initialized to the phi* in force at the first step, so a dead start is
-well defined.  Step 0's kernel and phi* are those of the schedule's first
+well defined.  Step 0's constants and phi* are those of the schedule's first
 entry, so a run with events at t = 0 is, bit for bit, the run with those
 events folded into the config and the initial angles.
 """
@@ -90,6 +91,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 from . import linearization
@@ -359,30 +361,8 @@ class SimulationResult(NamedTuple):
     final_states: list[InverterState]
 
 
-class _Held:
-    """Each module's held measurement phi_i = wrap(delta_i - arg I), formed when read.
-
-    A live step boundary stores only its angle list and arg I; ``values``
-    wraps them on the first read after it (a recorded row, a zero-current
-    stage or the final states) and keeps the result.  No code writes into an
-    angle list once a step has stored it: every step returns a new list.
-    """
-
-    __slots__ = ("angles", "arg")
-
-    def __init__(self, values: list[float]):
-        self.angles = values
-        self.arg: float | None = None  # None: ``angles`` are the held values themselves
-
-    def values(self) -> list[float]:
-        if self.arg is not None:
-            self.angles = [wrap_angle(x - self.arg) for x in self.angles]
-            self.arg = None
-        return self.angles
-
-
 def _bind(config: SystemConfig, dt: float) -> tuple:
-    """The constants of ``step`` for one configuration and step size, as both kernels take them.
+    """The kernels' constants for one configuration and step size, in the order both take them.
 
     They are V*, omega*, m and phi*, the clamp band in rad/s, the impedance
     Z the string drives and the drive, the zero-power dead band and the RK4
@@ -414,26 +394,28 @@ def _bind(config: SystemConfig, dt: float) -> tuple:
             z, drive, dead_band, 0.5 * dt, dt, dt / 6.0)
 
 
-def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
-    """The RK4 step of one configuration and step size, its constants bound once.
+def _stretch(constants: tuple, deltas: list[float], held: list[float], table: np.ndarray,
+             row: int, start: int, stop: int, steps: int,
+             decim: int) -> tuple[list[float], list[float], int]:
+    """Steps ``start`` .. ``stop`` - 1 of one config, from ``_bind``'s ``constants``.
 
-    ``step(deltas, held, sample=None)`` returns the angles one classical RK4
-    step after ``deltas``, as a new list.  Each stage sums the string voltage
-    once; while current flows it droops every module on wrap(x - arg I -
-    phi*) at the stage's angles x, and at zero current on ``held`` with
-    arg I = 0.  A live step boundary stores ``deltas`` and its arg I in
-    ``held``.  With ``sample``, a list, the step then extends it with the
-    boundary's stage-1 clamped omega, P, Q and phi (the held values), each
-    in module order: only a sampled step forms the powers V_i conj(I).  One
-    loop runs the four stages, with the droop law and its clamp written once.
+    Each stage sums the string voltage once; while current flows it droops
+    every module on wrap(x - arg I - phi*) at the stage's angles x, and at
+    zero current on the held values ``held`` with arg I = 0.  A live step
+    boundary keeps its angles and arg I in ``live`` and ``arg``; the held
+    values wrap(delta_i - arg I) are formed from them where they are read (a
+    zero-current stage, a recorded row, the stretch's end).  Step k is
+    recorded when k % decim == 0 or k == steps, as table row (k dt, the
+    stage-1 clamped omegas, P, Q, the held values) from ``row`` on: only a
+    recorded step forms the powers V_i conj(I), and the step k == steps only
+    measures.  Returns the angles, the held values and the next row.
     """
-    v_star, w_star, m, phi_star, w_lo, w_hi, z, drive, dead_band, half, dt, sixth = _bind(
-        config, dt)
+    v_star, w_star, m, phi_star, w_lo, w_hi, z, drive, dead_band, half, dt, sixth = constants
     rect = cmath.rect
     phase = cmath.phase
     remainder = math.remainder
-
-    def step(deltas: list[float], held: _Held, sample: list[float] | None = None) -> list[float]:
+    live, arg = None, 0.0  # the last live step boundary's angles and arg I, until formed
+    for k in range(start, stop):
         es = deltas
         stages = []
         for h in (half, half, dt, None):  # from each stage to the next stage's angles
@@ -444,14 +426,15 @@ def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
             if not stages:
                 boundary = total
             if abs(total) <= dead_band:
-                es = held.values()
+                if live is not None:
+                    held, live = [remainder(x - arg, TAU) for x in live], None
+                es = held
                 base = phi_star
             else:
-                arg = phase(total / z)
+                arg_i = phase(total / z)
                 if not stages:  # the step boundary's measurement is the one held
-                    held.angles = deltas
-                    held.arg = arg
-                base = arg + phi_star
+                    live, arg = deltas, arg_i
+                base = arg_i + phi_star
             omegas = []
             for e in es:
                 w = w_star - m * remainder(e - base, TAU)
@@ -463,17 +446,20 @@ def _plant(config: SystemConfig, dt: float) -> Callable[..., list[float]]:
             stages.append(omegas)
             if h is not None:
                 es = [x + h * (w - w_star) for x, w in zip(deltas, omegas)]
-        if sample is not None:
+        if k % decim == 0 or k == steps:
+            if live is not None:
+                held, live = [remainder(x - arg, TAU) for x in live], None
             icon = (boundary / z).conjugate()
             powers = [rect(v_star, x) * icon for x in deltas]
-            sample += stages[0]
-            sample += [s.real for s in powers]
-            sample += [s.imag for s in powers]
-            sample += held.values()
-        return [x + sixth * ((a - w_star) + 2.0 * ((b - w_star) + (c - w_star)) + (d - w_star))
-                for x, a, b, c, d in zip(deltas, *stages)]
-
-    return step
+            table[row] = [k * dt, *stages[0], *[s.real for s in powers],
+                          *[s.imag for s in powers], *held]
+            row += 1
+        if k < steps:  # the last row only measures
+            deltas = [x + sixth * ((a - w_star) + 2.0 * ((b - w_star) + (c - w_star))
+                                   + (d - w_star)) for x, a, b, c, d in zip(deltas, *stages)]
+    if live is not None:
+        held = [remainder(x - arg, TAU) for x in live]
+    return deltas, held, row
 
 
 EventCallback = Callable[[float, EventAction, list[float], list[float]], None]
@@ -483,14 +469,13 @@ def simulate(scenario: Scenario, on_event: EventCallback | None = None) -> Simul
     """Run a scenario to completion; deterministic for identical inputs.
 
     This is the one way to advance the plant.  Each stretch opens with one
-    ``scenario.schedule`` entry, the first at step 0, and runs on one of two
-    kernels that give the same bits: one C call per stretch where the C
-    kernel is loaded in this process or the run has at least
-    ``_native.MODULE_STEPS`` module-steps (n x steps), else one call of the
-    Python kernel per RK4 step, for any n up to ``_MAX_MODULES``.  On a
-    recorded step the kernel fills the step's row after it; the last row
-    keeps its angles.  A trace table larger than the machine's physical
-    memory is refused before the first step.
+    ``scenario.schedule`` entry, the first at step 0, and runs in one call of
+    one of two kernels that give the same bits: the C kernel where it is
+    loaded in this process or the run has at least ``_native.MODULE_STEPS``
+    module-steps (n x steps), else the Python kernel, for any n up to
+    ``_MAX_MODULES``.  On a recorded step the kernel fills the step's row
+    after it; the last row keeps its angles.  A trace table larger than the
+    machine's physical memory is refused before the first step.
 
     Parameters
     ----------
@@ -516,7 +501,7 @@ def _run(scenario: Scenario, on_event: EventCallback | None,
     n = config.n
     dt = scenario.dt
     deltas = list(scenario.initial_deltas)
-    held = _Held([config.droop.nominal_pf_angle] * n)
+    held = [config.droop.nominal_pf_angle] * n
     decim = scenario.record_decimation
 
     rows = steps // decim + 1 + (steps % decim != 0)
@@ -538,12 +523,12 @@ def _run(scenario: Scenario, on_event: EventCallback | None,
         raise ValidationError(too_big) from None
     row = 0
     stretch = native(n * steps)
-    bind = _plant if stretch is None else _bind  # a kernel, or the C kernel's constants
-    step = bind(config, dt)
+    kernel = _stretch if stretch is None else partial(_native.run, stretch)
+    constants = _bind(config, dt)
 
     for group, stop in zip(schedule, [*(g.step for g in schedule[1:]), steps + 1]):
         start = group.step
-        # a reset writes into the list the last step returned, which no step has read yet
+        # a reset writes into the list the last stretch returned, which nothing else holds
         for action in group.actions:
             before = deltas.copy() if on_event is not None else None
             if isinstance(action, SetInitialDelta):
@@ -553,32 +538,20 @@ def _run(scenario: Scenario, on_event: EventCallback | None,
         if group.config != config:
             config = group.config
             try:
-                step = bind(config, dt)
+                constants = _bind(config, dt)
             except (SingularImpedanceError, ValidationError) as exc:
                 raise type(exc)(f"at event time t={start * dt:g} s: {exc}") from exc
-        if stretch is not None:
-            ran = _native.run(stretch, step, deltas, held, table, row, start, stop, steps, decim)
-            if ran is not None:
-                deltas, row = ran
-                continue
+        ran = kernel(constants, deltas, held, table, row, start, stop, steps, decim)
+        if ran is None:
             # the C kernel declines where CPython raises or a value is not finite: the
             # Python kernel runs the rest of the run from the stretch's start
-            stretch, bind = None, _plant
-            step = bind(config, dt)
-        for k in range(start, stop):
-            if k % decim == 0 or k == steps:
-                sample = [k * dt]
-                moved = step(deltas, held, sample)
-                table[row] = sample
-                row += 1
-                if k < steps:  # the last row only measures
-                    deltas = moved
-            else:
-                deltas = step(deltas, held)
+            kernel = _stretch
+            ran = kernel(constants, deltas, held, table, row, start, stop, steps, decim)
+        deltas, held, row = ran
 
     omega = table[:, 1:1 + n]
     np.divide(omega, TAU, out=omega)  # rad/s to Hz in place
-    final = [InverterState(x, phi) for x, phi in zip(deltas, held.values())]
+    final = [InverterState(x, phi) for x, phi in zip(deltas, held)]
     return SimulationResult(Trace(table), final)
 
 

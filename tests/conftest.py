@@ -15,8 +15,9 @@ _entries = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(o
 os.environ["PYTHONPATH"] = os.pathsep.join([_SRC] + [p for p in _entries if p != _SRC])
 
 
-# this process's C kernel, kept by ``kernels`` where it builds: ``c_kernel`` returns it without
-# asking ``_native.kernel``, which is ``c_kernel`` itself while a test has patched it in
+# this process's C kernel (or None), kept by the first ``c_kernel`` or ``kernels`` call: later
+# calls return it without asking ``_native.kernel``, which is ``c_kernel`` itself while a test
+# has patched it in
 _C_KERNEL = []
 
 
@@ -32,11 +33,11 @@ def c_kernel(module_steps):
     worker started by ``spawn`` or ``forkserver`` can unpickle it as its
     initializer; there it builds that worker's own library.
     """
-    if _C_KERNEL:
-        return _C_KERNEL[0]
-    from cascade_droop import _native
+    if not _C_KERNEL:
+        from cascade_droop import _native
 
-    return _native.kernel(_native.MODULE_STEPS)
+        _C_KERNEL[:] = [_native.kernel(_native.MODULE_STEPS)]
+    return _C_KERNEL[0]
 
 
 @pytest.fixture

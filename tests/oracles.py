@@ -110,12 +110,32 @@ def rect_power_flow(voltages, sink, z):
     return [PowerPair(s.real, s.imag) for s in (v.rect * current_conj for v in voltages)]
 
 
+class Held:
+    """Each module's held measurement phi_i = wrap(delta_i - arg I), formed when read.
+
+    A live step boundary stores only its angle list and arg I; ``values``
+    wraps them on the first read after it and keeps the result.
+    """
+
+    __slots__ = ("angles", "arg")
+
+    def __init__(self, values):
+        self.angles = values
+        self.arg = None  # None: ``angles`` are the held values themselves
+
+    def values(self):
+        if self.arg is not None:
+            self.angles = [wrap_angle(x - self.arg) for x in self.angles]
+            self.arg = None
+        return self.angles
+
+
 def loop_plant(config, dt):
     """The engine's RK4 step as loops over the modules: the reference for the Python kernel.
 
-    It takes and returns what ``engine._plant`` does, from the constants of
-    ``engine._bind``, and its step reads and writes an ``engine._Held``
-    alike.  The closure ``step`` holds the droop law and its clamp twice: in
+    It binds the constants of ``engine._bind`` and returns one step of the
+    Python kernel ``engine._stretch``, whose held measurement it keeps in a
+    ``Held``.  The closure ``step`` holds the droop law and its clamp twice: in
     the loop body of stages 1-3 and in stage 4, which needs no next string sum.
     """
     v_star, w_star, m, phi_star, w_lo, w_hi, z, drive, dead_band, half, dt, sixth = _bind(
@@ -125,7 +145,7 @@ def loop_plant(config, dt):
     phase = cmath.phase
     remainder = math.remainder
 
-    def step(deltas: list[float], held: _Held, sample: list[float] | None = None) -> list[float]:
+    def step(deltas: list[float], held: Held, sample: list[float] | None = None) -> list[float]:
         """The angles one classical RK4 step after ``deltas``, as a new list.
 
         Each stage sums the string voltage once; while current flows it

@@ -46,6 +46,7 @@ from cascade_droop.cases import build_case
 from cascade_droop.droop import ZERO_POWER_FRACTION
 from cascade_droop.engine import apply_event
 from oracles import (
+    Held,
     loop_plant,
     module_rows,
     phi_vector,
@@ -257,32 +258,45 @@ _CLAMPED = (make_config(n=2, m=10.0, phi_star=0.0, clamp=(49.9, 50.2)),
 _DEAD = (make_config(n=4), [0.0, PI / 2, PI, 3 * PI / 2], [0.5, -2.0, 0.5, -2.0], 5e-4)
 
 
+def _one_step(config, dt, deltas, held, sampled=False):
+    """One RK4 step of the Python kernel ``engine._stretch``, a stretch of its own.
+
+    Returns the angles after it, the held values formed at the stretch's end
+    and, where ``sampled``, its recorded row after the time (each module's
+    stage-1 clamped omega, P, Q and phi), else None.
+    """
+    table = np.empty((1, 1 + 4 * len(deltas)))
+    k = 0 if sampled else 1  # at decimation 2 of a 3-step run, step 0 is recorded and 1 is not
+    xs, hv, row = engine._stretch(engine._bind(config, dt), list(deltas), list(held), table, 0,
+                                  k, k + 1, 3, 2)
+    return xs, hv, (table[0, 1:].tolist() if row else None)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @seed(17)
 @example(call=_CLAMPED)
 @example(call=_DEAD)
 @given(call=_step_calls())
 def test_kernel_step_matches_a_reference_rk4_step(call):
-    # one kernel call advances a whole RK4 step, and stores the boundary's measurement
+    # a one-step stretch advances a whole RK4 step, and holds the boundary's measurement
     config, deltas, held, dt = call
     w_star = TAU * config.droop.nominal_frequency
-    hold = engine._Held(list(held))
-    got = engine._plant(config, dt)(list(deltas), hold)
+    got, got_held, _ = _one_step(config, dt, deltas, held)
     want, want_held, slopes, comparable = _reference_step(config, deltas, held, dt)
     for i, ok in enumerate(comparable):
         if ok:
             # the tolerance of each slope, 1e-12 omega*, on the step's mean slope
             assert abs(got[i] - want[i]) <= 1e-12 * w_star * dt
     if want_held is held:  # a dead boundary keeps the held angles exactly
-        assert hold.values() == held
+        assert got_held == held
     elif want_held is not None:
-        assert max(abs(wrap_angle(a - b)) for a, b in zip(hold.values(), want_held)) <= 1e-12 * PI
+        assert max(abs(wrap_angle(a - b)) for a, b in zip(got_held, want_held)) <= 1e-12 * PI
     if call is _CLAMPED:
         assert slopes == [[TAU * 49.9 - w_star, TAU * 50.2 - w_star]] * 4
         assert got == want
     if call is _DEAD:
         assert slopes == [[droop_frequency(phi, config.droop) - w_star for phi in held]] * 4
-        assert got == want and hold.values() == held
+        assert got == want and got_held == held
 
 
 # the module counts that the kernel properties draw from, one to 64
@@ -314,20 +328,17 @@ def _bits(values):
 @seed(23)
 @given(run=_kernel_runs())
 def test_python_kernel_matches_the_loop_kernel_bit_for_bit(run):
-    # the same angles, held measurement and sample lists as the loop kernel, step after step
+    # the same angles, formed held values and recorded rows as the loop kernel, step after step
     config, deltas, held, dt, sampled = run
-    steps = engine._plant(config, dt), loop_plant(config, dt)
-    states = [(list(deltas), engine._Held(list(held))) for _ in steps]
+    step = loop_plant(config, dt)
+    got, got_held = list(deltas), list(held)
+    want, hold = list(deltas), Held(list(held))
     for take in sampled:
-        rows = []
-        for i, (step, (xs, hold)) in enumerate(zip(steps, states)):
-            sample = [] if take else None
-            states[i] = (step(xs, hold, sample), hold)
-            rows.append((_bits(states[i][0]), _bits(hold.angles), hold.arg,
-                         sample and _bits(sample)))
-        assert rows[0] == rows[1]
-    got, want = (hold.values() for _, hold in states)
-    assert _bits(got) == _bits(want)
+        sample = [] if take else None
+        want = step(want, hold, sample)
+        got, got_held, row = _one_step(config, dt, got, got_held, take)
+        assert (_bits(got), _bits(got_held), row and _bits(row)) == (
+            _bits(want), _bits(hold.values()), sample and _bits(sample))
 
 
 @pytest.mark.parametrize("fraction, holds", [
@@ -344,13 +355,11 @@ def test_kernel_dead_band_is_the_zero_power_fraction(fraction, holds):
     gap = n * v_star - config.grid_voltage  # exact: the string and the grid phasor are real
     assert gap == pytest.approx(fraction * n * v_star, rel=1e-3)
     sentinels = [10.0 + i for i in range(n)]
-    held = engine._Held(list(sentinels))
-    sample = []
-    engine._plant(config, 1e-3)([0.0] * n, held, sample)
+    _, held, sample = _one_step(config, 1e-3, [0.0] * n, sentinels, sampled=True)
     # a real positive gap drives I at -arg Z_line, so each module measures arg Z_line
     want = sentinels if holds else [config.line.angle] * n
-    assert held.values() == pytest.approx(want, abs=1e-12)
-    assert sample[3 * n:] == held.values()
+    assert held == pytest.approx(want, abs=1e-12)
+    assert sample[3 * n:] == held
 
 
 def _exactly_at_the_dead_band():
@@ -667,8 +676,7 @@ def test_measured_angles_keep_their_digits_at_tiny_voltage(v_star):
     # below V* ~ 1e-154 each module's power V* |I| is subnormal; sum V - V_g is not
     config = make_config(v_star=v_star)
     deltas = [0.1, 0.2, 0.3, 0.4]
-    sample = []
-    engine._plant(config, 1e-3)(deltas, engine._Held([0.0] * 4), sample)
+    sample = _one_step(config, 1e-3, deltas, [0.0] * 4, sampled=True)[2]
     want = phi_vector(deltas, 1.0, generalized_load(config.line, config.load))
     assert max(abs(wrap_angle(a - b)) for a, b in zip(sample[3 * len(deltas):], want)) <= 1e-13
 
@@ -733,13 +741,11 @@ def test_kernel_holds_all_modules_or_none(run):
     # every module carries the one string current, so |S_i| is the same for all
     config, deltas = run
     sentinels = [10.0 + i for i in range(config.n)]  # no measured angle reaches these
-    held = engine._Held(list(sentinels))
-    sample = []
-    engine._plant(config, 1e-3)(deltas, held, sample)
+    _, held, sample = _one_step(config, 1e-3, deltas, sentinels, sampled=True)
     phis = sample[3 * config.n:]
     kept = [phi == mark for phi, mark in zip(phis, sentinels)]
     assert all(kept) or not any(kept)
-    assert held.values() == (sentinels if all(kept) else phis)
+    assert held == (sentinels if all(kept) else phis)
 
 
 def test_scenario_validation_errors():
@@ -1097,8 +1103,52 @@ def test_deferred_held_measurement_is_exact_at_any_decimation(run):
     assert dense.trace.pf_angle[dead_step].tolist() == dense.trace.pf_angle[dead_step - 1].tolist()
 
 
+# a live grid run into the narrow clamp; an islanded polygon that carries no current until a
+# reset at step 4; and a live islanded run reset into the polygon at step 8, so that the
+# stretch before it ends on a live step that is not recorded; each recorded every third step
+_UNSPLIT = {
+    "live-grid": Scenario(config=make_config(mode=Mode.GRID_CONNECTED, clamp=(49.9, 50.2)),
+                          initial_deltas=(0.55, 0.45, 0.35, 0.25), duration=0.012,
+                          record_decimation=3),
+    "dead-to-live": Scenario(config=make_config(),
+                             initial_deltas=tuple(_dead_angles(make_config(), 0.3)),
+                             events=(TimedEvent(0.004, SetInitialDelta(2, 1.0)),),
+                             duration=0.012, record_decimation=3),
+    "live-to-dead": _reset_to_dead(Scenario(config=make_config(),
+                                            initial_deltas=(0.55, 0.45, 0.35, 0.25),
+                                            duration=0.012, record_decimation=3), 8, 0.3),
+}
+
+
+def _bits_of(result):
+    return (result.trace.table.tobytes(),
+            [(s.delta.hex(), s.pf_angle.hex()) for s in result.final_states])
+
+
+@pytest.mark.parametrize("name", sorted(_UNSPLIT))
+def test_a_no_op_event_that_splits_a_stretch_changes_no_bit(kernels, name):
+    # phi* set to the phi* in force splits a stretch in two, and the first part's end forms
+    # the held values that the unsplit run leaves unformed: the same table and final states
+    # on both kernels, wherever the split falls
+    scenario = _UNSPLIT[name]
+    phi_star = scenario.config.droop.nominal_pf_angle
+    result = engine._run(scenario, None, kernels["python"])
+    assert (result.trace.pf_angle[0] == phi_star).all() == (name == "dead-to-live")
+    assert not (result.trace.pf_angle[-1] == phi_star).any()
+    want = _bits_of(result)
+    runs = [scenario]
+    for step in range(1, scenario.steps + 1):
+        events = sorted([*scenario.events, TimedEvent(step * scenario.dt, SetPfRef(phi_star))],
+                        key=lambda ev: ev.time)
+        runs.append(replace(scenario, events=tuple(events)))
+        assert step in [group.step for group in runs[-1].schedule]
+    for run in runs:
+        for path, chooser in kernels.items():
+            assert _bits_of(engine._run(run, None, chooser)) == want, (path, run.events)
+
+
 def test_simulate_binds_one_kernel_per_changed_config(monkeypatch, kernels):
-    # the Python path builds one kernel per changed config, the C path binds its constants
+    # both kernels run on constants bound once per changed config
     config = make_config(mode=Mode.GRID_CONNECTED)
     load = Impedance.from_rect(3.0, -1.0)
     events = (TimedEvent(0.2, SetMode(Mode.ISLANDED)),
@@ -1106,16 +1156,16 @@ def test_simulate_binds_one_kernel_per_changed_config(monkeypatch, kernels):
               TimedEvent(0.4, SetInitialDelta(1, 0.3)),
               TimedEvent(0.6, SetLoad(load)))
     scenario = Scenario(config=config, initial_deltas=(0.0,) * 4, events=events, duration=1.0)
+    bind = engine._bind
     for path, chooser in kernels.items():
         built = []
-        counted = engine._plant if path == "python" else engine._bind
 
-        def counting(config, dt, counted=counted):
+        def counting(config, dt):
             built.append(config)
-            return counted(config, dt)
+            return bind(config, dt)
 
         with monkeypatch.context() as patch:
-            patch.setattr(engine, counted.__name__, counting)
+            patch.setattr(engine, "_bind", counting)
             patch.setattr(_native, "kernel", chooser)
             simulate(scenario)
         assert built == [config, scenario.schedule[1].config], path

@@ -156,12 +156,12 @@ def test_c_kernel_matches_the_python_kernel_past_1024_modules(c_kernel, n, mode)
 def test_a_stretch_the_c_kernel_declines_runs_in_python(monkeypatch, c_kernel):
     # where a value is not finite the C kernel writes nothing back, and the run goes on in Python
     config = make_config()
-    held = engine._Held([0.2] * 4)
+    held = [0.2] * 4
     table = np.zeros((2, 17))
     deltas = [0.1, math.inf, 0.0, 0.0]
     assert _native.run(c_kernel, engine._bind(config, 1e-3), deltas, held, table, 0, 0, 1, 1,
                        1) is None
-    assert held.angles == [0.2] * 4 and held.arg is None
+    assert held == [0.2] * 4 and deltas[1] == math.inf
     scenario = replace(_DEAD_GRID, record_decimation=3)
     want = _outcome(scenario, c_kernel)
     monkeypatch.setattr(_native, "run", lambda *args: None)
@@ -177,14 +177,14 @@ def test_a_stretch_the_c_kernel_declines_runs_in_python(monkeypatch, c_kernel):
 def test_the_c_kernel_refuses_a_table_it_cannot_fill(table, c_kernel):
     config = make_config()
     with pytest.raises(ValueError, match="a trace table is a writeable C-contiguous float64"):
-        _native.run(c_kernel, engine._bind(config, 1e-3), [0.0] * 4, engine._Held([0.2] * 4),
-                    table, 0, 0, 1, 1, 1)
+        _native.run(c_kernel, engine._bind(config, 1e-3), [0.0] * 4, [0.2] * 4, table, 0, 0, 1,
+                    1, 1)
 
 
 def _write_then_mismatch(found):
     def stretch(*args):  # the C kernel, then one ulp added to the table's first value
         end = found(*args)
-        args[10][0] = math.nextafter(args[10][0], math.inf)
+        args[8][0] = math.nextafter(args[8][0], math.inf)
         return end
 
     return stretch

@@ -493,7 +493,7 @@ def test_cli_rejects_a_module_count_above_the_cap(tmp_path):
 
     limit = 1 << 30
     huge = tmp_path / "huge.scn"
-    huge.write_text(SCENARIO_TEXT.replace("n = 2", "n = 1000000000")
+    huge.write_text(SCENARIO_TEXT.replace("\nn = 2\n", "\nn = 1000000000\n")
                     .replace("[initial]\ndelta = 0.2, -0.2\n", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "cascade_droop", "stability", "huge.scn"],
@@ -509,7 +509,7 @@ def test_cli_simulate_runs_a_string_past_1024_modules_on_both_kernels(tmp_path, 
                                                                       capsys, kernels):
     # no kernel caps n below the 1,000,000 of every string: at n = 1,025 both kernels write
     # the same trace bytes, and the stability report still runs
-    (tmp_path / "wide.scn").write_text(SCENARIO_TEXT.replace("n = 2", "n = 1025")
+    (tmp_path / "wide.scn").write_text(SCENARIO_TEXT.replace("\nn = 2\n", "\nn = 1025\n")
                                        .replace("[initial]\ndelta = 0.2, -0.2\n", ""))
     monkeypatch.chdir(tmp_path)
     written = set()
@@ -594,22 +594,19 @@ def test_cli_simulate_refuses_an_overflowing_power_scale(tmp_path, monkeypatch, 
     # 1e154 overflows the zero-power floor, which would hold every measurement
     # at 50 Hz; 1e160 overflows the measured powers as well
     (tmp_path / "big.scn").write_text(
-        SCENARIO_TEXT.replace("n = 2", "n = 4").replace("v_star = 50", f"v_star = {v_star}")
+        SCENARIO_TEXT.replace("\nn = 2\n", "\nn = 4\n")
+        .replace("v_star = 50", f"v_star = {v_star}")
         .replace("m = 0.5", "m = 0.5\nclamp = off")
         .replace("delta = 0.2, -0.2", "delta = 0.5, -0.5, 0.5, -0.5"))
     monkeypatch.chdir(tmp_path)
-    plant = engine._plant
-    steps = []
-
-    def counting_plant(config, dt):
-        step = plant(config, dt)
-        return lambda *args: steps.append(1) or step(*args)
-
-    monkeypatch.setattr(engine, "_plant", counting_plant)
+    stretch = engine._stretch
+    calls = []
+    monkeypatch.setattr(_native, "kernel", python_kernel)
+    monkeypatch.setattr(engine, "_stretch", lambda *args: calls.append(1) or stretch(*args))
     assert cli.main(["simulate", "big.scn", "--out", "out"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: power scale n V*^2/|Z| = inf VA")
-    assert steps == []  # refused before the first step
+    assert calls == []  # refused before the first step
     assert not (tmp_path / "out").exists()
 
 

@@ -18,10 +18,12 @@ Method:
   costs paid once per run cancel.  numpy is imported and one short run is
   made untraced first, so no import is counted.
 * ``kernel_opcodes_per_step``: the share of ``opcodes_per_step`` executed in
-  frames of the kernel ``step``, the code object of the function that
-  ``engine._plant(config, dt)`` returns, and of the code objects nested in
-  it (its comprehensions, which run in frames of their own before Python
-  3.12); the rest is ``simulate``'s loop and recording.
+  frames of the Python kernel and of the code objects nested in it (its
+  comprehensions, which run in frames of their own before Python 3.12): the
+  function ``engine._stretch``, or in a revision that has ``engine._plant``
+  instead, the step function that ``_plant(config, dt)`` returns.  The rest
+  is ``simulate``'s schedule walk, and in the older revisions its per-step
+  loop and recording.
 * These three count the Python kernel: where a revision has the C
   kernel (``cascade_droop._native``), its loader ``_native.kernel`` is
   replaced by one that picks the Python kernel while they are counted.
@@ -58,7 +60,9 @@ Method:
   and, where a revision has one, its guard on each grid config's slow mode.
 * ``import_opcodes``: opcodes of ``import cascade_droop.cli`` in a fresh
   interpreter (``python -c``), after a first fresh import has written the
-  bytecode caches it can.
+  bytecode caches.  Both imports keep their caches under one new temporary
+  ``PYTHONPYCACHEPREFIX``, with ``PYTHONDONTWRITEBYTECODE`` removed, so the
+  count does not depend on the caches a checkout or the interpreter holds.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -262,11 +267,14 @@ def per_build(scenario) -> int:
 
 def import_opcodes(src: Path) -> int:
     script = _IMPORT_SCRIPT.format(src=str(src))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     counts = []
-    for _ in range(2):  # the first run writes the bytecode caches it can
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              check=True)
-        counts.append(int(proc.stdout.split()[-1]))
+    with tempfile.TemporaryDirectory() as caches:
+        env["PYTHONPYCACHEPREFIX"] = caches
+        for _ in range(2):  # the first run writes the bytecode caches
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  check=True, env=env)
+            counts.append(int(proc.stdout.split()[-1]))
     return counts[-1]
 
 
@@ -328,7 +336,8 @@ def main(argv=None) -> int:
     for name, scenario in built.items():
         with python_kernel():
             simulate(replace(scenario, duration=10 * scenario.dt))  # untraced warm-up
-            kernel_code = engine._plant(scenario.config, scenario.dt).__code__
+            kernel_code = (engine._stretch.__code__ if hasattr(engine, "_stretch")
+                           else engine._plant(scenario.config, scenario.dt).__code__)
             out["simulate"][name] = {
                 "opcodes_per_step": per_step(count_opcodes, simulate, scenario),
                 "c_calls_per_step": per_step(count_c_calls, simulate, scenario),
