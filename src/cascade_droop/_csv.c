@@ -10,7 +10,10 @@
  * remainder is exact, so a tie is seen as one and goes to the even N.  An N of 10^9
  * (a rounding carry at 999,999,999.5) is 10^8 of the next decade.  N is printed in
  * %g's fixed style where -4 <= k < 9 and in its exponent style otherwise, trailing
- * zeros stripped, as CPython prints it.
+ * zeros stripped, as CPython prints it.  Where the shift -E - q is below 64 (from about
+ * |x| >= 2^-28 on) the quotient and remainder are taken in 64-bit halves.  N's digits are
+ * one digit and four pairs read from a 200-byte table, and they go out in fixed-width
+ * copies that stay within the 16 bytes a value and its separator may take.
  *
  * The exact range is +-0 and 2^-79 <= |x| < 2^120, where 5^q < 2^75, 10^-q < 2^94
  * and every product and dividend fits in 128 bits.  Any other value (not finite,
@@ -49,6 +52,13 @@ scaled(uint64_t m, int e, int q)
         /* m 5^q 2^(e + q), and e + q <= -25 wherever q >= 0 */
         const int s = -(e + q);
         const u128 p = (u128)m * (q < 28 ? POW5[q] : (u128)POW5[27] * POW5[q - 27]);
+        if (s < 64) {  /* from about |x| >= 2^-28 on: quotient, remainder and half fit 64 bits */
+            const uint64_t lo = (uint64_t)p, hi = (uint64_t)(p >> 64);
+            const uint64_t t64 = lo >> s | hi << (64 - s);
+            const uint64_t r64 = lo & ((1ULL << s) - 1), half64 = 1ULL << (s - 1);
+            /* | and & where || and && would branch, which mispredicts on half the values */
+            return t64 + ((r64 > half64) | ((r64 == half64) & (t64 & 1)));
+        }
         t = p >> s;
         r = p & (((u128)1 << s) - 1);
         half = (u128)1 << (s - 1);
@@ -101,13 +111,22 @@ digits(double x, uint32_t *n, int *k)
 }
 #endif
 
-/* Prints x at p as format(x, ".9g") does; returns the end, or NULL where x is declined. */
+/* "00" .. "99" */
+static const char PAIRS[200] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+/* Prints x at p as format(x, ".9g") does; returns the end, or NULL where x is declined.
+ * The digits go out in fixed-width copies that may write past the end they return, but never
+ * past 16 bytes from where x starts, which is all a value and its separator may take. */
 static char *
 put(char *p, double x)
 {
-    char d[9];
-    uint32_t n;
-    int k, count, i;
+    char d[16];  /* the 9 digits, then zeros that the fixed-width copies may read */
+    uint32_t n, low, hi, lo;
+    int k, count;
 
     if (!digits(x, &n, &k))
         return 0;
@@ -117,42 +136,43 @@ put(char *p, double x)
         *p++ = '0';
         return p;
     }
-    for (i = 8; i >= 0; i--) {
-        d[i] = (char)('0' + n % 10);
-        n /= 10;
-    }
+    low = n % 100000000;
+    hi = low / 10000;
+    lo = low % 10000;
+    d[0] = (char)('0' + n / 100000000);
+    __builtin_memcpy(d + 1, PAIRS + 2 * (hi / 100), 2);
+    __builtin_memcpy(d + 3, PAIRS + 2 * (hi % 100), 2);
+    __builtin_memcpy(d + 5, PAIRS + 2 * (lo / 100), 2);
+    __builtin_memcpy(d + 7, PAIRS + 2 * (lo % 100), 2);
+    __builtin_memcpy(d + 9, "0000000", 7);
     for (count = 9; d[count - 1] == '0'; count--)
         ;
-    if (k < -4 || k >= 9) {
-        const int a = k < 0 ? -k : k;  /* below 100 in the exact range */
-
-        *p++ = d[0];
-        if (count > 1)
-            *p++ = '.';
-        for (i = 1; i < count; i++)
-            *p++ = d[i];
-        *p++ = 'e';
-        *p++ = k < 0 ? '-' : '+';
-        *p++ = (char)('0' + a / 10);
-        *p++ = (char)('0' + a % 10);
+    if (k < -4 || k >= 9) {  /* d.ddddddddde+kk: 1 + 10 + 4 bytes at most */
+        p[0] = d[0];
+        p[1] = '.';
+        __builtin_memcpy(p + 2, d + 1, 8);
+        p += count > 1 ? count + 1 : 1;
+        p[0] = 'e';
+        p[1] = k < 0 ? '-' : '+';
+        __builtin_memcpy(p + 2, PAIRS + 2 * (k < 0 ? -k : k), 2);  /* |k| < 100 in the range */
+        return p + 4;
     }
-    else if (k < 0) {
-        *p++ = '0';
-        *p++ = '.';
-        for (i = -1; i > k; i--)
-            *p++ = '0';
-        for (i = 0; i < count; i++)
-            *p++ = d[i];
+    if (k < 0) {  /* 0.000ddddddddd: 1 + 5 + 9 bytes at most */
+        __builtin_memcpy(p, "0.000", 5);
+        p += 1 - k;
+        __builtin_memcpy(p, d, 9);
+        return p + count;
     }
-    else {
-        for (i = 0; i <= k; i++)  /* the digits past count are the stripped zeros */
-            *p++ = d[i];
-        if (count > k + 1)
-            *p++ = '.';
-        for (; i < count; i++)
-            *p++ = d[i];
-    }
-    return p;
+    /* ddd.dddddd: the digits past count are the stripped zeros */
+    __builtin_memcpy(p, d, 9);
+    if (count <= k + 1)
+        return p + k + 1;
+    p[k + 1] = '.';
+    if (k < 6)  /* up to k + 10 <= 15 bytes past p */
+        __builtin_memcpy(p + k + 2, d + k + 1, 8);
+    else  /* 8 - k <= 2 digits after the point */
+        __builtin_memcpy(p + k + 2, d + k + 1, 2);
+    return p + count + 1;
 }
 
 /* Prints rows *row .. stop - 1 of a row-major table of width values per row into out,

@@ -14,9 +14,16 @@
  *   cmath.rect        (r cos phi, r sin phi), and (r, r phi) at phi == 0
  *   math.remainder    m_remainder
  *
+ * Two libm calls are skipped where their result is known exactly without
+ * them: the dead-band test does not call hypot where a part of the sum is
+ * above the band and below 2^1000 (see dead), and wrap calls fmod only
+ * from 2 TAU up.
+ *
  * Build it with -ffp-contract=off and -fno-builtin, so that the compiler
  * neither fuses a product into an FMA nor replaces a libm call with code of
- * its own (sin and cos with sincos, say).  Where CPython would raise or take
+ * its own (sin and cos with sincos, say).  fabs and copysign, which only
+ * clear or copy a sign bit, are asked for inline as __builtin_fabs and
+ * __builtin_copysign in the loop.  Where CPython would raise or take
  * a special-value path that is not ported here (a non-finite angle or
  * current), the call returns -1 and leaves the angles and the held
  * measurement as they were; the caller runs the stretch in Python.
@@ -56,6 +63,20 @@ c_abs(cpx z, int *bad)
     double result = hypot(z.re, z.im);
     *bad |= !isfinite(result);
     return result;
+}
+
+/* abs(z) <= band, as CPython decides it.  hypot(a, b) is never below max(|a|, |b|), so a sum
+   whose larger part is above the band is live without the call; a part that is not finite or
+   not below 2^1000, where hypot could overflow, and every sum whose parts are both at or below
+   the band go through c_abs and its *bad. */
+static int
+dead(cpx z, double band, int *bad)
+{
+    const double a = __builtin_fabs(z.re), b = __builtin_fabs(z.im), big = 0x1p1000;
+
+    if (a < big && b < big && (a > band || b > band))
+        return 0;
+    return c_abs(z, bad) <= band;
 }
 
 /* a / b for b != 0, Smith's algorithm as in CPython */
@@ -117,7 +138,9 @@ c_phase(cpx z)
     return atan2(z.im, z.re);
 }
 
-/* math.remainder(x, TAU); a non-finite x sets *bad */
+/* math.remainder(x, TAU); a non-finite x sets *bad.  fmod(|x|, TAU) is |x| below TAU, and
+   |x| - TAU below 2 TAU, where the subtraction is exact (Sterbenz); so fmod is called only from
+   2 TAU up.  The bound is strict: at |x| = 2 TAU fmod gives 0, and |x| - TAU would give TAU. */
 static double
 wrap(double x, int *bad)
 {
@@ -127,9 +150,14 @@ wrap(double x, int *bad)
         *bad = 1;
         return x;
     }
-    absx = fabs(x);
+    absx = __builtin_fabs(x);
     absy = TAU;
-    m = fmod(absx, absy);
+    if (absx < absy)
+        m = absx;
+    else if (absx < 2.0 * absy)
+        m = absx - absy;
+    else
+        m = fmod(absx, absy);
     c = absy - m;
     if (m < c)
         r = m;
@@ -137,7 +165,7 @@ wrap(double x, int *bad)
         r = -c;
     else
         r = m - 2.0 * fmod(0.5 * (absx - m), absy);
-    return copysign(1.0, x) * r;
+    return __builtin_copysign(1.0, x) * r;
 }
 
 /* The held values remainder(x_i - arg I, TAU), formed in place from a live step boundary's
@@ -216,7 +244,7 @@ cd_rk4_stretch(const double *c, int64_t n, double *deltas, double *held, int64_t
             const double *es;
             double base;
 
-            if (c_abs(total, &bad) <= c[DEAD_BAND]) {
+            if (dead(total, c[DEAD_BAND], &bad)) {
                 form_held(hv, n, arg, &live, &bad);
                 es = hv;
                 base = c[PHI_STAR];

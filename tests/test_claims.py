@@ -23,6 +23,7 @@ from cascade_droop import (
     SweepAxis,
     SystemConfig,
     TimedEvent,
+    Trace,
     generalized_load,
     grid_equilibrium,
     report_stability,
@@ -30,8 +31,10 @@ from cascade_droop import (
     wrap_angle,
 )
 from cascade_droop.cases import (
+    _checks_case1,
     _segments,
     angle_spread,
+    build_case,
     frequency_error,
     relative_spread,
     tracking_error,
@@ -210,3 +213,20 @@ def test_relative_spread_is_scale_free(values, power):
     assert relative_spread(scaled) == relative_spread(values)
     assert relative_spread([values[0]] * len(values)) == 0.0
     assert relative_spread([0.0] * len(values)) == 0.0
+
+
+def test_case1_power_spread_is_the_largest_relative_spread_of_its_rows():
+    # case 1 takes relative_spread of every settled row in one pass over the block, to the bit,
+    # also where a row carries no power
+    scenario = build_case(1)[0]
+    trace = simulate(scenario).trace
+    segments = _segments(scenario, trace)
+    settled = int(trace.times.searchsorted(segments[1][0] + 5.0 - 1e-12))
+    n = scenario.config.n
+    table = trace.table.copy()
+    table[settled + 1, 1 + n:1 + 2 * n] = 0.0
+    table[-1, 1 + n:1 + 2 * n] = [-1.0] + [0.5] * (n - 1)
+    for each in (trace, Trace(table)):
+        want = max(relative_spread(p) for p in each.active[settled:])
+        got = {c.name: c.measured for c in _checks_case1(segments, each, 0.0)}
+        assert got["active-power-equalized-within-5s"].hex() == want.hex()

@@ -5,6 +5,7 @@ import logging
 import math
 import struct
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,48 @@ def test_c_rows_on_the_edge_list(formatter):
         assert declined in edges and _printed(formatter, declined) is None
     assert _printed(formatter, math.nan) is None
 
+
+
+
+def test_c_rows_round_ties_below_1e9_half_to_even(formatter):
+    # x = odd / 2^(q + 1) in [10^(8 - q), 10^(9 - q)) is a 10-digit tie: x 10^q ends in .5;
+    # such ties exist for q = 0..13, where the digits come from 64-bit arithmetic
+    ties = []
+    for q in range(14):
+        step, low = Fraction(1, 2 ** (q + 1)), Fraction(10) ** (8 - q)
+        first = math.ceil(low / step) | 1
+        ties += [float(odd * step) for odd in (first, first + 2, first + 4, 3 * first)
+                 if odd * step < 10 * low]
+    assert len(ties) == 53
+    values = [y for x in ties for y in (x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
+    assert [x for x in values if _printed(formatter, x) != format(x, ".9g")] == []
+
+# the longest value of each %g style: exponent, fixed below 1, and fixed with the point after
+# each of the 1..9 integer digits
+_LONGEST = [-1.23456789e+36, -1.23456789e-23, -0.000123456789,
+            *(-float(f"123456789e{j}") for j in range(-8, 1))]
+
+
+def _guarded(rows, table):
+    """``table`` printed by ``rows`` into exactly VALUE_BYTES per value, then 32 canary bytes."""
+    size = _native.VALUE_BYTES * table.size
+    text = (ctypes.c_char * (size + 32)).from_buffer_copy(b"\xa5" * (size + 32))
+    row = ctypes.c_int64(0)
+    written = rows(table.ctypes.data, table.shape[1], ctypes.byref(row), table.shape[0], text)
+    assert row.value == table.shape[0] and text.raw[size:] == b"\xa5" * 32
+    return text.raw[:written]
+
+
+def test_c_rows_write_no_byte_past_value_bytes_per_value(formatter):
+    # the digits go out in fixed-width copies: after two values of 16 bytes, each longest
+    # value starts 16 bytes before the buffer's end, and no byte past that end may change
+    for x in _LONGEST:
+        table = np.array([[_LONGEST[0], _LONGEST[0], x]])
+        assert _guarded(formatter, table) == ",".join(
+            format(v, ".9g") for v in table[0]).encode() + b"\n", x
+    table = np.array([_LONGEST] * 3)
+    assert _guarded(formatter, table) == b"".join(
+        ",".join(format(v, ".9g") for v in values).encode() + b"\n" for values in table)
 
 def test_c_rows_stop_before_a_declined_row_and_the_template_prints_it(tmp_path, formatter):
     table = simulate(_native._probe()).trace.table.copy()

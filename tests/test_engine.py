@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, seed, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from cascade_droop import (
@@ -171,16 +171,18 @@ def test_kernel_sample_matches_power_flow_and_droop_oracles(run):
         assert trace.frequency_hz[0].tolist() == [config.droop.nominal_frequency] * 4
 
 
-def test_kernel_and_droop_law_agree_on_the_seam():
+def test_kernel_and_droop_law_agree_on_the_seam(kernels):
     # resistive line, phi* = 0, n V* < V_g, every angle 0: the current is real and
-    # negative, so every droop error starts exactly on the seam, at -pi
+    # negative, so every droop error starts exactly on the seam, at -pi; on both kernels
     config = make_config(v_star=50.0, phi_star=0.0, clamp=None, line=Impedance(0.314, 0.0),
                          mode=Mode.GRID_CONNECTED)
-    trace = simulate(Scenario(config=config, initial_deltas=(0.0,) * 4, duration=20.0)).trace
-    assert trace.pf_angle[0].tolist() == [-PI] * 4
-    for phi, f in zip(trace.pf_angle[0].tolist(), trace.frequency_hz[0].tolist()):
-        assert f == droop_frequency(phi, config.droop) / TAU
-        assert f == pytest.approx(50.25, abs=1e-12)
+    scenario = Scenario(config=config, initial_deltas=(0.0,) * 4, duration=20.0)
+    for path, chooser in kernels.items():
+        trace = engine._run(scenario, None, chooser).trace
+        assert trace.pf_angle[0].tolist() == [-PI] * 4, path
+        for phi, f in zip(trace.pf_angle[0].tolist(), trace.frequency_hz[0].tolist()):
+            assert f == droop_frequency(phi, config.droop) / TAU, path
+            assert f == pytest.approx(50.25, abs=1e-12), path
 
 
 @st.composite
@@ -378,16 +380,19 @@ def _exactly_at_the_dead_band():
     raise AssertionError("no V* within 8 ulps rounds to the band")
 
 
-def test_kernel_holds_at_exactly_the_dead_band():
+def test_kernel_holds_at_exactly_the_dead_band(kernels):
     # |sum V - V_g| == dead band at every stage: each stage holds, on phi*, so no
-    # module moves; a stage that measured instead would turn the string
+    # module moves; a stage that measured instead would turn the string; on both kernels
     v_star, v_grid = _exactly_at_the_dead_band()
     config = make_config(n=2, v_star=v_star, v_grid=v_grid, mode=Mode.GRID_CONNECTED)
     assert 2 * v_star - v_grid == ZERO_POWER_FRACTION * 2 * v_star
-    result = simulate_from(config, [0.0, 0.0], 1e-3)
-    assert [s.delta for s in result.final_states] == [0.0, 0.0]
-    assert result.trace.pf_angle.tolist() == [[0.2, 0.2]] * 2
-    assert result.trace.frequency_hz.tolist() == [[50.0, 50.0]] * 2
+    scenario = Scenario(config=config, initial_deltas=(0.0, 0.0), duration=1e-3, dt=1e-3,
+                        record_decimation=1)
+    for path, chooser in kernels.items():
+        result = engine._run(scenario, None, chooser)
+        assert [s.delta for s in result.final_states] == [0.0, 0.0], path
+        assert result.trace.pf_angle.tolist() == [[0.2, 0.2]] * 2, path
+        assert result.trace.frequency_hz.tolist() == [[50.0, 50.0]] * 2, path
 
 
 def test_angle_differences_decay_exactly_exponentially():
@@ -1083,24 +1088,30 @@ _LIVE_TO_DEAD = (_reset_to_dead(Scenario(
     duration=0.04, dt=1e-3, record_decimation=5), 13, 0.0), 13)
 
 
-@settings(max_examples=60, deadline=None, database=None)
+# the ``kernels`` fixture only lists the two stand-in loaders, so one instance serves every example
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @seed(19)
 @example(run=_LIVE_TO_DEAD)
 @given(run=_deferred_runs())
-def test_deferred_held_measurement_is_exact_at_any_decimation(run):
+def test_deferred_held_measurement_is_exact_at_any_decimation(kernels, run):
     # a step stores only its angles and arg I; recording every step forms the held
-    # angles at every boundary, recording every d-th forms them only where read
+    # angles at every boundary, recording every d-th forms them only where read; on both kernels
     scenario, dead_step = run
-    sparse = simulate(scenario)
-    dense = simulate(replace(scenario, record_decimation=1))
     rows = list(range(0, scenario.steps + 1, scenario.record_decimation))
     if rows[-1] != scenario.steps:
         rows.append(scenario.steps)
-    for name in ("times", "frequency_hz", "active", "reactive", "pf_angle"):
-        assert np.array_equal(getattr(sparse.trace, name), getattr(dense.trace, name)[rows])
-    assert sparse.final_states == dense.final_states
-    # the reset step carries no current, so its row repeats the held angles of the step before
-    assert dense.trace.pf_angle[dead_step].tolist() == dense.trace.pf_angle[dead_step - 1].tolist()
+    for path, chooser in kernels.items():
+        sparse = engine._run(scenario, None, chooser)
+        dense = engine._run(replace(scenario, record_decimation=1), None, chooser)
+        for name in ("times", "frequency_hz", "active", "reactive", "pf_angle"):
+            assert np.array_equal(getattr(sparse.trace, name),
+                                  getattr(dense.trace, name)[rows]), (path, name)
+        assert sparse.final_states == dense.final_states, path
+        # the reset step carries no current, so its row repeats the held angles of the step
+        # before
+        assert (dense.trace.pf_angle[dead_step].tolist()
+                == dense.trace.pf_angle[dead_step - 1].tolist()), path
 
 
 # a live grid run into the narrow clamp; an islanded polygon that carries no current until a

@@ -1,6 +1,7 @@
 """The C kernel: bit for bit the Python kernel at any n, built once, and never a silent fallback."""
 
 import cmath
+import functools
 import hashlib
 import logging
 import math
@@ -38,6 +39,7 @@ from test_engine import _KERNEL_NS, _dead_angles, _exactly_at_the_dead_band, mak
 from test_reports_cli import _PINNED_DIGESTS
 
 PI = math.pi
+TAU = math.tau
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +182,124 @@ def test_the_c_kernel_refuses_a_table_it_cannot_fill(table, c_kernel):
         _native.run(c_kernel, engine._bind(config, 1e-3), [0.0] * 4, [0.2] * 4, table, 0, 0, 1,
                     1, 1)
 
+
+def _stretch_on(chooser, constants, deltas, held, steps=2):
+    """Steps 0 .. ``steps`` of one stretch, each recorded, on the kernel ``chooser`` picks.
+
+    Returns the table, the angles and the held values after it, or None
+    where the C kernel declines the stretch.
+    """
+    table = np.zeros((steps + 1, 1 + 4 * len(deltas)))
+    found = chooser(0)
+    run = engine._stretch if found is None else functools.partial(_native.run, found)
+    out = run(constants, list(deltas), list(held), table, 0, 0, steps + 1, steps, 1)
+    return None if out is None else (table, *out[:2])
+
+
+def _hex_of(out):
+    table, deltas, held = out
+    return [[x.hex() for x in values] for values in (table.ravel().tolist(), deltas, held)]
+
+
+# 0, TAU and 2 TAU, an ulp either side of TAU and 2 TAU, and values in and past [TAU, 2 TAU),
+# where wrap's two shortcuts and its fmod meet; each next to its negation
+_WRAP_EDGES = [y for x in (0.0, TAU, 2 * TAU, math.nextafter(TAU, 0.0),
+                           math.nextafter(TAU, math.inf), math.nextafter(2 * TAU, 0.0),
+                           math.nextafter(2 * TAU, math.inf), 1.5 * TAU, 3 * TAU,
+                           7 * TAU + 0.5, 1e6)
+               for y in (x, -x)]
+
+
+def test_droop_errors_and_held_values_wrap_exactly_at_tau_and_two_tau(kernels):
+    n = len(_WRAP_EDGES)
+    # live: a resistive islanded circuit whose angles come in pairs +-x, so sum V is real and
+    # positive, arg I is 0 and, with phi* = 0, each stage-1 droop error and held value is
+    # remainder(x_i, TAU)
+    live = make_config(n=n, phi_star=0.0, clamp=None, line=Impedance(0.314, 0.0))
+    constants = engine._bind(live, 1e-3)
+    z = constants[6]
+    total = sum((cmath.rect(live.droop.nominal_voltage, x) for x in _WRAP_EDGES), 0j)
+    assert total.imag == 0.0 and total.real > 0.0 and cmath.phase(total / z) == 0.0
+    # dead: a matched grid-tied string at the grid angle 0 carries no current, so each stage-1
+    # droop error is remainder(held_i - phi*, TAU) with phi* = 0
+    dead = make_config(n=n, phi_star=0.0, clamp=None, v_grid=n * 78.75,
+                       mode=Mode.GRID_CONNECTED)
+    wrapped = [math.remainder(x, TAU) for x in _WRAP_EDGES]
+    w_star, m = constants[1:3]
+    omegas = [(w_star - m * e).hex() for e in wrapped]
+    runs = {"live": (constants, _WRAP_EDGES, [0.0] * n),
+            "dead": (engine._bind(dead, 1e-3), [0.0] * n, _WRAP_EDGES)}
+    for name, (c, deltas, held) in runs.items():
+        outcomes = []
+        for path, chooser in kernels.items():
+            out = _stretch_on(chooser, c, deltas, held)
+            assert out is not None, (name, path)
+            row = out[0][0].tolist()
+            assert [x.hex() for x in row[1:1 + n]] == omegas, (name, path)
+            assert [x.hex() for x in row[1 + 3 * n:]] == [
+                x.hex() for x in (wrapped if name == "live" else held)], (name, path)
+            outcomes.append(_hex_of(out))
+        assert all(outcome == outcomes[0] for outcome in outcomes), name
+
+
+_BIG = 2.0 ** 1000
+
+
+@pytest.mark.parametrize("sum_v, band", [
+    (complex(1.0, 0.0), 1.0),  # the larger part is the band
+    (complex(-1.0, 1e-9), 1.0),  # ... and abs rounds to it
+    (complex(math.nextafter(1.0, 2.0), 0.0), 1.0),  # an ulp above the band
+    (complex(0.0, -math.nextafter(1.0, 2.0)), 1.0),
+    (complex(0.75, -0.75), 1.0),  # both parts below the band, abs above it
+    (complex(math.nextafter(1.0, 0.0), 1e-8), 1.0),  # below, and abs at most the band
+    (complex(_BIG, 0.0), 1.0),  # where hypot is called again
+    (complex(math.nextafter(_BIG, 0.0), -_BIG / 2), 1.0),
+    (complex(0.0, 0.0), 0.0),
+], ids=["at", "at-abs-rounds", "ulp-above", "ulp-above-imag", "abs-above", "below",
+        "at-2^1000", "below-2^1000", "zero-band"])
+def test_the_dead_band_decides_as_abs_at_its_edges(kernels, sum_v, band):
+    # V* = 0, so every stage's sum V - V_g is exactly -drive: a stage is dead, and the
+    # recorded row keeps the held sentinel, exactly where abs(sum) <= band
+    c = list(engine._bind(make_config(n=1), 1e-3))
+    c[0], c[7], c[8] = 0.0, -sum_v, band
+    outcomes = []
+    for path, chooser in kernels.items():
+        out = _stretch_on(chooser, tuple(c), [0.0], [10.0])
+        assert out is not None, path
+        assert (out[0][0, -1] == 10.0) == (abs(sum_v) <= band), path
+        outcomes.append(_hex_of(out))
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+@pytest.mark.parametrize("sum_v", [complex(math.inf, 0.0), complex(math.nan, 2.0),
+                                   complex(1.5 * 2.0 ** 1023, 1.5 * 2.0 ** 1023)],
+                         ids=["inf", "nan", "abs-overflows"])
+def test_the_c_kernel_declines_a_sum_whose_abs_is_not_finite(c_kernel, sum_v):
+    # CPython's abs raises OverflowError on the last; the dead-band test calls hypot for each
+    c = list(engine._bind(make_config(n=1), 1e-3))
+    c[0], c[7] = 0.0, -sum_v
+    assert _stretch_on(lambda module_steps: c_kernel, tuple(c), [0.0], [10.0]) is None
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@seed(34)
+@example(a=1.0, b=1e-9)
+@example(a=5e-324, b=5e-324)
+@example(a=math.nextafter(1.0, 0.0), b=1e-8)
+@example(a=2.0 ** 1000, b=2.0 ** 1000)
+@example(a=1.7e308, b=1e308)
+@given(a=_FINITE, b=_FINITE)
+def test_abs_of_a_complex_is_never_below_its_larger_part(a, b):
+    # the libm hypot that CPython's abs(complex) and the C kernel call: a stage whose larger
+    # part is above the dead band is live without the call
+    try:
+        size = abs(complex(a, b))
+    except OverflowError:  # past float range, so above both parts
+        return
+    assert size >= max(abs(a), abs(b))
 
 def _write_then_mismatch(found):
     def stretch(*args):  # the C kernel, then one ulp added to the table's first value
