@@ -189,11 +189,11 @@ def write_rows(rows, table, chunk: int, out, template: str) -> bool:
 def _csv_edges() -> list[float]:
     """Values at the edges of the row formatter's rounding and of its exact range, each signed.
 
-    The 10-digit ties (a 5 in the tenth digit, exact in binary), values next
-    to the carry at 999,999,999.5 x 10^j, each power of ten from 1e-24 to
-    1e36 and 3 ulps on each side, 1 to 9 digits in each style of ``%g``, 0,
-    the smallest and largest magnitudes it prints, and the declined values
-    next to them.
+    The 10-digit ties (a 5 in the tenth digit, exact in binary) on both
+    paths of ``scaled``, values next to the carry at 999,999,999.5 x 10^j,
+    each power of ten from 1e-24 to 1e36 and 3 ulps on each side, 1 to 9
+    digits in each style of ``%g``, 0, the smallest and largest magnitudes
+    it prints, and the declined values next to them.
     """
     edges = [0.0, 2.0 ** -79, math.nextafter(2.0 ** 120, 0.0),
              math.nextafter(2.0 ** -79, 0.0), 2.0 ** 120, 2.2250738585072014e-308, 5e-324,
@@ -202,6 +202,12 @@ def _csv_edges() -> list[float]:
         edges += [float(f"{'123456789'[:count]}e{j}") for j in (-30, -9, -3, 0, 8, 30)]
     for digits in (100_000_000, 123_456_788, 123_456_789, 999_999_999):
         edges += [(10 * digits + 5) * 10.0 ** j for j in range(6)]
+    # the ties below 1e9, odd / 2^(q + 1) in [10^(8 - q), 10^(9 - q)): the first two of each
+    # range, whose 9-digit roundings are 5^q apart, so one is odd and one even
+    for q in range(14):
+        scale = 2 ** (q + 1)
+        first = -(-10 ** 8 * scale // 10 ** q) | 1
+        edges += [odd / scale for odd in (first, first + 2) if odd * 10 ** q < 10 ** 9 * scale]
     for j in range(-24, 27):
         carry = 999_999_999.5 * 10.0 ** j
         edges += [math.nextafter(carry, 0.0), carry, math.nextafter(carry, math.inf)]

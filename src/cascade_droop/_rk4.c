@@ -14,10 +14,14 @@
  *   cmath.rect        (r cos phi, r sin phi), and (r, r phi) at phi == 0
  *   math.remainder    m_remainder
  *
- * Two libm calls are skipped where their result is known exactly without
- * them: the dead-band test does not call hypot where a part of the sum is
- * above the band and below 2^1000 (see dead), and wrap calls fmod only
- * from 2 TAU up.
+ * Three kinds of libm call are skipped where their result is known exactly
+ * without them: the dead-band test does not call hypot where a part of the
+ * sum is above the band and below 2^1000 (see dead), wrap calls fmod only
+ * from 2 TAU up, and a module whose angle has its left neighbour's bits
+ * takes that neighbour's rect term and clamped omega, with no sin, cos or
+ * fmod of its own (see fresh).  A settled string's modules share one angle
+ * to the bit.  The angles are compared as bits, not with ==, because rect
+ * keeps the sign of a zero angle: -0.0 and 0.0 give different terms.
  *
  * Build it with -ffp-contract=off and -fno-builtin, so that the compiler
  * neither fuses a product into an FMA nor replaces a libm call with code of
@@ -168,6 +172,20 @@ wrap(double x, int *bad)
     return __builtin_copysign(1.0, x) * r;
 }
 
+/* Whether a[i] needs terms of its own: i is 0, or a[i]'s 64 bits differ from a[i - 1]'s.  Not
+   a[i] != a[i - 1], which takes -0.0 for 0.0 */
+static int
+fresh(const double *a, int64_t i)
+{
+    uint64_t x, y;
+
+    if (i == 0)
+        return 1;
+    __builtin_memcpy(&x, a + i, sizeof x);
+    __builtin_memcpy(&y, a + i - 1, sizeof y);
+    return x != y;
+}
+
 /* The held values remainder(x_i - arg I, TAU), formed in place from a live step boundary's
    angles on the first read after it: a zero-current stage, a recorded row or the stretch's end */
 static void
@@ -200,7 +218,9 @@ cd_rk4_stretch(const double *c, int64_t n, double *deltas, double *held, int64_t
                int64_t stop, int64_t steps, int64_t decim, double *table, int64_t rows,
                int64_t row)
 {
-    const cpx z = {c[Z_RE], c[Z_IM]};
+    const cpx z = {c[Z_RE], c[Z_IM]}, drive = {c[DRIVE_RE], c[DRIVE_IM]};
+    const double v_star = c[V_STAR], w_star = c[W_STAR], m = c[M], phi_star = c[PHI_STAR];
+    const double w_lo = c[W_LO], w_hi = c[W_HI], band = c[DEAD_BAND], sixth = c[SIXTH];
     const double h[3] = {c[HALF], c[HALF], c[DT]};
     const int64_t width = 1 + 4 * n;
     double *buf, *x, *e, *hv, *w1, *s, *term_re, *term_im;
@@ -226,28 +246,30 @@ cd_rk4_stretch(const double *c, int64_t n, double *deltas, double *held, int64_t
     }
 
     for (k = start; k < stop; k++) {
-        cpx total = {0.0, 0.0}, boundary;
+        cpx total = {0.0, 0.0}, boundary, t = {0.0, 0.0};
         const double *stage = x;
 
+        /* each sum runs in module order; a module that is not fresh adds its neighbour's t */
         for (i = 0; i < n; i++) {
-            const cpx t = rect(c[V_STAR], x[i], &bad);
+            if (fresh(x, i))
+                t = rect(v_star, x[i], &bad);
             term_re[i] = t.re;
             term_im[i] = t.im;
             total.re = total.re + t.re;
             total.im = total.im + t.im;
         }
-        total.re = total.re - c[DRIVE_RE];
-        total.im = total.im - c[DRIVE_IM];
+        total.re = total.re - drive.re;
+        total.im = total.im - drive.im;
         boundary = total;
         for (j = 0; j < 4; j++) {
             double *sj = s + j * n;
             const double *es;
-            double base;
+            double base, w = 0.0;
 
-            if (dead(total, c[DEAD_BAND], &bad)) {
+            if (dead(total, band, &bad)) {
                 form_held(hv, n, arg, &live, &bad);
                 es = hv;
-                base = c[PHI_STAR];
+                base = phi_star;
             }
             else {
                 const double a = c_phase(c_quot(total, z));
@@ -258,29 +280,31 @@ cd_rk4_stretch(const double *c, int64_t n, double *deltas, double *held, int64_t
                     live = 1;
                 }
                 es = stage;
-                base = a + c[PHI_STAR];
+                base = a + phi_star;
             }
             for (i = 0; i < n; i++) {
-                double w = c[W_STAR] - c[M] * wrap(es[i] - base, &bad);
-                if (w < c[W_LO])
-                    w = c[W_LO];
-                else if (w > c[W_HI])
-                    w = c[W_HI];
+                if (fresh(es, i)) {
+                    w = w_star - m * wrap(es[i] - base, &bad);
+                    if (w < w_lo)
+                        w = w_lo;
+                    else if (w > w_hi)
+                        w = w_hi;
+                }
                 if (j == 0)
                     w1[i] = w;
-                sj[i] = w - c[W_STAR];
+                sj[i] = w - w_star;
             }
             if (j < 3) {
                 total.re = total.im = 0.0;
                 for (i = 0; i < n; i++) {
-                    cpx t;
                     e[i] = x[i] + h[j] * sj[i];
-                    t = rect(c[V_STAR], e[i], &bad);
+                    if (fresh(e, i))
+                        t = rect(v_star, e[i], &bad);
                     total.re = total.re + t.re;
                     total.im = total.im + t.im;
                 }
-                total.re = total.re - c[DRIVE_RE];
-                total.im = total.im - c[DRIVE_IM];
+                total.re = total.re - drive.re;
+                total.im = total.im - drive.im;
                 stage = e;
             }
         }
@@ -312,7 +336,7 @@ cd_rk4_stretch(const double *c, int64_t n, double *deltas, double *held, int64_t
         }
         if (k < steps) {
             for (i = 0; i < n; i++)
-                x[i] = x[i] + c[SIXTH] * (s[i] + 2.0 * (s[n + i] + s[2 * n + i]) + s[3 * n + i]);
+                x[i] = x[i] + sixth * (s[i] + 2.0 * (s[n + i] + s[2 * n + i]) + s[3 * n + i]);
         }
     }
     form_held(hv, n, arg, &live, &bad);

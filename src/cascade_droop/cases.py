@@ -423,16 +423,17 @@ def run_case(case_id: int, out_dir) -> CaseReport:
 def run_cases(ids, out_dir) -> list[CaseReport]:
     """Run built-in cases in parallel worker processes; the reports come back in ``ids`` order.
 
-    The output directory is made here, before any worker starts.  When the
-    cases' module-steps reach ``_native.MODULE_STEPS`` together, the C
-    library is built here first, so every case runs and writes its CSV on
-    it.  Each pool worker asks ``_native.kernel`` for it with that total as
-    it starts: a forked worker inherits the parent's library, and one started
-    by ``spawn`` or ``forkserver`` builds its own.  With more than one case
-    and more than one usable CPU the cases run in a process pool of
-    ``min(len(ids), CPUs)`` workers, otherwise in a plain loop.  They are submitted longest first (steps
-    times modules), since the longest case bounds the pool's finishing time.
-    A case's exception re-raises here unchanged.
+    The output directory is made here, before any worker starts.  With more
+    than one case and more than one usable CPU the cases run in a process
+    pool of ``min(len(ids), CPUs)`` workers, otherwise in a plain loop.  They
+    are submitted longest first (steps times modules), since the longest
+    case bounds the pool's finishing time.  When the cases' module-steps
+    reach ``_native.MODULE_STEPS`` together, each case runs and writes its
+    CSV on the C library: the loop, and a pool whose workers fork, get the
+    one built here first; each worker asks ``_native.kernel`` for it with
+    that total as it starts, so one started by ``spawn`` or ``forkserver``
+    builds its own, and the parent then builds none.  A case's exception
+    re-raises here unchanged.
     """
     from . import _native
 
@@ -443,15 +444,20 @@ def run_cases(ids, out_dir) -> list[CaseReport]:
         scenario = build_case(case_id)[0]
         costs[case_id] = scenario.steps * scenario.config.n
     total = sum(costs.values())
-    _native.kernel(total)
     workers = min(len(ids), _usable_cpus())
     if workers == 1:
+        _native.kernel(total)
         return [run_case(case_id, out_dir) for case_id in ids]
 
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    context = multiprocessing.get_context()
+    if context.get_start_method() == "fork":
+        _native.kernel(total)
     # the loader is a module-level function, so a spawned worker can unpickle it
-    with ProcessPoolExecutor(workers, initializer=_native.kernel, initargs=(total,)) as pool:
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_native.kernel,
+                             initargs=(total,)) as pool:
         futures = {case_id: pool.submit(run_case, case_id, out_dir)
                    for case_id in sorted(ids, key=costs.get, reverse=True)}
         return [futures[case_id].result() for case_id in ids]

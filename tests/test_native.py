@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,8 +81,11 @@ def _runs(draw):
     """A run over ``_KERNEL_NS`` with every event kind, at t = 0 and at the end too.
 
     The start is live, dead (a matched grid-tied string at the grid angle or
-    an islanded polygon) or on the seam: phi* puts module 0's droop error at
-    pi, or within 1e-9 rad of it.  The clamp is off, normal or narrow.
+    an islanded polygon), on the seam (phi* puts module 0's droop error at
+    pi, or within 1e-9 rad of it) or in runs: neighbours with the same bits,
+    drawn from 0.0, -0.0 and one or two angles, whose angle resets draw from
+    those values too, so that a reset splits a run or, with others at the
+    same time, forms one.  The clamp is off, normal or narrow.
     """
     n = draw(st.sampled_from(_KERNEL_NS))
     v_grid = draw(st.floats(10.0, 1000.0))
@@ -93,8 +97,20 @@ def _runs(draw):
         line=draw(_IMPEDANCES), load=draw(_LOADS), mode=draw(st.sampled_from(Mode)),
         grid_angle=theta)
     deltas = draw(st.lists(st.floats(-PI, PI), min_size=n, max_size=n))
-    start = draw(st.sampled_from(["live", "dead", "seam"]))
-    if start == "dead":
+    start = draw(st.sampled_from(["live", "dead", "seam", "runs"]))
+    reset = st.floats(-PI, PI)
+    if start == "runs":
+        values = [0.0, -0.0, *draw(st.lists(st.floats(-PI, PI), min_size=1, max_size=2))]
+        deltas = []
+        while len(deltas) < n:
+            deltas += [draw(st.sampled_from(values))] * draw(st.integers(1, n))
+        deltas = deltas[:n]
+        reset = st.one_of(st.sampled_from(values), reset)
+        if draw(st.booleans()):  # resistive at grid angle 0: where every angle is a zero, sum V
+            # - V_g is real, and each module's Q is a zero with its angle's sign
+            config = replace(config, line=Impedance(config.line.magnitude, 0.0),
+                             load=Impedance(config.load.magnitude, 0.0), grid_angle=0.0)
+    elif start == "dead":
         config = replace(config, grid_voltage=n * config.droop.nominal_voltage)
         deltas = _dead_angles(config, theta)
     elif start == "seam":
@@ -107,7 +123,7 @@ def _runs(draw):
     actions = st.one_of(
         st.builds(SetMode, st.sampled_from(Mode)), st.builds(SetLoad, _LOADS),
         st.builds(SetLine, _IMPEDANCES), st.builds(SetPfRef, st.floats(-PI, PI)),
-        st.builds(SetInitialDelta, st.integers(1, n), st.floats(-PI, PI)))
+        st.builds(SetInitialDelta, st.integers(1, n), reset))
     at = st.one_of(st.just(0), st.just(steps), st.integers(0, steps))
     timed = sorted(draw(st.lists(st.tuples(at, actions), max_size=6)), key=lambda ev: ev[0])
     try:
@@ -132,8 +148,17 @@ _AT_THE_DEAD_BAND = Scenario(
     initial_deltas=(0.0, 0.0), duration=0.003, record_decimation=1)
 
 
+# four modules at -0.0, 0.0, 0.0, -0.0 in a resistive island: arg I is 0, and a module's Q on the
+# first row is a zero with its angle's sign, so a kernel that compares neighbouring angles with
+# == (which takes -0.0 for 0.0) and shares their terms fails here
+_SIGNED_ZEROS = Scenario(
+    config=make_config(line=Impedance(0.5, 0.0), load=Impedance(8.0, 0.0)),
+    initial_deltas=(-0.0, 0.0, 0.0, -0.0), duration=0.003, dt=1e-3, record_decimation=1)
+
+
 @settings(max_examples=250, deadline=None, database=None)
 @seed(30)
+@example(scenario=_SIGNED_ZEROS)
 @example(scenario=_DEAD_GRID)
 @example(scenario=_AT_THE_DEAD_BAND)
 @example(scenario=_native._probe())
@@ -339,6 +364,27 @@ def test_each_failure_falls_back_once_with_one_warning(monkeypatch, tmp_path, ca
         assert result == _outcome(_DEAD_GRID, found(0))
 
 
+@pytest.mark.parametrize("name, old, new", [
+    # neighbouring angles compared with ==, which takes -0.0 for 0.0, where their bits must be
+    ("_rk4.c", "return x != y;", "return a[i] != a[i - 1];"),
+    # 10-digit ties below 1e9, on scaled's 64-bit shift path, rounded up instead of half to even
+    ("_csv.c", "((r64 == half64) & (t64 & 1))", "(r64 == half64)"),
+], ids=["kernel-compares-with-==", "rows-round-shift-ties-up"])
+def test_the_self_check_refuses_a_library_built_from_a_mutant(monkeypatch, tmp_path, c_kernel,
+                                                             name, old, new):
+    sources = []
+    for path in map(Path, _native._SOURCES):
+        text = path.read_text(encoding="utf-8")
+        if path.name == name:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        sources.append(tmp_path / path.name)
+        sources[-1].write_text(text, encoding="utf-8")
+    monkeypatch.setattr(_native, "_SOURCES", tuple(map(str, sources)))
+    with pytest.raises(_native._Unavailable, match="self-check mismatch"):
+        _native._checked(*_native._build())
+
+
 def test_a_build_logs_its_compiler_and_seconds(monkeypatch, tmp_path, caplog, c_kernel):
     monkeypatch.setattr(_native, "_kernel", None)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -359,9 +405,11 @@ def test_a_build_logs_its_compiler_and_seconds(monkeypatch, tmp_path, caplog, c_
     ("build error", "[sys.executable, '-c', 'raise SystemExit(1)']"),
 ], ids=["no-compiler", "build-error"])
 def test_case_all_without_the_c_kernel_writes_the_pinned_bytes(tmp_path, reason, compiler):
+    # forked workers inherit the stand-in compiler (workers started afresh would build)
     script = (
-        "import sys\n"
+        "import multiprocessing, sys\n"
         "from cascade_droop import _native\n"
+        "multiprocessing.set_start_method('fork')\n"
         "from cascade_droop.cli import main\n"
         f"_native.compiler = lambda: {compiler}\n"
         "sys.exit(main(['case', 'all', '--out', 'cases']))\n"
@@ -411,6 +459,9 @@ def _asking(module_steps):
 def test_run_cases_asks_for_the_kernel_with_all_its_module_steps(monkeypatch, tmp_path):
     _ASKED.clear()
     monkeypatch.setattr(_native, "kernel", _asking)
+    # one usable CPU, so the cases run in this process, which asks for the kernel under any
+    # start method (a pool started afresh asks only in its workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     cases.run_cases([1, 2], tmp_path)
     scenarios = [cases.build_case(k)[0] for k in (1, 2)]
     assert _ASKED[0] == sum(s.steps * s.config.n for s in scenarios)
@@ -421,9 +472,9 @@ def test_run_cases_asks_for_the_kernel_with_all_its_module_steps(monkeypatch, tm
     assert [k for k, size in enumerate(sizes, 1) if size >= _native.MODULE_STEPS] == [4]
 
 
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_pool_workers_started_afresh_each_load_the_c_library(tmp_path, method):
-    # such a worker inherits nothing, so the pool's initializer builds its own library
+def _case_all_builds(tmp_path, method):
+    """The process ids that build the C kernel in a ``case all`` with a two-worker pool started by
+    ``method``, and the parent's."""
     if _native.compiler() is None:
         pytest.skip("no C compiler on PATH")
     if method not in multiprocessing.get_all_start_methods():
@@ -434,13 +485,27 @@ def test_pool_workers_started_afresh_each_load_the_c_library(tmp_path, method):
         "logging.basicConfig(level=logging.DEBUG, format='%(process)d %(message)s')\n"
         "if __name__ == '__main__':\n"
         "    from cascade_droop.cli import main\n"
+        "    logging.info('the parent')\n"
         "    os.sched_getaffinity = lambda pid: {0, 1}\n"
         f"    multiprocessing.set_start_method({method!r})\n"
         "    sys.exit(main(['case', 'all', '--out', 'cases']))\n")
     proc = subprocess.run([sys.executable, "driver.py"], capture_output=True, text=True,
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    builds = [line.split()[0] for line in proc.stderr.splitlines()
-              if "built the C kernel" in line]
-    assert len(set(builds)) == len(builds) == 3, proc.stderr  # the parent and two workers
     assert "not used" not in proc.stderr
+    lines = [line.partition(" ")[::2] for line in proc.stderr.splitlines()]
+    (parent,) = [pid for pid, message in lines if message == "the parent"]
+    return [pid for pid, message in lines if "built the C kernel" in message], parent
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_workers_started_afresh_each_load_the_c_library(tmp_path, method):
+    # such a worker inherits nothing, so the pool's initializer builds its own library, and the
+    # parent, which runs no case, builds none
+    builds, parent = _case_all_builds(tmp_path, method)
+    assert len(set(builds)) == len(builds) == 2 and parent not in builds, builds
+
+
+def test_forked_pool_workers_inherit_the_library_the_parent_builds(tmp_path):
+    builds, parent = _case_all_builds(tmp_path, "fork")
+    assert builds == [parent]

@@ -58,6 +58,17 @@ Method:
   with two events, a ``phi_star`` step at 0.25 s and a switch to islanded at
   0.5 s: the checks a ``Scenario`` makes when it is built, its schedule
   and, where a revision has one, its guard on each grid config's slow mode.
+* ``c_libm_calls_per_module_step``: the libm calls that the C kernel makes,
+  by function, over the n x (steps + 1) module-steps it evaluates (the last
+  step only measures), on the two scenarios above and on built-in cases
+  1-5 run whole.  They are counted in a copy of the C library built from
+  the same sources and ``_native.FLAGS``, linked with ``WRAP_FLAGS`` against
+  ``tools/libm_counts.c``, whose ``__wrap_`` functions count each call and
+  call through; under ``-fno-builtin`` every libm call in the source is a
+  real call.  The copy must pass ``_native._checked`` first, and no stretch
+  of a counted run may fall back to the Python kernel.  None where the copy
+  does not build (no compiler, or a linker without ``--wrap``), or the
+  revision has no C library.
 * ``import_opcodes``: opcodes of ``import cascade_droop.cli`` in a fresh
   interpreter (``python -c``), after a first fresh import has written the
   bytecode caches.  Both imports keep their caches under one new temporary
@@ -69,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -88,6 +100,9 @@ SWEEP_STEPS = (0.06, 0.03)  # angle steps over [-3, 3]: 101 and 201 rows
 CSV_ROWS = (256, 512)
 PEAK_CSV = (300, (48, 1024))  # rows, and the module counts of the traced writes
 PEAK_SWEEPS = {"rows_10001": "-5:5:0.001", "rows_100001": "-5:5:0.0001"}  # angle sweeps
+LIBM = ("sin", "cos", "atan2", "hypot", "fmod")  # the slots of libm_counts.c's cd_libm_calls
+WRAP_FLAGS = ("-Wl," + ",".join(f"--wrap={name}" for name in LIBM),)
+LIBM_SHIM = ROOT / "tools" / "libm_counts.c"
 
 # Counts opcodes from here to the end of the import; printed on the last line.
 _IMPORT_SCRIPT = """\
@@ -315,6 +330,51 @@ def c_kernel_per_step(simulate, scenario) -> float | None:
     return per_step(count_opcodes, simulate, scenario)
 
 
+def counting_library():
+    """The C kernel's stretch function and its libm counters, or None where they do not build."""
+    try:
+        from cascade_droop import _native
+    except ImportError:
+        return None
+    cc = _native.compiler()
+    if cc is None:
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        library = str(Path(tmp) / "counting.so")
+        proc = subprocess.run([*cc, *_native.FLAGS, *WRAP_FLAGS, "-o", library, *_native._SOURCES,
+                               str(LIBM_SHIM), "-lm"], capture_output=True, text=True)
+        if proc.returncode != 0:
+            return None
+        loaded = ctypes.CDLL(library)
+    doubles, i64 = ctypes.POINTER(ctypes.c_double), ctypes.c_int64
+    stretch = loaded.cd_rk4_stretch
+    stretch.argtypes = [doubles, i64, doubles, doubles, i64, i64, i64, i64, doubles, i64, i64]
+    stretch.restype = i64
+    loaded.cd_csv_rows.argtypes = [ctypes.c_void_p, i64, ctypes.POINTER(i64), i64,
+                                   ctypes.c_void_p]
+    loaded.cd_csv_rows.restype = i64
+    _native._checked(stretch, loaded.cd_csv_rows)  # raises where the copy is not bit for bit
+    return stretch, (ctypes.c_uint64 * len(LIBM)).in_dll(loaded, "cd_libm_calls")
+
+
+def libm_per_module_step(library, scenario) -> dict:
+    """The libm calls of one run of ``scenario`` on the counting ``library``, by function."""
+    from cascade_droop import engine
+
+    stretch, counts = library
+
+    def strict(*args):
+        end = stretch(*args)
+        if end < 0:
+            raise RuntimeError("a stretch fell back to the Python kernel")
+        return end
+
+    ctypes.memset(counts, 0, ctypes.sizeof(counts))
+    engine._run(scenario, None, lambda module_steps: strict)
+    module_steps = scenario.config.n * (scenario.steps + 1)
+    return {name: round(count / module_steps, 4) for name, count in zip(LIBM, counts)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -354,6 +414,15 @@ def main(argv=None) -> int:
     out["emit_trace_csv"] = csv
     out["stability"] = {"peak_kib": stability_peaks(built["n4_decimation10"])}
     out["scenario"] = {"opcodes_per_build": per_build(built["n48_decimation1"])}
+    library = counting_library()
+    if library is None:
+        out["c_libm_calls_per_module_step"] = None
+    else:
+        from cascade_droop.cases import build_case
+
+        counted = {**built, **{f"case{k}": build_case(k)[0] for k in range(1, 6)}}
+        out["c_libm_calls_per_module_step"] = {
+            name: libm_per_module_step(library, scenario) for name, scenario in counted.items()}
     out["import_opcodes"] = import_opcodes(src)
     print(json.dumps(out, indent=1))
     return 0
