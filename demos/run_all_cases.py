@@ -2,8 +2,9 @@
 
 Traces and reports land in ./case_output; each report carries one CHECK
 line per claim with the measured value and its tolerance.  The cases run
-through ``run_cases``, the path ``cascade-droop case all`` takes: in up to
-five worker processes, one per CPU, with the same bytes as a serial run.
+through ``run_cases``, the path ``cascade-droop case all`` takes: dealt
+into one share per usable CPU, the first run in this process and each other
+one in a worker process, with the same bytes as a run on one CPU.
 """
 
 from cascade_droop.cases import run_cases

@@ -3,9 +3,10 @@
 Each case is a deterministic scenario plus a list of checks with pinned
 tolerances; running one writes a trace CSV and a plain-text report with one
 ``CHECK <name> <pass|fail> measured=<v> tol=<t>`` line per check.  The cases
-are independent, so ``run_cases`` runs several in up to one worker process
-per CPU the process may use; each writes only its own files, and the bytes
-match a serial run.
+are independent, so ``run_cases`` deals several into one share per CPU the
+process may use, runs the first share itself and each other one in a worker
+process; each case writes only its own files, and the bytes match a run on
+one CPU.
 
 Every checker reads the trace at rows of the stretches between events
 (``_segments``) and measures its claims through four claim functions, which
@@ -59,7 +60,7 @@ from .engine import (
     islanded_equilibrium,
     simulate,
 )
-from .errors import ValidationError
+from .errors import SimulationError, ValidationError
 from .phasors import Impedance, wrap_angle
 from .reports import SweepAxis, emit_trace_csv, report_stability
 
@@ -420,20 +421,43 @@ def run_case(case_id: int, out_dir) -> CaseReport:
     return report
 
 
-def run_cases(ids, out_dir) -> list[CaseReport]:
-    """Run built-in cases in parallel worker processes; the reports come back in ``ids`` order.
+def _outcomes(share, out_dir) -> dict:
+    """Run each case of ``share``; its report, or the exception it raised, by case id."""
+    outcomes = {}
+    for case_id in share:
+        try:
+            outcomes[case_id] = run_case(case_id, out_dir)
+        except Exception as exc:  # re-raised by run_cases, in ids order
+            outcomes[case_id] = exc
+    return outcomes
 
-    The output directory is made here, before any worker starts.  With more
-    than one case and more than one usable CPU the cases run in a process
-    pool of ``min(len(ids), CPUs)`` workers, otherwise in a plain loop.  They
-    are submitted longest first (steps times modules), since the longest
-    case bounds the pool's finishing time.  When the cases' module-steps
-    reach ``_native.MODULE_STEPS`` together, each case runs and writes its
-    CSV on the C library: the loop, and a pool whose workers fork, get the
-    one built here first; each worker asks ``_native.kernel`` for it with
-    that total as it starts, so one started by ``spawn`` or ``forkserver``
-    builds its own, and the parent then builds none.  A case's exception
-    re-raises here unchanged.
+
+def _run_share(share, out_dir, module_steps, send) -> None:
+    """A worker process's body: load the kernel, run ``share`` and send back its outcomes."""
+    from . import _native
+
+    _native.kernel(module_steps)
+    with send:
+        send.send(_outcomes(share, out_dir))
+
+
+def run_cases(ids, out_dir) -> list[CaseReport]:
+    """Run built-in cases here and in worker processes; the reports come back in ``ids`` order.
+
+    The output directory is made here, before any worker starts.  The cases
+    are dealt longest first (steps times modules) to the least-loaded of
+    ``min(len(ids), CPUs)`` shares, since the longest share bounds the
+    finishing time.  This process runs the first share itself, and one
+    ``multiprocessing`` process runs each other share and sends back its
+    reports over a pipe; on one usable CPU no process starts.  When the
+    cases' module-steps reach ``_native.MODULE_STEPS`` together, each case
+    runs and writes its CSV on the C library, asked for with that total:
+    under ``fork`` this process builds it before starting the workers, which
+    inherit it; under ``spawn`` or ``forkserver`` each worker builds its own,
+    and this process builds after starting them, while they start.  Every
+    case runs, and the exception of the first failing case in ``ids`` order
+    re-raises here unchanged; a worker that ends without reporting raises a
+    ``SimulationError`` that names its cases and exit code.
     """
     from . import _native
 
@@ -444,23 +468,46 @@ def run_cases(ids, out_dir) -> list[CaseReport]:
         scenario = build_case(case_id)[0]
         costs[case_id] = scenario.steps * scenario.config.n
     total = sum(costs.values())
-    workers = min(len(ids), _usable_cpus())
-    if workers == 1:
-        _native.kernel(total)
-        return [run_case(case_id, out_dir) for case_id in ids]
+    shares = [[] for _ in range(min(len(ids), _usable_cpus()))]
+    loads = [0] * len(shares)
+    for case_id in sorted(ids, key=costs.get, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(case_id)
+        loads[least] += costs[case_id]
 
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    workers = []
+    try:
+        if len(shares) > 1:
+            import multiprocessing
 
-    context = multiprocessing.get_context()
-    if context.get_start_method() == "fork":
+            context = multiprocessing.get_context()
+            if context.get_start_method() == "fork":
+                _native.kernel(total)
+            for share in shares[1:]:
+                receive, send = context.Pipe(duplex=False)
+                process = context.Process(target=_run_share, args=(share, out_dir, total, send))
+                process.start()
+                send.close()  # the worker's copy is the only one left, so its exit reads as EOF
+                workers.append((share, receive, process))
         _native.kernel(total)
-    # the loader is a module-level function, so a spawned worker can unpickle it
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_native.kernel,
-                             initargs=(total,)) as pool:
-        futures = {case_id: pool.submit(run_case, case_id, out_dir)
-                   for case_id in sorted(ids, key=costs.get, reverse=True)}
-        return [futures[case_id].result() for case_id in ids]
+        outcomes = _outcomes(shares[0], out_dir)
+        for share, receive, process in workers:
+            try:
+                outcomes.update(receive.recv())
+            except EOFError:
+                process.join()
+                lost = SimulationError(f"the worker process given cases {sorted(share)} "
+                                       f"ended with exit code {process.exitcode} "
+                                       "before reporting them")
+                outcomes.update(dict.fromkeys(share, lost))
+    finally:
+        for _, receive, process in workers:
+            receive.close()
+            process.join()
+    for case_id in ids:
+        if isinstance(outcomes[case_id], Exception):
+            raise outcomes[case_id]
+    return [outcomes[case_id] for case_id in ids]
 
 
 def _usable_cpus() -> int:

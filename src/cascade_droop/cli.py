@@ -4,10 +4,12 @@
     cascade-droop case <1..5|all> --out <dir>
     cascade-droop stability <scenario-file> [--angle RAD] [--sweep angle=lo:hi:step vstar=lo:hi:step]
 
-``case all`` runs the five cases in up to five worker processes, one per
-CPU; its output bytes match a serial run.  ``stability`` makes every check
-before its first byte and then streams the report to stdout a fixed number
-of lines at a time, so its memory does not grow with the sweep.
+``case all`` deals the five cases into one share per usable CPU, up to
+five, and runs the first share in this process and each other one in a
+worker process; its output bytes match a run on one CPU.  ``stability``
+makes every check before its first byte and then streams the report to
+stdout a fixed number of lines at a time, so its memory does not grow with
+the sweep.
 
 Exit codes: 0 success, 1 validation error (bad usage, unparsable or invalid
 scenario) or an output that cannot be written (a file or directory, or a

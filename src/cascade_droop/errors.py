@@ -21,8 +21,8 @@ class ScenarioParseError(ValidationError):
 
     def __reduce__(self):
         # ``args`` holds the one formatted string, which ``__init__`` cannot
-        # take back; rebuild from both arguments so that a pool worker's
-        # parse error re-raises intact in the parent.
+        # take back; rebuild from both arguments so that a worker process's
+        # parse error re-raises intact in the caller.
         return type(self), (self.line, self.message), self.__dict__
 
 

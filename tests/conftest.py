@@ -29,9 +29,9 @@ def python_kernel(module_steps):
 def c_kernel(module_steps):
     """A stand-in for ``_native.kernel`` that picks the C kernel and its row formatter.
 
-    It is a module-level function, as every stand-in is, so that a pool
-    worker started by ``spawn`` or ``forkserver`` can unpickle it as its
-    initializer; there it builds that worker's own library.
+    A worker process that ``fork`` starts inherits the stand-in; one that
+    ``spawn`` or ``forkserver`` starts imports the package afresh and asks
+    the real loader, which builds that worker's own library.
     """
     if not _C_KERNEL:
         from cascade_droop import _native

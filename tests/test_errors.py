@@ -1,4 +1,4 @@
-"""Exception types: every one survives a round trip through pickle, as pool workers need."""
+"""Exception types: every one survives a round trip through pickle, as worker processes need."""
 
 import inspect
 import pickle

@@ -452,15 +452,14 @@ _ASKED = []
 
 
 def _asking(module_steps):
-    """A stand-in loader that records what it is asked; module-level, so a pool can pickle it."""
+    """A stand-in loader that records what it is asked."""
     _ASKED.append(module_steps)
 
 
 def test_run_cases_asks_for_the_kernel_with_all_its_module_steps(monkeypatch, tmp_path):
     _ASKED.clear()
     monkeypatch.setattr(_native, "kernel", _asking)
-    # one usable CPU, so the cases run in this process, which asks for the kernel under any
-    # start method (a pool started afresh asks only in its workers)
+    # one usable CPU, so the cases run in this process and no worker starts
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     cases.run_cases([1, 2], tmp_path)
     scenarios = [cases.build_case(k)[0] for k in (1, 2)]
@@ -473,8 +472,8 @@ def test_run_cases_asks_for_the_kernel_with_all_its_module_steps(monkeypatch, tm
 
 
 def _case_all_builds(tmp_path, method):
-    """The process ids that build the C kernel in a ``case all`` with a two-worker pool started by
-    ``method``, and the parent's."""
+    """The process ids that build the C kernel in a ``case all`` on two shares, the second run by a
+    worker started by ``method``, and the parent's."""
     if _native.compiler() is None:
         pytest.skip("no C compiler on PATH")
     if method not in multiprocessing.get_all_start_methods():
@@ -500,10 +499,10 @@ def _case_all_builds(tmp_path, method):
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_pool_workers_started_afresh_each_load_the_c_library(tmp_path, method):
-    # such a worker inherits nothing, so the pool's initializer builds its own library, and the
-    # parent, which runs no case, builds none
+    # such a worker inherits nothing, so it builds its own library, and the parent, which runs
+    # the first share, builds one too
     builds, parent = _case_all_builds(tmp_path, method)
-    assert len(set(builds)) == len(builds) == 2 and parent not in builds, builds
+    assert len(set(builds)) == len(builds) == 2 and parent in builds, builds
 
 
 def test_forked_pool_workers_inherit_the_library_the_parent_builds(tmp_path):

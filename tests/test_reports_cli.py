@@ -1,11 +1,12 @@
 """Trace CSV emission, stability reports, and the command-line surface."""
 
-import concurrent.futures
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
 import math
+import multiprocessing
 import os
 import platform
 import re
@@ -889,7 +890,7 @@ def _case_all_outputs(out):
 
 def test_case_all_pool_loop_and_spawn_write_the_same_bytes(tmp_path, monkeypatch, capsys):
     runs = {}
-    # 3 workers even on a 1-CPU host; then a count of 1, which takes the plain loop
+    # 3 shares even on a 1-CPU host; then a count of 1, where this process runs every case
     for label, cpus in (("pool", 3), ("loop", 1)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
                             raising=False)
@@ -912,14 +913,14 @@ def test_case_all_pool_loop_and_spawn_write_the_same_bytes(tmp_path, monkeypatch
 
 
 def test_case_runs_take_the_loop_on_one_usable_cpu(tmp_path, monkeypatch):
-    # os.cpu_count() counts the host's CPUs; an affinity of one CPU gets no pool
+    # os.cpu_count() counts the host's CPUs; an affinity of one CPU starts no worker
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def no_pool(*_args, **_kwargs):
-        raise AssertionError("a worker pool started on one usable CPU")
+        raise AssertionError("a worker process started on one usable CPU")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_pool)
     reports = cases.run_cases([2, 1], tmp_path)
     assert [report.case_id for report in reports] == [2, 1]
 
@@ -935,13 +936,61 @@ def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, args):
     monkeypatch.chdir(tmp_path)
 
     def no_pool(*_args, **_kwargs):
-        raise AssertionError("a worker pool started before the output directory was made")
+        raise AssertionError("a worker process started before the output directory was made")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_pool)
     assert cli.main(args + ["--out", "taken"]) == 1
     out, err = capsys.readouterr()
     assert err == "error: cannot write taken: File exists\n"
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("ids, first", [([1, 2, 3, 4, 5], 2), ([4, 3, 2, 1, 5], 4)],
+                         ids=["worker-case-first", "caller-case-first"])
+def test_case_runs_re_raise_the_first_failure_in_ids_order(tmp_path, monkeypatch, ids, first):
+    # two shares: this process runs case 4, the longest, and a worker runs 1, 2, 3 and 5; a
+    # directory where a case writes a file fails case 4 here and case 2 in the worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    failing = {4: tmp_path / "case4.csv", 2: tmp_path / "case2_report.txt"}
+    for path in failing.values():
+        path.mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        cases.run_cases(ids, tmp_path)
+    assert type(raised.value) is IsADirectoryError
+    assert (raised.value.strerror, raised.value.filename) == (os.strerror(errno.EISDIR),
+                                                              str(failing[first]))
+    # every other case ran to its report, and case 2 wrote its CSV before it failed
+    for k in (1, 3, 5):
+        assert (tmp_path / f"case{k}_report.txt").is_file()
+    assert (tmp_path / "case2.csv").is_file()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method here")
+def test_case_all_worker_that_dies_unreported_is_a_runtime_error(tmp_path):
+    # a forked worker inherits the patch, so the worker given cases 1, 2, 3 and 5 exits at its
+    # first case, and this process runs case 4
+    driver = (
+        "import multiprocessing, os, sys\n"
+        "from cascade_droop import cases\n"
+        "from cascade_droop.cli import main\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "multiprocessing.set_start_method('fork')\n"
+        "caller, run_case = os.getpid(), cases.run_case\n"
+        "cases.run_case = lambda case_id, out: (run_case(case_id, out) if os.getpid() == caller\n"
+        "                                       else os._exit(3))\n"
+        "code = main(['case', 'all', '--out', 'cases'])\n"
+        "print(multiprocessing.active_children())\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", driver], capture_output=True, text=True,
+                          cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "[]\n"), proc.stderr
+    assert proc.stderr == ("runtime error: the worker process given cases [1, 2, 3, 5] ended "
+                           "with exit code 3 before reporting them\n")
+    assert (tmp_path / "cases" / "case4_report.txt").is_file()
+    assert multiprocessing.active_children() == []
 
 
 _FUZZ_BASE = """
