@@ -161,29 +161,96 @@ def run(stretch, constants: tuple, deltas: list[float], held: list[float], table
 def write_rows(rows, table, chunk: int, out, template: str) -> bool:
     """Writes the rows of ``table`` to the binary file ``out`` through the C formatter ``rows``.
 
-    Each call formats up to ``chunk`` rows from the table's base pointer and
-    a row offset into one reused buffer, which is written as it is.  A row
-    that holds a value the formatter declines is written as
-    ``template % row`` instead.  Returns False, having written nothing, where
-    ``table`` is not a C-contiguous float64 matrix.
+    The rows go out in chunks of ``chunk`` rows, in order.  Each formatter
+    call prints up to a chunk from the table's base pointer and a row offset
+    into a reused buffer, passed to ``rows`` as it is.  A row that holds a
+    value the formatter declines is printed as ``template % row`` instead, by
+    the thread that formats its chunk.  Where ``usable_cpus()`` is at least 2
+    and the table spans at least two chunks, one helper thread formats the
+    odd chunks into a second buffer while this thread formats the even ones,
+    and the two take turns to write, each its own chunks, so that they go
+    out in order.  ctypes releases the GIL during each formatter call and
+    each write, so one thread's C work overlaps the other's.  A thread
+    formats its next chunk only once it has written its last, so two buffers
+    are held at any length.  The helper is joined before this returns or
+    raises, and an exception it raises is re-raised here.  Otherwise no
+    thread starts.  Returns False, having written nothing, where ``table``
+    is not a C-contiguous float64 matrix.
     """
     import ctypes
 
     if not (table.dtype == "float64" and table.flags.c_contiguous and table.ndim == 2):
         return False
     total, width = table.shape
-    text = ctypes.create_string_buffer(VALUE_BYTES * width * chunk)
-    view = memoryview(text)
     base = table.ctypes.data
-    row = ctypes.c_int64(0)
-    at = ctypes.byref(row)
-    while row.value < total:
-        stop = min(row.value + chunk, total)
-        out.write(view[:rows(base, width, at, stop, text)])
-        if row.value < stop:  # stopped before a row with a declined value
-            out.write((template % tuple(table[row.value].tolist())).encode())
-            row.value += 1
+    starts = range(0, total, chunk)
+
+    def print_chunk(start, text):
+        """The chunk from row ``start`` printed into ``text`` in pieces, the last a view of it."""
+        view = memoryview(text)
+        row = ctypes.c_int64(start)
+        at = ctypes.byref(row)
+        stop = min(start + chunk, total)
+        pieces = []
+        while row.value < stop:
+            pieces.append(view[:rows(base, width, at, stop, text)])
+            if row.value < stop:  # stopped before a row with a declined value
+                pieces[-1] = bytes(pieces[-1])  # the next formatter call overwrites text
+                pieces.append((template % tuple(table[row.value].tolist())).encode())
+                row.value += 1
+        return pieces
+
+    text = ctypes.create_string_buffer(VALUE_BYTES * width * chunk)
+    if len(starts) < 2 or usable_cpus() < 2:
+        for start in starts:
+            out.writelines(print_chunk(start, text))
+        return True
+
+    import queue
+    import threading
+
+    # turns[side] holds True when that side may write its next chunk, False once the other
+    # side has stopped on an exception
+    turns = queue.SimpleQueue(), queue.SimpleQueue()
+    failures = []
+
+    def take_turns(side, text):
+        """Prints every other chunk, from chunk ``side``, into ``text`` and writes each in turn."""
+        mine, theirs = turns[side], turns[1 - side]
+        try:
+            for start in starts[side::2]:
+                pieces = print_chunk(start, text)
+                if not mine.get():
+                    return
+                out.writelines(pieces)
+                theirs.put(True)
+        except BaseException:
+            theirs.put(False)
+            raise
+
+    def helper():
+        try:
+            take_turns(1, ctypes.create_string_buffer(len(text)))
+        except BaseException as exc:  # re-raised by the caller
+            failures.append(exc)
+
+    thread = threading.Thread(target=helper, name="cascade_droop-csv")
+    turns[0].put(True)
+    thread.start()
+    try:
+        take_turns(0, text)
+    finally:
+        thread.join()
+    if failures:
+        raise failures[0]
     return True
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _csv_edges() -> list[float]:

@@ -40,7 +40,6 @@ module-level constants below carry the reasoning:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -446,10 +445,12 @@ def run_cases(ids, out_dir) -> list[CaseReport]:
 
     The output directory is made here, before any worker starts.  The cases
     are dealt longest first (steps times modules) to the least-loaded of
-    ``min(len(ids), CPUs)`` shares, since the longest share bounds the
-    finishing time.  This process runs the first share itself, and one
-    ``multiprocessing`` process runs each other share and sends back its
-    reports over a pipe; on one usable CPU no process starts.  When the
+    ``min(len(ids), _native.usable_cpus())`` shares (the CPUs of this
+    process's affinity, which the CSV writer reads too), since the longest
+    share bounds the finishing time.  This process runs the first share
+    itself, and one ``multiprocessing`` process runs each other share and
+    sends back its reports over a pipe; on one usable CPU no process
+    starts.  When the
     cases' module-steps reach ``_native.MODULE_STEPS`` together, each case
     runs and writes its CSV on the C library, asked for with that total:
     under ``fork`` this process builds it before starting the workers, which
@@ -468,7 +469,7 @@ def run_cases(ids, out_dir) -> list[CaseReport]:
         scenario = build_case(case_id)[0]
         costs[case_id] = scenario.steps * scenario.config.n
     total = sum(costs.values())
-    shares = [[] for _ in range(min(len(ids), _usable_cpus()))]
+    shares = [[] for _ in range(min(len(ids), _native.usable_cpus()))]
     loads = [0] * len(shares)
     for case_id in sorted(ids, key=costs.get, reverse=True):
         least = loads.index(min(loads))
@@ -508,10 +509,3 @@ def run_cases(ids, out_dir) -> list[CaseReport]:
         if isinstance(outcomes[case_id], Exception):
             raise outcomes[case_id]
     return [outcomes[case_id] for case_id in ids]
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

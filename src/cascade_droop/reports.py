@@ -11,9 +11,11 @@ exact range, +-0 and 2^-79 <= |x| < 2^120, from the exact 9-digit rounding,
 and CPython's ``%.9g`` template prints each row that holds another value,
 and every row elsewhere; the library's self-check holds the two equal
 before it is used.  Neither output holds memory that grows with its
-output: the CSV is formatted and written a fixed budget of values at a
-time, and ``stability_lines`` yields a report one line at a time, after
-every check, for the CLI to stream; ``report_stability`` joins those lines.
+output: the CSV is formatted a fixed budget of values at a time and
+written in order, from one buffer, or from two where a helper thread
+formats and writes every other chunk beside the caller; ``stability_lines``
+yields a report one line at a time, after every check, for the CLI to
+stream; ``report_stability`` joins those lines.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ def _num(x: float) -> str:
     return format(x, ".9g")
 
 
-# Values formatted per CSV write: a chunk holds max(1, _CSV_CHUNK_VALUES // (1 + 4n))
-# rows, so its text stays about the same size at any n.  4,352 = 256 rows at n = 4.
-_CSV_CHUNK_VALUES = 4352
+# Values formatted per CSV chunk: a chunk holds max(1, _CSV_CHUNK_VALUES // (1 + 4n))
+# rows, so its text stays about the same size at any n.  17,408 = 1,024 rows at n = 4;
+# a chunk at n = 48 (about 0.3 ms of C formatting) outweighs its handoff between threads.
+_CSV_CHUNK_VALUES = 17408
 
 # Most rows one stability report may tabulate (about 75 MB of text).
 _MAX_SWEEP_ROWS = 1_000_000
@@ -52,8 +55,12 @@ def emit_trace_csv(trace: Trace, path) -> Path:
     The library is used only after its self-check has printed a probe table
     and a list of edge values in the template's bytes.  ``trace.table`` is
     already in the CSV's column order; it is read one chunk of about
-    ``_CSV_CHUNK_VALUES`` values at a time, so the text held at once does not
-    grow with the row count or with n.
+    ``_CSV_CHUNK_VALUES`` values at a time, and the chunks are written in
+    order.  Where the process may use two CPUs, one helper thread prints
+    every other chunk through the C formatter and writes it in its turn (see
+    ``_native.write_rows``); it is joined before this returns.  The text held
+    at once, one chunk buffer or two, does not grow with the row count or
+    with n.
     """
     if len(trace) == 0:
         raise EmptyTraceError("refusing to write an empty trace")
@@ -75,10 +82,11 @@ def emit_trace_csv(trace: Trace, path) -> Path:
 
 
 def _write_rows(table, out, rows) -> None:
-    """Write the rows of ``table`` to the binary ``out``, about ``_CSV_CHUNK_VALUES`` values a write.
+    """Write the rows of ``table`` to the binary ``out``, ``_CSV_CHUNK_VALUES`` values a chunk.
 
     ``rows`` is the C row formatter, which ``_native.write_rows`` takes for a
-    C-contiguous float64 table, or None for the ``%.9g`` template alone.
+    C-contiguous float64 table, on one or two threads, or None for the
+    ``%.9g`` template alone, on this thread.
     """
     from . import _native
 

@@ -1,10 +1,14 @@
 """The C row formatter: CPython's ``%.9g`` bytes over its exact range, and declined elsewhere."""
 
 import ctypes
+import errno
+import io
 import logging
 import math
+import os
 import struct
 import tempfile
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_droop import Trace, _native, emit_trace_csv, simulate
+from cascade_droop import Trace, _native, emit_trace_csv, reports, simulate
 from test_reports_cli import _oracle_csv
 
 
@@ -169,3 +173,113 @@ def test_without_128_bit_integers_every_value_is_declined_and_the_kernel_loads(
     assert {_printed(rows, x) for x in [1.0, 0.0, *_native._csv_edges()]} == {None}
     trace = simulate(_native._probe()).trace
     assert emit_trace_csv(trace, tmp_path / "probe.csv").read_bytes() == _oracle_csv(trace)
+
+
+# 5.5 chunks of n = 2; declined values at the first and last rows of chunks 0 and 1 (this
+# thread's and the helper's) and inside the chunks after them
+_CHUNK = reports._CSV_CHUNK_VALUES // 9
+_DECLINED = {0: math.inf, _CHUNK - 1: -math.inf, _CHUNK: math.nan, 2 * _CHUNK - 1: 5e-324,
+             2 * _CHUNK + 5: 2.0 ** 120, 3 * _CHUNK + 1: -math.inf, 5 * _CHUNK: math.nan}
+
+
+def _sines(rows: int):
+    table = np.sin(np.arange(rows * 9, dtype=float)).reshape(rows, 9) * 1e3
+    table[:, 0] = np.arange(rows) * 1e-3
+    return table
+
+
+def _chunked_trace(chunks: float) -> Trace:
+    rows = int(chunks * _CHUNK)
+    table = _sines(rows)
+    for row, value in _DECLINED.items():
+        if row < rows:
+            table[row, 1 + row % 8] = value
+    return Trace(table)
+
+
+def _affinity(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_the_threaded_writer_prints_the_oracle_bytes(monkeypatch, tmp_path, formatter, cpus):
+    _affinity(monkeypatch, cpus)
+    buffers, declined_by = set(), {}  # (thread, buffer) pairs; declined row: its thread
+
+    def recording(base, width, at, stop, text):
+        assert isinstance(text, ctypes.Array)  # the buffer itself, not an offset into it
+        size = formatter(base, width, at, stop, text)
+        buffers.add((threading.get_ident(), id(text)))
+        if at._obj.value < stop:
+            declined_by[at._obj.value] = threading.get_ident()
+        return size
+
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self)))
+    monkeypatch.setattr(_native, "csv_rows", lambda: recording)
+    trace = _chunked_trace(5.5)
+    assert emit_trace_csv(trace, tmp_path / "t.csv").read_bytes() == _oracle_csv(trace)
+    assert len(started) == (cpus > 1)
+    # each thread formats into a buffer of its own and meets the declined rows of its chunks,
+    # which it then prints with the template
+    assert len(buffers) == len({t for t, _ in buffers}) == len({b for _, b in buffers}) == cpus
+    assert declined_by.keys() == _DECLINED.keys()
+    caller = threading.get_ident()
+    for row, thread in declined_by.items():
+        assert (thread != caller) == (cpus > 1 and row // _CHUNK % 2 == 1), row
+
+
+@pytest.mark.parametrize("cpus, chunks", [(1, 5.5), (2, 1)], ids=["one-cpu", "one-chunk"])
+def test_the_writer_starts_no_thread_where_none_is_needed(monkeypatch, tmp_path, formatter, cpus,
+                                                          chunks):
+    _affinity(monkeypatch, cpus)
+
+    def no_thread(*_args, **_kwargs):
+        raise AssertionError("a writer thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(_native, "csv_rows", lambda: formatter)
+    trace = _chunked_trace(chunks)
+    assert emit_trace_csv(trace, tmp_path / "t.csv").read_bytes() == _oracle_csv(trace)
+
+
+class _FullDisk(io.RawIOBase):
+    """A binary file whose write number ``failing`` raises ENOSPC."""
+
+    def __init__(self, failing: int):
+        self.writes, self.failing = 0, failing
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.failing:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(data)
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("failing", ["write-2", "write-3", "formatter"])
+def test_a_writer_failure_reaches_the_caller_and_leaves_no_thread(monkeypatch, formatter, cpus,
+                                                                  failing):
+    # without declined values, each chunk is one write: on two CPUs the second is chunk 1, the
+    # helper's, and the third is chunk 2, this thread's, while the helper formats chunk 3
+    _affinity(monkeypatch, cpus)
+    rows, expected = formatter, (OSError, "[Errno 28] No space left on device")
+    if failing == "formatter":  # chunk 3 is the helper's on two CPUs
+        out, expected = io.BytesIO(), (RuntimeError, f"no rows from {3 * _CHUNK}")
+
+        def rows(base, width, at, stop, text):
+            if 3 * _CHUNK <= at._obj.value < 4 * _CHUNK:
+                raise RuntimeError(f"no rows from {at._obj.value}")
+            return formatter(base, width, at, stop, text)
+    else:
+        out = _FullDisk(int(failing[-1]))
+
+    before = threading.active_count()
+    with pytest.raises(expected[0]) as raised:
+        reports._write_rows(_sines(int(5.5 * _CHUNK)), out, rows)
+    assert (type(raised.value), str(raised.value)) == expected
+    assert threading.active_count() == before

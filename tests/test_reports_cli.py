@@ -136,10 +136,12 @@ _SPECIAL_VALUES = (
 
 @st.composite
 def _traces(draw):
-    # n = 272, 363 and 544 are the narrowest strings whose chunks hold 3, 2 and 1 rows
-    n = draw(st.integers(1, 3) | st.sampled_from([272, 363, 544]))
+    # n = 1,088, 1,451 and 2,176 are the narrowest strings whose chunks hold 3, 2 and 1 rows;
+    # there 10 rows already span 4 to 10 chunks, so more rows would only cost time
+    n = draw(st.integers(1, 3) | st.sampled_from([1088, 1451, 2176]))
     chunk = max(1, reports._CSV_CHUNK_VALUES // (1 + 4 * n))
-    rows = draw(st.sampled_from([1, 2, 3, chunk, chunk + 1]) | st.integers(1, 40))
+    rows = draw(st.sampled_from([1, 2, 3, chunk, chunk + 1])
+                | st.integers(1, 40 if n <= 3 else 10))
     pool = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True)
                          | st.sampled_from(_SPECIAL_VALUES), min_size=1, max_size=12))
     pool += list(_SPECIAL_VALUES)
@@ -171,8 +173,8 @@ def test_csv_matches_per_value_oracle(tmp_path_factory, trace):
 
 
 def test_csv_chunk_rows_follow_the_value_budget():
-    chunk = [max(1, reports._CSV_CHUNK_VALUES // (1 + 4 * n)) for n in (4, 271, 272, 363, 544)]
-    assert chunk == [256, 4, 3, 2, 1]
+    chunk = [max(1, reports._CSV_CHUNK_VALUES // (1 + 4 * n)) for n in (4, 1087, 1088, 1451, 2176)]
+    assert chunk == [1024, 4, 3, 2, 1]
 
 
 def _traced_peak(fn) -> int:
@@ -187,15 +189,21 @@ def _traced_peak(fn) -> int:
 
 
 def test_csv_writer_memory_does_not_grow_with_n(tmp_path):
-    # 300 rows of n = 1,024: a 9.8 MB table, 11 MB of text; 256-row chunks peaked at 56 MB
+    # 300 rows of n = 1,024: a 9.8 MB table, 11 MB of text; 256-row chunks peaked at 56 MB.
+    # The template runs on this thread alone; on two CPUs the C writer holds a second chunk
+    # buffer, its helper thread's.
     table = np.random.default_rng(1).standard_normal((300, 1 + 4 * 1024))
     table[:, 0] = np.arange(300) * 1e-3
     trace = Trace(table)
     for writer, loader in _writers().items():
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_native, "kernel", loader)
-            assert _traced_peak(lambda: emit_trace_csv(trace, tmp_path / "wide.csv")) < 2e6, writer
-        assert (tmp_path / "wide.csv").read_bytes().count(b"\n") == 1 + 300
+        for cpus in (1, 2) if writer == "c" else (1,):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_native, "kernel", loader)
+                patch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                              raising=False)
+                peak = _traced_peak(lambda: emit_trace_csv(trace, tmp_path / "wide.csv"))
+                assert peak < 2e6, (writer, cpus)
+            assert (tmp_path / "wide.csv").read_bytes().count(b"\n") == 1 + 300
 
 
 def test_csv_refuses_empty_trace(tmp_path):

@@ -15,6 +15,9 @@ speed falls on both sides alike.  Every end-to-end metric that ``run.py`` report
 run, with the run's output digests, and summarized per side as the median
 and the nearest-rank quartiles.  A pair counts as a win for the change when
 its value is better than the parent's in the direction BENCHMARK.json gives.
+Beside the wins, ``order_effect`` is the median over pairs of the side that
+ran second minus the side that ran first: alternation cancels that bias in
+the medians, but not in the count of wins.
 Before the pairs, the change's ``tools/opcount.py`` counts opcodes and C
 calls on each side's ``src`` once; both sides' counts go under ``opcount``.
 """
@@ -88,7 +91,8 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return tuple(ordered[max(1, math.ceil(q * len(ordered))) - 1] for q in (0.25, 0.75))
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def summarize(runs: dict[str, list[dict]], better: dict[str, str],
+              order: list[list[str]]) -> dict:
     out = {}
     for name in runs["parent"][0]["metrics"]:
         row = {}
@@ -105,6 +109,9 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
                 sign * (c["metrics"][name] - p["metrics"][name]) > 0.0 for p, c in pairs)
             row["pairs"] = len(runs["parent"])
             row["change_over_parent"] = row["change"]["median"] / row["parent"]["median"]
+            row["order_effect"] = statistics.median(
+                runs[second][i]["metrics"][name] - runs[first][i]["metrics"][name]
+                for i, (first, second) in enumerate(order))
         out[name] = row
     return out
 
@@ -163,7 +170,7 @@ def main(argv=None) -> int:
             report["workloads"][workload] = {
                 "order": order,
                 "runs": runs,
-                "summary": summarize(runs, better),
+                "summary": summarize(runs, better, order),
                 # per pair, the outputs whose digests differ between the two sides
                 "digests_changed": [
                     sorted(name for name, digest in p["digests"].items()
@@ -181,7 +188,8 @@ def main(argv=None) -> int:
                 print(f"{workload} {name}: parent {row['parent']['median']:.4g} "
                       f"(IQR {row['parent']['iqr']:.3g}), change {row['change']['median']:.4g} "
                       f"(IQR {row['change']['iqr']:.3g}), change wins "
-                      f"{row['change_wins']}/{row['pairs']}")
+                      f"{row['change_wins']}/{row['pairs']}, second run minus first "
+                      f"{row['order_effect']:+.3g}")
     print(f"wrote {out}")
     return 0
 

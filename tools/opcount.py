@@ -48,6 +48,10 @@ Method:
   ``opcodes_per_step``, which turns the C row formatter off too.
   ``c_opcodes_per_row`` and ``c_peak_kib`` count the same writes through the
   C row formatter (None where it does not load, or the revision has none).
+  The tool pins itself to one CPU of its affinity first, so that the C
+  writer takes its one-thread path on every host: where it may use two
+  CPUs it formats and writes every other chunk on a helper thread, which
+  ``sys.settrace`` does not see and whose buffer ``tracemalloc`` would add.
 * ``stability.peak_kib``: the same peak for ``cli.main(["stability", ...])``
   on case 1's scenario with an angle sweep of 10,001 and of 100,001 rows,
   into a stdout that discards what it gets; equal peaks show memory that
@@ -382,6 +386,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     import numpy  # noqa: F401  (imported before any count)
 
