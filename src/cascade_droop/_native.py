@@ -14,9 +14,9 @@ of ``_csv_edges`` (ties, carries, powers of ten and the ends of its exact
 range), and the bytes must equal the ``%.9g`` template's.  A missing
 compiler, a build or load error and a self-check mismatch are each logged
 once as a WARNING to the ``cascade_droop`` logger, and the Python kernel and
-the template run for the rest of the process; nothing is retried.  A forked
-worker inherits its parent's library, or its failure.  Nothing is built or
-loaded at import.
+the template run for the rest of the process; nothing is retried.  Every
+thread of the process shares the library, or its failure.  Nothing is built
+or loaded at import.
 
 ``csv_rows()`` is the row formatter wherever ``kernel(0)`` (which never
 builds) returns a kernel, so a loader that picks the Python kernel picks the
@@ -165,10 +165,12 @@ def write_rows(rows, table, chunk: int, out, template: str) -> bool:
     call prints up to a chunk from the table's base pointer and a row offset
     into a reused buffer, passed to ``rows`` as it is.  A row that holds a
     value the formatter declines is printed as ``template % row`` instead, by
-    the thread that formats its chunk.  Where ``usable_cpus()`` is at least 2
-    and the table spans at least two chunks, one helper thread formats the
-    odd chunks into a second buffer while this thread formats the even ones,
-    and the two take turns to write, each its own chunks, so that they go
+    the thread that formats its chunk.  Where ``usable_cpus()`` exceeds
+    ``threading.active_count()``, so that a CPU is left over after one per
+    running thread (``case all``'s share threads count), and the table
+    spans at least two chunks, one helper thread formats the odd chunks
+    into a second buffer while this thread formats the even ones, and the
+    two take turns to write, each its own chunks, so that they go
     out in order.  ctypes releases the GIL during each formatter call and
     each write, so one thread's C work overlaps the other's.  A thread
     formats its next chunk only once it has written its last, so two buffers
@@ -200,14 +202,15 @@ def write_rows(rows, table, chunk: int, out, template: str) -> bool:
                 row.value += 1
         return pieces
 
+    import threading
+
     text = ctypes.create_string_buffer(VALUE_BYTES * width * chunk)
-    if len(starts) < 2 or usable_cpus() < 2:
+    if len(starts) < 2 or usable_cpus() <= threading.active_count():
         for start in starts:
             out.writelines(print_chunk(start, text))
         return True
 
     import queue
-    import threading
 
     # turns[side] holds True when that side may write its next chunk, False once the other
     # side has stopped on an exception

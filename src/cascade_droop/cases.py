@@ -4,9 +4,9 @@ Each case is a deterministic scenario plus a list of checks with pinned
 tolerances; running one writes a trace CSV and a plain-text report with one
 ``CHECK <name> <pass|fail> measured=<v> tol=<t>`` line per check.  The cases
 are independent, so ``run_cases`` deals several into one share per CPU the
-process may use, runs the first share itself and each other one in a worker
-process; each case writes only its own files, and the bytes match a run on
-one CPU.
+process may use, runs the first share on the calling thread and each other
+one on a thread of its own; each case writes only its own files, and the
+bytes match a run on one CPU.
 
 Every checker reads the trace at rows of the stretches between events
 (``_segments``) and measures its claims through four claim functions, which
@@ -59,7 +59,7 @@ from .engine import (
     islanded_equilibrium,
     simulate,
 )
-from .errors import SimulationError, ValidationError
+from .errors import ValidationError
 from .phasors import Impedance, wrap_angle
 from .reports import SweepAxis, emit_trace_csv, report_stability
 
@@ -389,9 +389,12 @@ def _checks_case5(segments, trace: Trace, continuity: float) -> list[CheckResult
 _CHECKERS = {1: _checks_case1, 2: _checks_case2, 3: _checks_case3, 4: _checks_case4, 5: _checks_case5}
 
 
-def run_case(case_id: int, out_dir) -> CaseReport:
-    """Execute one built-in case: simulate, check, and write trace + report files."""
-    scenario, notes = build_case(case_id)
+def run_case(case_id: int, out_dir, *, _built=None) -> CaseReport:
+    """Execute one built-in case: simulate, check, and write trace + report files.
+
+    ``_built`` is ``build_case(case_id)`` where the caller has built it already.
+    """
+    scenario, notes = build_case(case_id) if _built is None else _built
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -420,55 +423,42 @@ def run_case(case_id: int, out_dir) -> CaseReport:
     return report
 
 
-def _outcomes(share, out_dir) -> dict:
-    """Run each case of ``share``; its report, or the exception it raised, by case id."""
-    outcomes = {}
+def _outcomes(share, built, out_dir, outcomes) -> None:
+    """Run each case of ``share`` into ``outcomes``: its report, or the exception it raised."""
     for case_id in share:
         try:
-            outcomes[case_id] = run_case(case_id, out_dir)
+            outcomes[case_id] = run_case(case_id, out_dir, _built=built[case_id])
         except Exception as exc:  # re-raised by run_cases, in ids order
             outcomes[case_id] = exc
-    return outcomes
-
-
-def _run_share(share, out_dir, module_steps, send) -> None:
-    """A worker process's body: load the kernel, run ``share`` and send back its outcomes."""
-    from . import _native
-
-    _native.kernel(module_steps)
-    with send:
-        send.send(_outcomes(share, out_dir))
 
 
 def run_cases(ids, out_dir) -> list[CaseReport]:
-    """Run built-in cases here and in worker processes; the reports come back in ``ids`` order.
+    """Run built-in cases here and on share threads; the reports come back in ``ids`` order.
 
-    The output directory is made here, before any worker starts.  The cases
-    are dealt longest first (steps times modules) to the least-loaded of
-    ``min(len(ids), _native.usable_cpus())`` shares (the CPUs of this
-    process's affinity, which the CSV writer reads too), since the longest
-    share bounds the finishing time.  This process runs the first share
-    itself, and one ``multiprocessing`` process runs each other share and
-    sends back its reports over a pipe; on one usable CPU no process
-    starts.  When the
-    cases' module-steps reach ``_native.MODULE_STEPS`` together, each case
-    runs and writes its CSV on the C library, asked for with that total:
-    under ``fork`` this process builds it before starting the workers, which
-    inherit it; under ``spawn`` or ``forkserver`` each worker builds its own,
-    and this process builds after starting them, while they start.  Every
-    case runs, and the exception of the first failing case in ``ids`` order
-    re-raises here unchanged; a worker that ends without reporting raises a
-    ``SimulationError`` that names its cases and exit code.
+    The output directory is made and each scenario built here, before any
+    thread starts.  The cases are dealt longest first (steps times modules)
+    to the least-loaded of ``min(len(ids), _native.usable_cpus())`` shares
+    (the CPUs of this process's affinity, which the CSV writer reads too),
+    since the longest share bounds the finishing time.  This thread runs the
+    first share, and one ``threading.Thread`` runs each other share; on one
+    usable CPU no thread starts.  When the cases' module-steps reach
+    ``_native.MODULE_STEPS`` together, this thread builds the C library,
+    asked for with that total, before any share thread starts, and every
+    case runs and writes its CSV on it.  ctypes releases the GIL in both C
+    calls, so the shares run in parallel there; on the Python kernel they
+    take turns at the GIL.  Every case runs, every share thread is joined
+    before this returns or raises, and the exception of the first failing
+    case in ``ids`` order re-raises here with its own traceback.
     """
+    import threading
+
     from . import _native
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    costs = {}
-    for case_id in ids:
-        scenario = build_case(case_id)[0]
-        costs[case_id] = scenario.steps * scenario.config.n
-    total = sum(costs.values())
+    built = {case_id: build_case(case_id) for case_id in ids}
+    costs = {case_id: scenario.steps * scenario.config.n
+             for case_id, (scenario, _) in built.items()}
     shares = [[] for _ in range(min(len(ids), _native.usable_cpus()))]
     loads = [0] * len(shares)
     for case_id in sorted(ids, key=costs.get, reverse=True):
@@ -476,35 +466,19 @@ def run_cases(ids, out_dir) -> list[CaseReport]:
         shares[least].append(case_id)
         loads[least] += costs[case_id]
 
-    workers = []
+    _native.kernel(sum(costs.values()))
+    outcomes = {}  # each share writes the keys of its own cases
+    threads = []
     try:
-        if len(shares) > 1:
-            import multiprocessing
-
-            context = multiprocessing.get_context()
-            if context.get_start_method() == "fork":
-                _native.kernel(total)
-            for share in shares[1:]:
-                receive, send = context.Pipe(duplex=False)
-                process = context.Process(target=_run_share, args=(share, out_dir, total, send))
-                process.start()
-                send.close()  # the worker's copy is the only one left, so its exit reads as EOF
-                workers.append((share, receive, process))
-        _native.kernel(total)
-        outcomes = _outcomes(shares[0], out_dir)
-        for share, receive, process in workers:
-            try:
-                outcomes.update(receive.recv())
-            except EOFError:
-                process.join()
-                lost = SimulationError(f"the worker process given cases {sorted(share)} "
-                                       f"ended with exit code {process.exitcode} "
-                                       "before reporting them")
-                outcomes.update(dict.fromkeys(share, lost))
+        for share in shares[1:]:
+            thread = threading.Thread(target=_outcomes, args=(share, built, out_dir, outcomes),
+                                      name="cascade_droop-share")
+            thread.start()
+            threads.append(thread)
+        _outcomes(shares[0], built, out_dir, outcomes)
     finally:
-        for _, receive, process in workers:
-            receive.close()
-            process.join()
+        for thread in threads:
+            thread.join()
     for case_id in ids:
         if isinstance(outcomes[case_id], Exception):
             raise outcomes[case_id]

@@ -5,8 +5,8 @@
     cascade-droop stability <scenario-file> [--angle RAD] [--sweep angle=lo:hi:step vstar=lo:hi:step]
 
 ``case all`` deals the five cases into one share per usable CPU, up to
-five, and runs the first share in this process and each other one in a
-worker process; its output bytes match a run on one CPU.  ``stability``
+five, and runs the first share on this thread and each other one on a
+thread of its own; its output bytes match a run on one CPU.  ``stability``
 makes every check before its first byte and then streams the report to
 stdout a fixed number of lines at a time, so its memory does not grow with
 the sweep.

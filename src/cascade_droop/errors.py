@@ -21,8 +21,8 @@ class ScenarioParseError(ValidationError):
 
     def __reduce__(self):
         # ``args`` holds the one formatted string, which ``__init__`` cannot
-        # take back; rebuild from both arguments so that a worker process's
-        # parse error re-raises intact in the caller.
+        # take back; rebuild from both arguments so that a parse error sent to
+        # another process, or copied, comes back intact.
         return type(self), (self.line, self.message), self.__dict__
 
 

@@ -13,7 +13,8 @@ and every row elsewhere; the library's self-check holds the two equal
 before it is used.  Neither output holds memory that grows with its
 output: the CSV is formatted a fixed budget of values at a time and
 written in order, from one buffer, or from two where a helper thread
-formats and writes every other chunk beside the caller; ``stability_lines``
+formats and writes every other chunk beside the caller on a CPU that no
+other thread of the process has taken; ``stability_lines``
 yields a report one line at a time, after every check, for the CLI to
 stream; ``report_stability`` joins those lines.
 """
@@ -56,7 +57,8 @@ def emit_trace_csv(trace: Trace, path) -> Path:
     and a list of edge values in the template's bytes.  ``trace.table`` is
     already in the CSV's column order; it is read one chunk of about
     ``_CSV_CHUNK_VALUES`` values at a time, and the chunks are written in
-    order.  Where the process may use two CPUs, one helper thread prints
+    order.  Where the process may use more CPUs than it runs threads (so not
+    beside another share of ``case all`` on two CPUs), one helper thread prints
     every other chunk through the C formatter and writes it in its turn (see
     ``_native.write_rows``); it is joined before this returns.  The text held
     at once, one chunk buffer or two, does not grow with the row count or

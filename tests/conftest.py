@@ -29,9 +29,8 @@ def python_kernel(module_steps):
 def c_kernel(module_steps):
     """A stand-in for ``_native.kernel`` that picks the C kernel and its row formatter.
 
-    A worker process that ``fork`` starts inherits the stand-in; one that
-    ``spawn`` or ``forkserver`` starts imports the package afresh and asks
-    the real loader, which builds that worker's own library.
+    ``case all``'s share threads run in this process, so they take the
+    stand-in too.
     """
     if not _C_KERNEL:
         from cascade_droop import _native

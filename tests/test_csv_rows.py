@@ -230,18 +230,30 @@ def test_the_threaded_writer_prints_the_oracle_bytes(monkeypatch, tmp_path, form
         assert (thread != caller) == (cpus > 1 and row // _CHUNK % 2 == 1), row
 
 
-@pytest.mark.parametrize("cpus, chunks", [(1, 5.5), (2, 1)], ids=["one-cpu", "one-chunk"])
+@pytest.mark.parametrize("cpus, chunks, others", [(1, 5.5, 0), (2, 1, 0), (2, 5.5, 1)],
+                         ids=["one-cpu", "one-chunk", "beside-a-thread"])
 def test_the_writer_starts_no_thread_where_none_is_needed(monkeypatch, tmp_path, formatter, cpus,
-                                                          chunks):
+                                                          chunks, others):
+    # beside a thread that runs on, as another share of case all does, no CPU is left over
     _affinity(monkeypatch, cpus)
+    release = threading.Event()
+    running = [threading.Thread(target=release.wait) for _ in range(others)]
+    for thread in running:
+        thread.start()
 
     def no_thread(*_args, **_kwargs):
         raise AssertionError("a writer thread started")
 
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
-    monkeypatch.setattr(_native, "csv_rows", lambda: formatter)
-    trace = _chunked_trace(chunks)
-    assert emit_trace_csv(trace, tmp_path / "t.csv").read_bytes() == _oracle_csv(trace)
+    try:
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(_native, "csv_rows", lambda: formatter)
+        trace = _chunked_trace(chunks)
+        assert emit_trace_csv(trace, tmp_path / "t.csv").read_bytes() == _oracle_csv(trace)
+    finally:
+        release.set()
+        for thread in running:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in running)
 
 
 class _FullDisk(io.RawIOBase):

@@ -1,4 +1,4 @@
-"""Exception types: every one survives a round trip through pickle, as worker processes need."""
+"""Exception types: every one survives a round trip through pickle, so it can cross processes."""
 
 import inspect
 import pickle

@@ -405,11 +405,10 @@ def test_a_build_logs_its_compiler_and_seconds(monkeypatch, tmp_path, caplog, c_
     ("build error", "[sys.executable, '-c', 'raise SystemExit(1)']"),
 ], ids=["no-compiler", "build-error"])
 def test_case_all_without_the_c_kernel_writes_the_pinned_bytes(tmp_path, reason, compiler):
-    # forked workers inherit the stand-in compiler (workers started afresh would build)
+    # the share threads run in this process, with its stand-in compiler
     script = (
-        "import multiprocessing, sys\n"
+        "import sys\n"
         "from cascade_droop import _native\n"
-        "multiprocessing.set_start_method('fork')\n"
         "from cascade_droop.cli import main\n"
         f"_native.compiler = lambda: {compiler}\n"
         "sys.exit(main(['case', 'all', '--out', 'cases']))\n"
@@ -459,10 +458,14 @@ def _asking(module_steps):
 def test_run_cases_asks_for_the_kernel_with_all_its_module_steps(monkeypatch, tmp_path):
     _ASKED.clear()
     monkeypatch.setattr(_native, "kernel", _asking)
-    # one usable CPU, so the cases run in this process and no worker starts
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    # one share on each of two usable CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    build_case, builds = cases.build_case, []
+    monkeypatch.setattr(cases, "build_case", lambda k: builds.append(k) or build_case(k))
     cases.run_cases([1, 2], tmp_path)
-    scenarios = [cases.build_case(k)[0] for k in (1, 2)]
+    assert sorted(builds) == [1, 2]  # each scenario is built once, for the dealing and the run
+    monkeypatch.setattr(cases, "build_case", build_case)
+    scenarios = [build_case(k)[0] for k in (1, 2)]
     assert _ASKED[0] == sum(s.steps * s.config.n for s in scenarios)
     # the five built-in cases reach the rule together, and only case 4 on its own
     built = [cases.build_case(k)[0] for k in range(1, 6)]
@@ -472,13 +475,13 @@ def test_run_cases_asks_for_the_kernel_with_all_its_module_steps(monkeypatch, tm
 
 
 def _case_all_builds(tmp_path, method):
-    """The process ids that build the C kernel in a ``case all`` on two shares, the second run by a
-    worker started by ``method``, and the parent's."""
+    """The process ids that build the C kernel in a ``case all`` on two shares, with ``method`` as
+    the start method, and the parent's."""
     if _native.compiler() is None:
         pytest.skip("no C compiler on PATH")
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method here")
-    # a worker runs this file as its main module, so it logs as the parent does
+    # a process started afresh would run this file as its main module and log as the parent does
     (tmp_path / "driver.py").write_text(
         "import logging, multiprocessing, os, sys\n"
         "logging.basicConfig(level=logging.DEBUG, format='%(process)d %(message)s')\n"
@@ -497,12 +500,16 @@ def _case_all_builds(tmp_path, method):
     return [pid for pid, message in lines if "built the C kernel" in message], parent
 
 
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_pool_workers_started_afresh_each_load_the_c_library(tmp_path, method):
-    # such a worker inherits nothing, so it builds its own library, and the parent, which runs
-    # the first share, builds one too
-    builds, parent = _case_all_builds(tmp_path, method)
-    assert len(set(builds)) == len(builds) == 2 and parent in builds, builds
+def test_case_all_builds_the_c_library_once_under_spawn_and_forkserver(tmp_path):
+    # the shares run on threads of the parent, so the start method a process would take changes
+    # nothing: one build, in the parent
+    methods = [m for m in ("spawn", "forkserver") if m in multiprocessing.get_all_start_methods()]
+    if not methods:
+        pytest.skip("neither spawn nor forkserver here")
+    for method in methods:
+        (tmp_path / method).mkdir()
+        builds, parent = _case_all_builds(tmp_path / method, method)
+        assert builds == [parent], (method, builds)
 
 
 def test_forked_pool_workers_inherit_the_library_the_parent_builds(tmp_path):

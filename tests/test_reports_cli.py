@@ -13,6 +13,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import traceback
 import tracemalloc
 from pathlib import Path
 
@@ -904,7 +906,8 @@ def test_case_all_pool_loop_and_spawn_write_the_same_bytes(tmp_path, monkeypatch
                             raising=False)
         assert cli.main(["case", "all", "--out", str(tmp_path / label)]) == 0
         runs[label] = (capsys.readouterr().out, _case_all_outputs(tmp_path / label))
-    # spawned workers start from a fresh import (the default on macOS and Python >= 3.14)
+    # a fresh process under spawn (the default on macOS and Python >= 3.14): case all starts no
+    # process, so the start method changes nothing
     driver = (
         "import multiprocessing, os, sys\n"
         "from cascade_droop.cli import main\n"
@@ -920,15 +923,33 @@ def test_case_all_pool_loop_and_spawn_write_the_same_bytes(tmp_path, monkeypatch
     assert runs["spawn"] == runs["loop"]
 
 
+def test_case_all_on_more_share_threads_than_cpus_writes_the_same_bytes(tmp_path, monkeypatch,
+                                                                       capsys):
+    # five shares, four of them threads, with the GIL handed over every 10 us: a lost report or a
+    # row written into another case's file changes the bytes
+    runs = {}
+    interval = sys.getswitchinterval()
+    for cpus in (1, 5):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        sys.setswitchinterval(1e-5)
+        try:
+            assert cli.main(["case", "all", "--out", str(tmp_path / str(cpus))]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        runs[cpus] = (capsys.readouterr().out, _case_all_outputs(tmp_path / str(cpus)))
+    assert runs[5] == runs[1]
+
+
 def test_case_runs_take_the_loop_on_one_usable_cpu(tmp_path, monkeypatch):
-    # os.cpu_count() counts the host's CPUs; an affinity of one CPU starts no worker
+    # os.cpu_count() counts the host's CPUs; an affinity of one CPU starts no share thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
-    def no_pool(*_args, **_kwargs):
-        raise AssertionError("a worker process started on one usable CPU")
+    def no_thread(*_args, **_kwargs):
+        raise AssertionError("a share thread started on one usable CPU")
 
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     reports = cases.run_cases([2, 1], tmp_path)
     assert [report.case_id for report in reports] == [2, 1]
 
@@ -943,10 +964,10 @@ def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, args):
     (tmp_path / "taken").write_text("a file, not a directory")
     monkeypatch.chdir(tmp_path)
 
-    def no_pool(*_args, **_kwargs):
-        raise AssertionError("a worker process started before the output directory was made")
+    def no_thread(*_args, **_kwargs):
+        raise AssertionError("a thread started before the output directory was made")
 
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert cli.main(args + ["--out", "taken"]) == 1
     out, err = capsys.readouterr()
     assert err == "error: cannot write taken: File exists\n"
@@ -956,9 +977,10 @@ def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, args):
 @pytest.mark.parametrize("ids, first", [([1, 2, 3, 4, 5], 2), ([4, 3, 2, 1, 5], 4)],
                          ids=["worker-case-first", "caller-case-first"])
 def test_case_runs_re_raise_the_first_failure_in_ids_order(tmp_path, monkeypatch, ids, first):
-    # two shares: this process runs case 4, the longest, and a worker runs 1, 2, 3 and 5; a
-    # directory where a case writes a file fails case 4 here and case 2 in the worker
+    # two shares: this thread runs case 4, the longest, and a share thread runs 1, 2, 3 and 5;
+    # a directory where a case writes a file fails case 4 here and case 2 on the share thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    before = threading.enumerate()
     failing = {4: tmp_path / "case4.csv", 2: tmp_path / "case2_report.txt"}
     for path in failing.values():
         path.mkdir()
@@ -971,34 +993,54 @@ def test_case_runs_re_raise_the_first_failure_in_ids_order(tmp_path, monkeypatch
     for k in (1, 3, 5):
         assert (tmp_path / f"case{k}_report.txt").is_file()
     assert (tmp_path / "case2.csv").is_file()
-    assert multiprocessing.active_children() == []
+    assert threading.enumerate() == before
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork start method here")
-def test_case_all_worker_that_dies_unreported_is_a_runtime_error(tmp_path):
-    # a forked worker inherits the patch, so the worker given cases 1, 2, 3 and 5 exits at its
-    # first case, and this process runs case 4
-    driver = (
-        "import multiprocessing, os, sys\n"
-        "from cascade_droop import cases\n"
-        "from cascade_droop.cli import main\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "multiprocessing.set_start_method('fork')\n"
-        "caller, run_case = os.getpid(), cases.run_case\n"
-        "cases.run_case = lambda case_id, out: (run_case(case_id, out) if os.getpid() == caller\n"
-        "                                       else os._exit(3))\n"
-        "code = main(['case', 'all', '--out', 'cases'])\n"
-        "print(multiprocessing.active_children())\n"
-        "sys.exit(code)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", driver], capture_output=True, text=True,
-                          cwd=tmp_path, timeout=120)
-    assert (proc.returncode, proc.stdout) == (2, "[]\n"), proc.stderr
-    assert proc.stderr == ("runtime error: the worker process given cases [1, 2, 3, 5] ended "
-                           "with exit code 3 before reporting them\n")
-    assert (tmp_path / "cases" / "case4_report.txt").is_file()
-    assert multiprocessing.active_children() == []
+def test_a_share_threads_failure_reaches_the_caller_with_its_own_traceback(tmp_path,
+                                                                          monkeypatch):
+    # two shares, and case 2 fails on the share thread, as above
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ran_on = {}
+    run_case = cases.run_case
+
+    def recording(case_id, out_dir, **kwargs):
+        ran_on[case_id] = threading.current_thread()
+        return run_case(case_id, out_dir, **kwargs)
+
+    monkeypatch.setattr(cases, "run_case", recording)
+    (tmp_path / "case2_report.txt").mkdir()
+    before = threading.enumerate()
+    with pytest.raises(IsADirectoryError) as raised:
+        cases.run_cases([1, 2, 3, 4, 5], tmp_path)
+    assert threading.enumerate() == before
+    assert ran_on[4] is threading.current_thread() is not ran_on[2]
+    assert not ran_on[2].is_alive()
+    # the traceback runs on from this thread's frames into the share thread's, down to the write
+    frames = [frame.name for frame in traceback.extract_tb(raised.value.__traceback__)]
+    assert frames[:4] == ["test_a_share_threads_failure_reaches_the_caller_with_its_own_traceback",
+                          "run_cases", "_outcomes", "recording"]
+    assert frames[4] == "run_case" and "write_text" in frames[5:], frames
+
+
+def test_case_all_on_two_cpus_starts_one_thread_and_no_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _native.kernel(_native.MODULE_STEPS)  # a build, if this process has none, runs a compiler
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self)))
+
+    def no_process(*_args, **_kwargs):
+        raise AssertionError("a process started")
+
+    for owner, name in ((multiprocessing.process.BaseProcess, "start"), (subprocess, "Popen"),
+                        (os, "fork"), (os, "posix_spawn")):
+        monkeypatch.setattr(owner, name, no_process, raising=False)
+    assert cli.main(["case", "all", "--out", str(tmp_path)]) == 0
+    # one share thread; a CSV writer may start a helper once the other share has finished
+    names = [thread.name for thread in started]
+    assert names.count("cascade_droop-share") == 1, names
+    assert set(names) <= {"cascade_droop-share", "cascade_droop-csv"}, names
+    assert not any(thread.is_alive() for thread in started)
 
 
 _FUZZ_BASE = """
