@@ -500,16 +500,12 @@ def _case_all_builds(tmp_path, method):
     return [pid for pid, message in lines if "built the C kernel" in message], parent
 
 
-def test_case_all_builds_the_c_library_once_under_spawn_and_forkserver(tmp_path):
-    # the shares run on threads of the parent, so the start method a process would take changes
-    # nothing: one build, in the parent
-    methods = [m for m in ("spawn", "forkserver") if m in multiprocessing.get_all_start_methods()]
-    if not methods:
-        pytest.skip("neither spawn nor forkserver here")
-    for method in methods:
-        (tmp_path / method).mkdir()
-        builds, parent = _case_all_builds(tmp_path / method, method)
-        assert builds == [parent], (method, builds)
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_workers_started_afresh_each_load_the_c_library(tmp_path, method):
+    # the shares run on threads of the parent, so a start method that would give a worker process
+    # nothing to inherit changes nothing: each share uses the one library the parent builds
+    builds, parent = _case_all_builds(tmp_path, method)
+    assert builds == [parent], builds
 
 
 def test_forked_pool_workers_inherit_the_library_the_parent_builds(tmp_path):
